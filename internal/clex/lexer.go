@@ -10,6 +10,7 @@ package clex
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"safeflow/internal/ctoken"
@@ -85,7 +86,8 @@ func (l *Lexer) advance() byte {
 
 // All lexes the entire buffer, always ending with an EOF token.
 func (l *Lexer) All() []ctoken.Token {
-	var toks []ctoken.Token
+	// C text averages a little over four bytes per token.
+	toks := make([]ctoken.Token, 0, (len(l.src)-l.off)/4+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)
@@ -153,27 +155,78 @@ func (l *Lexer) lineDirective() {
 		l.advance()
 	}
 	text := l.src[lineStart:l.off]
-	var n int
-	var f string
-	if _, err := fmt.Sscanf(text, "#line %d %q", &n, &f); err == nil {
-		l.line = n
-		l.col = 1
-		l.file = f
-		if l.off < len(l.src) {
-			l.off++ // consume the newline without advancing l.line past n
-		}
+	n, f, ok := parseLineDirective(text)
+	if !ok {
+		l.errorf(pos, "unexpected preprocessor directive %q (input not preprocessed?)", text)
 		return
 	}
-	if _, err := fmt.Sscanf(text, "# %d %q", &n, &f); err == nil {
-		l.line = n
-		l.col = 1
-		l.file = f
-		if l.off < len(l.src) {
-			l.off++
-		}
-		return
+	l.line = n
+	l.col = 1
+	l.file = f
+	if l.off < len(l.src) {
+		l.off++ // consume the newline without advancing l.line past n
 	}
-	l.errorf(pos, "unexpected preprocessor directive %q (input not preprocessed?)", text)
+}
+
+// parseLineDirective parses "#line N \"file\"" or "# N \"file\"": '#',
+// optionally "line", blanks, decimal digits, blanks and a Go-quoted file
+// name (the preprocessor writes it with %q). Text after the name, such as
+// a line marker's flags, is ignored.
+func parseLineDirective(text string) (n int, f string, ok bool) {
+	rest, found := strings.CutPrefix(text, "#")
+	if !found {
+		return 0, "", false
+	}
+	rest, _ = cutBlanks(rest)
+	if after, found := strings.CutPrefix(rest, "line"); found {
+		if rest, found = cutBlanks(after); !found {
+			return 0, "", false
+		}
+	}
+	digits := 0
+	for digits < len(rest) && isDigit(rest[digits]) {
+		digits++
+	}
+	quoted, found := cutBlanks(rest[digits:])
+	end := quotedEnd(quoted)
+	if digits == 0 || !found || end == 0 {
+		return 0, "", false
+	}
+	num, err := strconv.Atoi(rest[:digits])
+	if err != nil {
+		return 0, "", false
+	}
+	name, err := strconv.Unquote(quoted[:end])
+	if err != nil {
+		return 0, "", false
+	}
+	// Unquote may return a slice of text; positions outlive the buffer
+	// (caches keep them), so copy the name out.
+	return num, strings.Clone(name), true
+}
+
+// cutBlanks removes leading spaces and tabs from s and reports whether
+// there were any.
+func cutBlanks(s string) (string, bool) {
+	t := strings.TrimLeft(s, " \t")
+	return t, len(t) < len(s)
+}
+
+// quotedEnd returns the length of the double-quoted string at the start
+// of s, or 0 when s does not start with a terminated one.
+func quotedEnd(s string) int {
+	if s == "" || s[0] != '"' {
+		return 0
+	}
+	for i := 1; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return 0
 }
 
 func (l *Lexer) ident(start ctoken.Pos) ctoken.Token {

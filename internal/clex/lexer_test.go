@@ -1,6 +1,7 @@
 package clex
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -262,5 +263,75 @@ func TestQuickTokensFromInput(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sscanfLineDirective is the fmt.Sscanf parse the lexer used before the
+// direct one, kept as the reference for what the preprocessor emits.
+func sscanfLineDirective(text string) (int, string, bool) {
+	var n int
+	var f string
+	if _, err := fmt.Sscanf(text, "#line %d %q", &n, &f); err == nil {
+		return n, f, true
+	}
+	return 0, "", false
+}
+
+// Every directive the preprocessor can emit ("#line %d %q") parses to
+// its line and file, as the fmt.Sscanf reference does.
+func TestParseLineDirectivePreprocessorForm(t *testing.T) {
+	names := []string{"a.c", "dir/gen.h", "d\"q.h", `back\slash.c`, "tab\t.c", "café.c",
+		"nul\x00.c", "bad\xff.c", "日本.h", ""}
+	for _, line := range []int{0, 1, 17, 123456789, 1 << 40} {
+		for _, name := range names {
+			text := fmt.Sprintf("#line %d %q", line, name)
+			n, f, ok := parseLineDirective(text)
+			wn, wf, wok := sscanfLineDirective(text)
+			if !ok || n != line || f != name || n != wn || f != wf || !wok {
+				t.Errorf("%q: got (%d, %q, %v), want (%d, %q); Sscanf gives (%d, %q, %v)",
+					text, n, f, ok, line, name, wn, wf, wok)
+			}
+		}
+	}
+}
+
+// The other directive forms the parser accepts or rejects.
+func TestParseLineDirectiveForms(t *testing.T) {
+	type result struct {
+		n  int
+		f  string
+		ok bool
+	}
+	cases := map[string]result{
+		`# 5 "a.c"`:                        {5, "a.c", true},
+		`# 5 "a.c" 1 3`:                    {5, "a.c", true},
+		`#5 "a.c"`:                         {5, "a.c", true},
+		`# line 5 "a.c"`:                   {5, "a.c", true},
+		"#line\t1\t\"a.c\"":                {1, "a.c", true},
+		`#line  007  "a.c"`:                {7, "a.c", true},
+		`#line 1 "a.c" trailing`:           {1, "a.c", true},
+		`#line 1 "a\x41.c"`:                {1, "aA.c", true},
+		"#line 1 \"caf\xc3\xa9.c\"":        {1, "café.c", true},
+		"#line 1 \"\xff.c\"":               {1, "�.c", true},
+		`#line 1 "a\q.c"`:                  {},
+		`#line 1 "unterminated`:            {},
+		"#line 1 `raw.c`":                  {},
+		`#line 1 a.c`:                      {},
+		`#line -1 "a.c"`:                   {},
+		`#line 1_0 "a.c"`:                  {},
+		`#line1 "a.c"`:                     {},
+		`#line 1"a.c"`:                     {},
+		`#line 99999999999999999999 "a.c"`: {},
+		`#line 1`:                          {},
+		`#line`:                            {},
+		`#`:                                {},
+		`#define X 1`:                      {},
+		`line 1 "a.c"`:                     {},
+	}
+	for text, want := range cases {
+		n, f, ok := parseLineDirective(text)
+		if got := (result{n, f, ok}); got != want {
+			t.Errorf("%q: got %+v, want %+v", text, got, want)
+		}
 	}
 }

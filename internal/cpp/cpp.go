@@ -50,6 +50,13 @@ type Preprocessor struct {
 	includes []string        // include stack for cycle detection
 	out      strings.Builder
 	errs     []error
+
+	// Include memo state (see Memo); unused without a memo.
+	memo      *Memo
+	computing int        // memoizable expansions in progress
+	maxDepth  int        // deepest include stack seen while computing
+	readLog   []fileRead // files read while computing
+	segs      []Segment
 }
 
 // New returns a preprocessor reading includes from src.
@@ -63,6 +70,20 @@ func New(src Source) *Preprocessor {
 
 // Define predefines an object-like macro, as with -D on a C compiler.
 func (p *Preprocessor) Define(name, value string) { p.defines[name] = value }
+
+// UseMemo makes the preprocessor expand included files through m, which
+// the other units of the same compile share.
+func (p *Preprocessor) UseMemo(m *Memo) { p.memo = m }
+
+// read reads an included file, logging it while a memoizable expansion
+// is in progress.
+func (p *Preprocessor) read(name string) (string, error) {
+	text, err := p.src.ReadFile(name)
+	if err == nil && p.computing > 0 {
+		p.readLog = append(p.readLog, fileRead{name, text})
+	}
+	return text, err
+}
 
 // Expand preprocesses the named top-level file and returns the flattened
 // buffer. Errors are accumulated; the first is returned (with the rest
@@ -108,6 +129,7 @@ func (p *Preprocessor) processFile(name, text string) {
 		}
 	}
 	p.includes = append(p.includes, name)
+	p.maxDepth = max(p.maxDepth, len(p.includes)-1)
 	defer func() { p.includes = p.includes[:len(p.includes)-1] }()
 
 	fmt.Fprintf(&p.out, "#line %d %q\n", 1, name)
@@ -148,12 +170,12 @@ func (p *Preprocessor) processFile(name, text string) {
 				if p.guards[target] {
 					continue
 				}
-				inc, err := p.src.ReadFile(target)
+				inc, err := p.read(target)
 				if err != nil {
 					p.errorf(name, lineNo, "cannot include %q: %v", target, err)
 					continue
 				}
-				p.processFile(target, inc)
+				p.include(target, inc)
 				needSync = true
 			case "define":
 				if !active {
@@ -314,54 +336,51 @@ func parseIncludeTarget(rest string) (string, bool) {
 // comments conservatively (comment contents are left alone only for line
 // comments; block-comment state is not tracked across lines, which is
 // acceptable because macros expanding inside comments are harmless to the
-// lexer).
+// lexer). A line with no defined macro in it is returned as is.
 func (p *Preprocessor) substitute(line string) string {
 	if len(p.defines) == 0 {
 		return line
 	}
 	var sb strings.Builder
+	last := 0 // line[last:i] has not been copied to sb yet
 	i := 0
 	for i < len(line) {
 		ch := line[i]
 		switch {
 		case ch == '"' || ch == '\'':
 			quote := ch
-			sb.WriteByte(ch)
 			i++
 			for i < len(line) {
-				sb.WriteByte(line[i])
 				if line[i] == '\\' && i+1 < len(line) {
-					i++
-					sb.WriteByte(line[i])
-					i++
+					i += 2
 					continue
 				}
-				if line[i] == quote {
-					i++
+				i++
+				if line[i-1] == quote {
 					break
 				}
-				i++
 			}
 		case ch == '/' && i+1 < len(line) && line[i+1] == '/':
-			sb.WriteString(line[i:])
-			return sb.String()
+			i = len(line)
 		case isIdentByte(ch) && !isDigitByte(ch):
 			j := i
 			for j < len(line) && isIdentByte(line[j]) {
 				j++
 			}
-			word := line[i:j]
-			if val, ok := p.defines[word]; ok {
+			if val, ok := p.defines[line[i:j]]; ok {
+				sb.WriteString(line[last:i])
 				sb.WriteString(val)
-			} else {
-				sb.WriteString(word)
+				last = j
 			}
 			i = j
 		default:
-			sb.WriteByte(ch)
 			i++
 		}
 	}
+	if last == 0 {
+		return line
+	}
+	sb.WriteString(line[last:])
 	return sb.String()
 }
 

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -97,20 +96,13 @@ type unitOutcome struct {
 	diags   []diag.Diagnostic
 }
 
-// compileUnitDiags runs the per-TU front half: preprocess, lex, parse.
+// compileUnitDiags runs the per-TU front half: preprocess, lex, parse,
+// sharing included headers with the compile's other units through ic.
 // Every failure is recorded as a structured diagnostic — all lexer
 // errors, all parser errors after resynchronization — never just the
 // first one.
-func compileUnitDiags(sources cpp.Source, cf string, opts Options) unitOutcome {
-	pp := cpp.New(sources)
-	keys := make([]string, 0, len(opts.Defines))
-	for k := range opts.Defines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pp.Define(k, opts.Defines[k])
-	}
+func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCache) unitOutcome {
+	pp := newPreprocessor(sources, opts, ic)
 	text, err := pp.Expand(cf)
 	if err != nil {
 		return unitOutcome{diags: []diag.Diagnostic{{
@@ -134,9 +126,8 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options) unitOutcome {
 			}
 		}
 	}
-	lx := clex.New(cf, text)
-	toks := lx.All()
-	if errs := lx.Errors(); len(errs) > 0 {
+	toks, errs := ic.lex(cf, text, pp.Segments())
+	if len(errs) > 0 {
 		out := unitOutcome{}
 		for _, e := range errs {
 			var le *clex.Error
@@ -188,8 +179,8 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options) unitOutcome {
 
 // compileUnit is the fail-stop wrapper: any diagnostic fails the unit
 // with an error carrying every recorded failure (not just the first).
-func compileUnit(sources cpp.Source, cf string, opts Options) (*cast.File, error) {
-	out := compileUnitDiags(sources, cf, opts)
+func compileUnit(sources cpp.Source, cf string, opts Options, ic *includeCache) (*cast.File, error) {
+	out := compileUnitDiags(sources, cf, opts, ic)
 	if len(out.diags) > 0 {
 		return nil, diagsError(cf, out.diags)
 	}
@@ -213,10 +204,10 @@ func diagsError(cf string, ds []diag.Diagnostic) error {
 // compileUnitSafe isolates one translation unit: a panic anywhere in its
 // preprocess/lex/parse chain becomes that unit's error, not a process
 // crash, so the other units of the batch still complete.
-func compileUnitSafe(sources cpp.Source, cf string, opts Options) (f *cast.File, err error) {
+func compileUnitSafe(sources cpp.Source, cf string, opts Options, ic *includeCache) (f *cast.File, err error) {
 	err = guard.Run("frontend", cf, func() error {
 		var uerr error
-		f, uerr = compileUnit(sources, cf, opts)
+		f, uerr = compileUnit(sources, cf, opts, ic)
 		return uerr
 	})
 	return f, err
@@ -225,9 +216,9 @@ func compileUnitSafe(sources cpp.Source, cf string, opts Options) (f *cast.File,
 // compileUnitRecover isolates one unit in recovering mode: a panic is
 // recorded as an "internal" diagnostic for the unit instead of an error,
 // so the unit is skipped like any other broken one.
-func compileUnitRecover(sources cpp.Source, cf string, opts Options) (out unitOutcome) {
+func compileUnitRecover(sources cpp.Source, cf string, opts Options, ic *includeCache) (out unitOutcome) {
 	err := guard.Run("frontend", cf, func() error {
-		out = compileUnitDiags(sources, cf, opts)
+		out = compileUnitDiags(sources, cf, opts, ic)
 		return nil
 	})
 	if err != nil {
@@ -292,9 +283,11 @@ func Compile(name string, sources cpp.Source, cFiles []string, opts Options) (*i
 func CompileContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*irgen.Result, error) {
 	files := make([]*cast.File, len(cFiles))
 	errs := make([]error, len(cFiles))
+	ic := newIncludeCache()
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		files[i], errs[i] = compileUnitSafe(sources, cFiles[i], opts)
+		files[i], errs[i] = compileUnitSafe(sources, cFiles[i], opts, ic)
 	})
+	ic.report(opts.Metrics)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
@@ -355,9 +348,11 @@ func CompileRecover(name string, sources cpp.Source, cFiles []string, opts Optio
 // order and units are dropped in stable file order.
 func CompileRecoverContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*RecoverResult, error) {
 	outs := make([]unitOutcome, len(cFiles))
+	ic := newIncludeCache()
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		outs[i] = compileUnitRecover(sources, cFiles[i], opts)
+		outs[i] = compileUnitRecover(sources, cFiles[i], opts, ic)
 	})
+	ic.report(opts.Metrics)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}

@@ -29,7 +29,9 @@ func campaignSeedTexts() []string {
 // FuzzCompile feeds arbitrary C-subset sources through the whole
 // pipeline: compilation and then full analysis. Both must reject bad
 // input with an error — panics are the only failure mode. Seeded with
-// every real program in the repository.
+// every real program in the repository. Each input is also used as a
+// header shared by several units, whose spliced segment tokens must
+// equal a whole-buffer lex.
 func FuzzCompile(f *testing.F) {
 	if data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "figure2.c")); err == nil {
 		f.Add(string(data))
@@ -58,6 +60,12 @@ func FuzzCompile(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		frontend.CheckSegmentLex(t, cpp.MapSource{
+			"fuzz.h": src,
+			"a.c":    "#include \"fuzz.h\"\n",
+			"b.c":    "int b0;\n#include \"fuzz.h\"\nint b1;\n#include \"fuzz.h\"\n",
+			"main.c": src,
+		}, []string{"a.c", "b.c", "main.c", "a.c"})
 		res, err := frontend.CompileString("fuzz", src, frontend.Options{})
 		if err == nil && res == nil {
 			t.Fatal("nil result without error")

@@ -24,11 +24,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"strings"
 
 	"safeflow/internal/cast"
-	"safeflow/internal/clex"
 	"safeflow/internal/cparse"
 	"safeflow/internal/cpp"
 	"safeflow/internal/csema"
@@ -142,12 +140,14 @@ func (fc *FragmentCompiler) Compile(ctx context.Context, sources cpp.Source, cFi
 func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFiles []string) (*irgen.Result, map[string]uint64, bool) {
 	live := make(map[string]bool, len(cFiles))
 	frags := make([]*fragment, 0, len(cFiles))
+	ic := newIncludeCache()
+	defer ic.report(fc.opts.Metrics)
 	for _, cf := range cFiles {
 		if ctx.Err() != nil {
 			return nil, nil, false
 		}
 		live[cf] = true
-		text, ok := fc.expand(sources, cf)
+		text, segs, ok := fc.expand(sources, cf, ic)
 		if !ok {
 			return nil, nil, false
 		}
@@ -156,7 +156,7 @@ func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFi
 			frags = append(frags, f)
 			continue
 		}
-		f, ok := fc.build(cf, text, key)
+		f, ok := fc.build(cf, text, segs, key, ic)
 		if !ok {
 			delete(fc.frags, cf) // a stale fragment must not outlive its source
 			return nil, nil, false
@@ -289,34 +289,26 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 
 // expand preprocesses one unit exactly as compileUnitDiags does,
 // skipping the preprocessor entirely while the unit's recorded include
-// closure is unchanged.
-func (fc *FragmentCompiler) expand(sources cpp.Source, cf string) (string, bool) {
+// closure is unchanged (and then returning no segments).
+func (fc *FragmentCompiler) expand(sources cpp.Source, cf string, ic *includeCache) (string, []cpp.Segment, bool) {
 	if e := fc.expansions[cf]; e != nil && e.fresh(sources) {
-		return e.text, true
+		return e.text, nil, true
 	}
 	rec := &recordingSource{src: sources, deps: make(map[string]string)}
-	pp := cpp.New(rec)
-	keys := make([]string, 0, len(fc.opts.Defines))
-	for k := range fc.opts.Defines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pp.Define(k, fc.opts.Defines[k])
-	}
+	pp := newPreprocessor(rec, fc.opts, ic)
 	text, err := pp.Expand(cf)
 	if err != nil {
 		delete(fc.expansions, cf)
-		return "", false
+		return "", nil, false
 	}
 	fc.expansions[cf] = &expansion{text: text, deps: rec.deps}
-	return text, true
+	return text, pp.Segments(), true
 }
 
 // build compiles one fragment: parse (through the shared parse cache),
 // single-file type-check, lower, promote, hash. Any diagnostic fails the
 // fragment path.
-func (fc *FragmentCompiler) build(cf, text string, key [sha256.Size]byte) (*fragment, bool) {
+func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, ic *includeCache) (*fragment, bool) {
 	var file *cast.File
 	if !fc.opts.DisableParseCache {
 		if f := parseCacheGet(key, fc.opts.Metrics); f != nil {
@@ -331,9 +323,8 @@ func (fc *FragmentCompiler) build(cf, text string, key [sha256.Size]byte) (*frag
 		}
 	}
 	if file == nil {
-		lx := clex.New(cf, text)
-		toks := lx.All()
-		if len(lx.Errors()) > 0 {
+		toks, errs := ic.lex(cf, text, segs)
+		if len(errs) > 0 {
 			return nil, false
 		}
 		f, err := cparse.New(cf, toks).ParseFile()

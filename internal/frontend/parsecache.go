@@ -23,6 +23,7 @@
 package frontend
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"sync"
 
@@ -31,12 +32,14 @@ import (
 	"safeflow/internal/metrics"
 )
 
-// maxParseEntries bounds the process-global cache; eviction is arbitrary
-// (the cache is an accelerator, not a store of record).
+// maxParseEntries bounds the process-global cache; the least recently
+// used entry is evicted, so a repeat compile finds the units its previous
+// run just stored (the cache is an accelerator, not a store of record).
 const maxParseEntries = 256
 
 // parseEntry is one cached AST with its integrity echo.
 type parseEntry struct {
+	key  [sha256.Size]byte
 	file *cast.File
 	// Integrity echo, recorded at store time and verified on every get.
 	name  string // file.Name at store time
@@ -48,10 +51,13 @@ func (e *parseEntry) valid() bool {
 	return e != nil && e.file != nil && e.file.Name == e.name && len(e.file.Decls) == e.decls
 }
 
+// parseCache is an LRU: files indexes the elements of lru, whose values
+// are *parseEntry, most recently used at the front.
 var parseCache = struct {
 	sync.Mutex
-	files map[[sha256.Size]byte]*parseEntry
-}{files: make(map[[sha256.Size]byte]*parseEntry)}
+	files map[[sha256.Size]byte]*list.Element
+	lru   list.List
+}{files: make(map[[sha256.Size]byte]*list.Element)}
 
 func parseCacheKey(filename, expanded string) [sha256.Size]byte {
 	h := sha256.New()
@@ -69,33 +75,40 @@ func parseCacheKey(filename, expanded string) [sha256.Size]byte {
 func parseCacheGet(key [sha256.Size]byte, col *metrics.Collector) *cast.File {
 	parseCache.Lock()
 	defer parseCache.Unlock()
-	e, ok := parseCache.files[key]
+	el, ok := parseCache.files[key]
 	if !ok {
 		return nil
 	}
+	e := el.Value.(*parseEntry)
 	if !e.valid() {
+		parseCache.lru.Remove(el)
 		delete(parseCache.files, key)
 		col.AddCacheCorruptEvictions(1)
 		return nil
 	}
+	parseCache.lru.MoveToFront(el)
 	return e.file
 }
 
 func parseCachePut(key [sha256.Size]byte, f *cast.File) {
 	parseCache.Lock()
 	defer parseCache.Unlock()
-	if _, have := parseCache.files[key]; !have && len(parseCache.files) >= maxParseEntries {
-		for k := range parseCache.files {
-			delete(parseCache.files, k)
-			break
-		}
-	}
-	e := &parseEntry{file: f}
+	e := &parseEntry{key: key, file: f}
 	if f != nil {
 		e.name = f.Name
 		e.decls = len(f.Decls)
 	}
-	parseCache.files[key] = e
+	if el, have := parseCache.files[key]; have {
+		el.Value = e
+		parseCache.lru.MoveToFront(el)
+		return
+	}
+	if parseCache.lru.Len() >= maxParseEntries {
+		oldest := parseCache.lru.Back()
+		parseCache.lru.Remove(oldest)
+		delete(parseCache.files, oldest.Value.(*parseEntry).key)
+	}
+	parseCache.files[key] = parseCache.lru.PushFront(e)
 }
 
 // ResetParseCache empties the parse cache (cold-run benchmarks and cache
@@ -103,7 +116,8 @@ func parseCachePut(key [sha256.Size]byte, f *cast.File) {
 func ResetParseCache() {
 	parseCache.Lock()
 	defer parseCache.Unlock()
-	parseCache.files = make(map[[sha256.Size]byte]*parseEntry)
+	parseCache.files = make(map[[sha256.Size]byte]*list.Element)
+	parseCache.lru.Init()
 }
 
 // ParseCacheLen reports the number of cached entries (test hook for the
@@ -176,11 +190,8 @@ func CorruptParseCache(n int) int {
 	parseCache.Lock()
 	defer parseCache.Unlock()
 	corrupted := 0
-	for _, e := range parseCache.files {
-		if corrupted >= n {
-			break
-		}
-		e.decls = e.decls + 1 // break the integrity echo
+	for el := parseCache.lru.Front(); el != nil && corrupted < n; el = el.Next() {
+		el.Value.(*parseEntry).decls++ // break the integrity echo
 		corrupted++
 	}
 	return corrupted

@@ -55,6 +55,11 @@ type RunMetrics struct {
 	// recomputed instead of poisoning the run. Omitted from JSON when
 	// zero.
 	CacheCorruptEvictions int `json:"cache_corrupt_evictions,omitempty"`
+	// Include-memo counters (omitted from JSON when zero): includes one
+	// compile served from an earlier unit's expansion of the same header
+	// versus includes it expanded.
+	IncludeMemoHits   int `json:"include_memo_hits,omitempty"`
+	IncludeMemoMisses int `json:"include_memo_misses,omitempty"`
 	// Incremental re-analysis counters (set only on session updates;
 	// omitted from JSON when zero): how many functions the dependency
 	// graph invalidated versus reused, how many solved units were
@@ -91,6 +96,8 @@ func (m *RunMetrics) Canonicalize() {
 	m.DiskCacheHits = 0
 	m.DiskCacheMisses = 0
 	m.CacheCorruptEvictions = 0
+	m.IncludeMemoHits = 0
+	m.IncludeMemoMisses = 0
 	m.IncrFuncsInvalidated = 0
 	m.IncrFuncsReused = 0
 	m.IncrUnitsReplayed = 0
@@ -202,6 +209,18 @@ func (c *Collector) AddCacheCorruptEvictions(n int) {
 	}
 	c.mu.Lock()
 	c.m.CacheCorruptEvictions += n
+	c.mu.Unlock()
+}
+
+// AddIncludeMemo accumulates include-memo hit/miss counts, once per
+// compile.
+func (c *Collector) AddIncludeMemo(hits, misses int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.m.IncludeMemoHits += hits
+	c.m.IncludeMemoMisses += misses
 	c.mu.Unlock()
 }
 

@@ -58,11 +58,13 @@ func TestCanonicalizeZeroesVolatileFields(t *testing.T) {
 	c.Phase("frontend")()
 	c.SetTranslationUnits(3)
 	c.SetPhase3(7, 2, 31, 5, 26)
+	c.AddIncludeMemo(129, 1)
 	m := c.Finish()
 	m.Canonicalize()
 
 	if m.WallNS != 0 || m.Phases[0].WallNS != 0 || m.PeakGoroutines != 0 ||
-		m.CacheHits != 0 || m.CacheMisses != 0 || m.FixpointRounds != 0 || m.UnitsSolved != 0 {
+		m.CacheHits != 0 || m.CacheMisses != 0 || m.FixpointRounds != 0 || m.UnitsSolved != 0 ||
+		m.IncludeMemoHits != 0 || m.IncludeMemoMisses != 0 {
 		t.Errorf("volatile fields survived canonicalization: %+v", m)
 	}
 	if m.SchemaVersion != SchemaVersion || m.TranslationUnits != 3 || m.SCCs != 7 ||

@@ -146,6 +146,9 @@ func WriteStats(w io.Writer, m *metrics.RunMetrics) {
 		m.TranslationUnits, m.SCCs, m.FixpointRounds)
 	fmt.Fprintf(w, "  summaries solved: %d   cache hits/misses: %d/%d   peak goroutines: %d\n",
 		m.UnitsSolved, m.CacheHits, m.CacheMisses, m.PeakGoroutines)
+	if m.IncludeMemoHits+m.IncludeMemoMisses > 0 {
+		fmt.Fprintf(w, "  include memo hits/misses: %d/%d\n", m.IncludeMemoHits, m.IncludeMemoMisses)
+	}
 }
 
 // Table1Header returns the header lines of the paper's Table 1.
