@@ -8,12 +8,14 @@
 //	BenchmarkAblation_StaticVsDynamicTaint — A-1: zero-overhead static vs run-time tracking
 //	BenchmarkAblation_SummaryVsExponential — A-2: ESP summaries vs per-call-path phase 3
 //	BenchmarkAblation_PointsToModes        — A-4: subset vs unification alias analysis
+//	BenchmarkSessionUpdate_Split130        — incremental edit+revert on the split 130-unit system
 //
 // Run with: go test -bench=. -benchmem
 package safeflow_test
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"safeflow/internal/core"
@@ -399,6 +401,42 @@ type benchWorld struct{}
 func (benchWorld) ReadSensor(int) float64 { return 0.001 }
 func (benchWorld) WriteDA(int, float64)   {}
 func (benchWorld) Wait(float64)           {}
+
+// BenchmarkSessionUpdate_Split130 measures Session.Update on the split
+// 130-unit system: each iteration applies one seeded single-function edit
+// and then reverts it, two updates per op. Every update relinks all 130
+// fragments and re-solves the edit's invalidated cone.
+func BenchmarkSessionUpdate_Split130(b *testing.B) {
+	raw := corpus.Generate(1, corpus.MaxShape)
+	g := corpus.Split(raw)
+	sess, _, err := safeflow.Open(g.Name, g.Sources, g.CFiles, safeflow.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	type change struct{ unit, edited, base string }
+	var changes []change
+	for seed := int64(1); len(changes) < 32; seed++ {
+		for _, e := range corpus.GenerateEdits(raw, seed, 1) {
+			for _, cf := range g.CFiles {
+				if e.Kind != corpus.EditNoop && strings.Contains(g.Sources[cf], e.Old) {
+					changes = append(changes, change{cf, strings.Replace(g.Sources[cf], e.Old, e.New, 1), g.Sources[cf]})
+					break
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := changes[i%len(changes)]
+		for _, text := range []string{c.edited, c.base} {
+			if _, st, err := sess.Update(map[string]string{c.unit: text}); err != nil || !st.Incremental {
+				b.Fatalf("update of %s: incremental=%v err=%v", c.unit, st.Incremental, err)
+			}
+		}
+	}
+}
 
 // BenchmarkParallel_Phases13 isolates phases 1-3 (no frontend) per corpus
 // system: the module is compiled once outside the timer and every

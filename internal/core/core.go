@@ -496,6 +496,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	}
 	rep.Internal = append(rep.Internal, v.Internal...)
 	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, v.CacheHits, v.CacheMisses)
+	col.SetVFGTransfers(v.Transfers)
 	rep.incrState = v.NextIncr
 	rep.incrStats = v.Incr
 	if v.Incr != nil {

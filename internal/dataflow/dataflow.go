@@ -1,13 +1,21 @@
 // Package dataflow provides the sparse propagation machinery shared by
 // SafeFlow's analyses: a def-use index over IR functions and a generic
-// monotone worklist solver for facts attached to SSA values. Because the
-// IR is in SSA form, sparse propagation along def-use edges gives the
+// monotone solver for facts attached to SSA values. Because the IR is in
+// SSA form, sparse propagation along def-use edges gives the
 // flow-sensitive results the paper's phase 1 (shared-memory pointer
 // discovery) and phase 3 (unsafe-value flow) require, with merges at phis
 // implementing the paper's "shm/unsafe if so on some path" join.
 //
-// Storage is dense: facts, worklist membership and def-use chains are
-// slices indexed by the per-function value/instruction numbering of
+// The solver sweeps dirty instructions in ascending instruction index
+// (forward block order) until none is dirty, so a fact set early in a
+// function reaches its users in the same sweep and only loop-carried or
+// control-dependence edges that point backwards cost another sweep. Facts
+// only grow by joins and every transfer is monotone, so the result is the
+// least fixpoint whatever the visit order; the order only decides how
+// many transfers it takes to get there.
+//
+// Storage is dense: facts, dirty flags and def-use chains are slices
+// indexed by the per-function value/instruction numbering of
 // ir.NumberValues, so the solver allocates nothing on its hot path and a
 // ValueSolver's buffers are reused across repeated Solve calls.
 package dataflow
@@ -122,14 +130,20 @@ type ValueSolver[T any] struct {
 	// incoming edge, which are not operands).
 	ExtraUses [][]int32
 
-	facts  []T
-	inWork []bool
-	work   []int32
-	getf   func(ir.Value) T // created once; escapes into Transfer calls
+	facts []T
+	dirty []bool           // instruction index → awaiting (re-)evaluation
+	getf  func(ir.Value) T // created once; escapes into Transfer calls
 }
 
 // Solve runs the propagation to a fixpoint, starting from the given seed
 // facts, and returns the final fact table.
+//
+// Every instruction starts dirty. Each sweep evaluates the dirty
+// instructions in ascending index order — block order, which the front
+// end emits forward — so a fact reaches its users later in the same
+// sweep; only users at or before the changed instruction (loop-carried
+// phis, control-dependence edges back to a header) need another sweep,
+// which starts at the lowest of them.
 func (s *ValueSolver[T]) Solve(seeds []Seed[T]) Facts[T] {
 	fi := s.Info
 	bottom := s.Lattice.Bottom()
@@ -142,18 +156,15 @@ func (s *ValueSolver[T]) Solve(seeds []Seed[T]) Facts[T] {
 	for i := range s.facts {
 		s.facts[i] = bottom
 	}
-	if cap(s.inWork) >= len(fi.Instrs) {
-		s.inWork = s.inWork[:len(fi.Instrs)]
-		for i := range s.inWork {
-			s.inWork[i] = false
-		}
+	n := int32(len(fi.Instrs))
+	if cap(s.dirty) >= int(n) {
+		s.dirty = s.dirty[:n]
 	} else {
-		s.inWork = make([]bool, len(fi.Instrs))
+		s.dirty = make([]bool, n)
 	}
-	if s.work == nil {
-		s.work = make([]int32, 0, len(fi.Instrs))
+	for i := range s.dirty {
+		s.dirty[i] = true
 	}
-	s.work = s.work[:0]
 
 	if s.getf == nil {
 		s.getf = func(v ir.Value) T {
@@ -164,69 +175,64 @@ func (s *ValueSolver[T]) Solve(seeds []Seed[T]) Facts[T] {
 		}
 	}
 	get := s.getf
-	push := func(idx int32) {
-		if !s.inWork[idx] {
-			s.inWork[idx] = true
-			s.work = append(s.work, idx)
-		}
-	}
 
+	// Every instruction is already dirty, so seeding only joins facts.
 	for _, sd := range seeds {
-		n := ir.ValueNum(sd.Val)
-		if n < 0 || n >= len(s.facts) {
-			continue
+		if v := ir.ValueNum(sd.Val); v >= 0 && v < len(s.facts) {
+			s.facts[v] = s.Lattice.Join(s.facts[v], sd.Fact)
 		}
-		s.facts[n] = s.Lattice.Join(s.facts[n], sd.Fact)
-		for _, use := range fi.users[n] {
-			push(use)
-		}
-		// Seeded instructions also re-derive their own fact.
-		if in, ok := sd.Val.(ir.Instr); ok {
-			if ii := ir.InstrIndex(in); ii >= 0 && ii < len(s.inWork) {
-				push(int32(ii))
+	}
+
+	for lo := int32(0); lo < n; {
+		from := lo
+		lo = n
+		for idx := from; idx < n; idx++ {
+			if !s.dirty[idx] {
+				continue
 			}
-		}
-	}
-	// Evaluate every instruction once so constant/derived facts appear even
-	// without seeds.
-	for i := range fi.Instrs {
-		push(int32(i))
-	}
+			s.dirty[idx] = false
+			in := fi.Instrs[idx]
 
-	for len(s.work) > 0 {
-		idx := s.work[len(s.work)-1]
-		s.work = s.work[:len(s.work)-1]
-		s.inWork[idx] = false
-		in := fi.Instrs[idx]
-
-		newFact, produces := s.Transfer(in, get)
-		if !produces {
-			continue
-		}
-		v, isVal := in.(ir.Value)
-		if !isVal {
-			continue
-		}
-		n := ir.ValueNum(v)
-		if n < 0 || n >= len(s.facts) {
-			continue
-		}
-		old := s.facts[n]
-		merged := s.Lattice.Join(old, newFact)
-		if s.Lattice.Equal(old, merged) {
-			continue
-		}
-		s.facts[n] = merged
-		for _, use := range fi.users[n] {
-			push(use)
-		}
-		if n < len(s.ExtraUses) {
-			for _, use := range s.ExtraUses[n] {
-				push(use)
+			newFact, produces := s.Transfer(in, get)
+			if !produces {
+				continue
+			}
+			v, isVal := in.(ir.Value)
+			if !isVal {
+				continue
+			}
+			vn := ir.ValueNum(v)
+			if vn < 0 || vn >= len(s.facts) {
+				continue
+			}
+			old := s.facts[vn]
+			merged := s.Lattice.Join(old, newFact)
+			if s.Lattice.Equal(old, merged) {
+				continue
+			}
+			s.facts[vn] = merged
+			lo = s.markDirty(fi.users[vn], idx, lo)
+			if vn < len(s.ExtraUses) {
+				lo = s.markDirty(s.ExtraUses[vn], idx, lo)
 			}
 		}
 	}
 	return Facts[T]{info: fi, facts: s.facts}
+}
+
+// markDirty flags uses for re-evaluation. A use after the current index
+// pos is reached later in this sweep; lo, the start of the next sweep,
+// drops to the lowest use at or before pos.
+func (s *ValueSolver[T]) markDirty(uses []int32, pos, lo int32) int32 {
+	for _, u := range uses {
+		if !s.dirty[u] {
+			s.dirty[u] = true
+			if u <= pos && u < lo {
+				lo = u
+			}
+		}
+	}
+	return lo
 }
 
 // BoolLattice is the two-point lattice false ⊑ true used for may-facts

@@ -2,8 +2,6 @@ package frontend_test
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 
 	"safeflow/internal/corpus"
@@ -12,28 +10,9 @@ import (
 	"safeflow/internal/metrics"
 )
 
-// splitSystem moves every monitor and stage function of a generated
-// system into a translation unit of its own. With the generator's
-// largest shape (64/64/64/6) that gives 130 units, each including gen.h.
-func splitSystem(g corpus.Generated) (cpp.MapSource, []string) {
-	src := cpp.MapSource{"gen.h": g.Sources["gen.h"], "init.c": g.Sources["init.c"], "main.c": g.Sources["main.c"]}
-	cFiles := []string{"init.c"}
-	for _, file := range []string{"monitors.c", "stages.c"} {
-		body := strings.TrimPrefix(g.Sources[file], "#include \"gen.h\"\n")
-		for _, chunk := range strings.SplitAfter(body, "\n}\n") {
-			if strings.TrimSpace(chunk) == "" {
-				continue
-			}
-			unit := fmt.Sprintf("%s%03d.c", strings.TrimSuffix(file, "s.c"), len(cFiles))
-			src[unit] = "#include \"gen.h\"\n" + chunk
-			cFiles = append(cFiles, unit)
-		}
-	}
-	return src, append(cFiles, "main.c")
-}
-
 func split130(seed int64) (cpp.MapSource, []string) {
-	return splitSystem(corpus.Generate(seed, corpus.GenConfig{Regions: 64, Monitors: 64, Stages: 64, Depth: 6}))
+	g := corpus.Split(corpus.Generate(seed, corpus.MaxShape))
+	return cpp.MapSource(g.Sources), g.CFiles
 }
 
 // Every unit of every corpus system — the Table 1 systems, generated

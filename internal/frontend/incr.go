@@ -41,14 +41,17 @@ import (
 type HashFunc func(fn *ir.Function, assertVars map[*ir.Call]string) uint64
 
 // fragment is one translation unit's lowered, promoted module plus the
-// content hashes of the functions it defines. Body hashes are stored
-// with the fragment (not per session-update) so a reused fragment's
-// hints are intrinsically consistent with its IR.
+// content hashes of the functions it defines and the structural
+// fingerprints of its declarations. Both are computed once when the
+// fragment is built, so a reused fragment's hints are intrinsically
+// consistent with its IR and linking it again costs string compares.
 type fragment struct {
 	key        [sha256.Size]byte
 	res        *irgen.Result
 	bodyHashes map[string]uint64
-	structs    map[string]*ctypes.Struct
+	structFPs  map[string]string // struct tag → layout fingerprint
+	globalFPs  []string          // element-type fingerprints, aligned with res.Module.Globals
+	funcFPs    []string          // signature fingerprints, aligned with res.Module.Funcs
 }
 
 // FragmentCompiler compiles translation units independently and links
@@ -61,11 +64,6 @@ type FragmentCompiler struct {
 	hashFn     HashFunc
 	frags      map[string]*fragment
 	expansions map[string]*expansion
-	// fpMemo caches structural type fingerprints per type object. Types
-	// are immutable once built and reused fragments carry the same type
-	// pointers into every link, so the memo turns the per-link symbol
-	// gates into map lookups.
-	fpMemo map[ctypes.Type]string
 	// The previous link, returned verbatim when the fragment list is
 	// unchanged (pointer-for-pointer, in order) — the comment-only-edit
 	// case, where rebuilt fragments were adopted back into their
@@ -82,7 +80,6 @@ func NewFragmentCompiler(name string, opts Options, hashFn HashFunc) *FragmentCo
 		name: name, opts: opts, hashFn: hashFn,
 		frags:      make(map[string]*fragment),
 		expansions: make(map[string]*expansion),
-		fpMemo:     make(map[ctypes.Type]string),
 	}
 }
 
@@ -222,7 +219,7 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 	}
 	am, bm := a.res.Module, b.res.Module
 	if len(am.Funcs) != len(bm.Funcs) || len(am.Globals) != len(bm.Globals) ||
-		len(a.structs) != len(b.structs) || len(a.bodyHashes) != len(b.bodyHashes) {
+		len(a.structFPs) != len(b.structFPs) || len(a.bodyHashes) != len(b.bodyHashes) {
 		return false
 	}
 	// Definitions must match pairwise in order; declarations are compared
@@ -230,40 +227,41 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 	// order, and declaration order is already proven not to affect report
 	// bytes (the whole-module pipeline has the same nondeterminism and
 	// passes byte-determinism).
-	decls := make(map[string]*ir.Function)
-	var aDefs []*ir.Function
-	for _, fn := range am.Funcs {
+	decls := make(map[string]int)
+	var aDefs []int
+	for i, fn := range am.Funcs {
 		if fn.IsDecl {
-			decls[fn.Name] = fn
+			decls[fn.Name] = i
 		} else {
-			aDefs = append(aDefs, fn)
+			aDefs = append(aDefs, i)
 		}
 	}
-	var bDefs []*ir.Function
-	for _, fn := range bm.Funcs {
+	var bDefs []int
+	for i, fn := range bm.Funcs {
 		if fn.IsDecl {
-			o, ok := decls[fn.Name]
-			if !ok || o.Pos != fn.Pos || fc.fp(o.Sig) != fc.fp(fn.Sig) {
+			j, ok := decls[fn.Name]
+			if !ok || am.Funcs[j].Pos != fn.Pos || a.funcFPs[j] != b.funcFPs[i] {
 				return false
 			}
 			delete(decls, fn.Name)
 		} else {
-			bDefs = append(bDefs, fn)
+			bDefs = append(bDefs, i)
 		}
 	}
 	if len(decls) != 0 || len(aDefs) != len(bDefs) {
 		return false
 	}
-	for i, fn := range aDefs {
-		o := bDefs[i]
-		if fn.Name != o.Name || fn.Pos != o.Pos || fc.fp(fn.Sig) != fc.fp(o.Sig) {
+	for k, i := range aDefs {
+		j := bDefs[k]
+		fn, o := am.Funcs[i], bm.Funcs[j]
+		if fn.Name != o.Name || fn.Pos != o.Pos || a.funcFPs[i] != b.funcFPs[j] {
 			return false
 		}
 	}
 	for i, g := range am.Globals {
 		o := bm.Globals[i]
 		if g.Name != o.Name || g.HasInit != o.HasInit || g.Pos != o.Pos ||
-			len(g.InitInts) != len(o.InitInts) || fc.fp(g.Elem) != fc.fp(o.Elem) {
+			len(g.InitInts) != len(o.InitInts) || a.globalFPs[i] != b.globalFPs[i] {
 			return false
 		}
 		for j, v := range g.InitInts {
@@ -272,9 +270,8 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 			}
 		}
 	}
-	for tag, st := range a.structs {
-		ost, ok := b.structs[tag]
-		if !ok || fc.fp(st) != fc.fp(ost) {
+	for tag, fp := range a.structFPs {
+		if ofp, ok := b.structFPs[tag]; !ok || fp != ofp {
 			return false
 		}
 	}
@@ -352,7 +349,22 @@ func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha2
 	if !fc.opts.SkipPromote {
 		irgen.Promote(res.Module)
 	}
-	frag := &fragment{key: key, res: res, structs: prog.Structs}
+	frag := &fragment{
+		key:       key,
+		res:       res,
+		structFPs: make(map[string]string, len(prog.Structs)),
+		globalFPs: make([]string, len(res.Module.Globals)),
+		funcFPs:   make([]string, len(res.Module.Funcs)),
+	}
+	for tag, st := range prog.Structs {
+		frag.structFPs[tag] = typeFP(st, nil)
+	}
+	for i, g := range res.Module.Globals {
+		frag.globalFPs[i] = typeFP(g.Elem, nil)
+	}
+	for i, fn := range res.Module.Funcs {
+		frag.funcFPs[i] = typeFP(fn.Sig, nil)
+	}
 	if fc.hashFn != nil {
 		frag.bodyHashes = make(map[string]uint64)
 		for _, fn := range res.Module.Funcs {
@@ -372,8 +384,7 @@ func (fc *FragmentCompiler) link(frags []*fragment) (*irgen.Result, map[string]u
 	// field offsets and sizes baked in during per-fragment lowering.
 	structFPs := make(map[string]string)
 	for _, f := range frags {
-		for tag, st := range f.structs {
-			fp := fc.fp(st)
+		for tag, fp := range f.structFPs {
 			if prev, ok := structFPs[tag]; ok && prev != fp {
 				return nil, nil, false
 			}
@@ -381,50 +392,56 @@ func (fc *FragmentCompiler) link(frags []*fragment) (*irgen.Result, map[string]u
 		}
 	}
 
+	// Units share their headers' declarations, so the largest fragment
+	// sizes the symbol tables better than the sum over fragments does.
 	nFuncs, nGlobals, nAsserts := 0, 0, 0
 	for _, f := range frags {
-		nFuncs += len(f.res.Module.Funcs)
-		nGlobals += len(f.res.Module.Globals)
+		nFuncs = max(nFuncs, len(f.res.Module.Funcs))
+		nGlobals = max(nGlobals, len(f.res.Module.Globals))
 		nAsserts += len(f.res.AssertVars)
 	}
+	// Each slot keeps the fingerprint of its first declaration; later
+	// declarations must match it.
 	var (
 		fnSlot  = make(map[string]int, nFuncs)
 		fnOrder = make([]*ir.Function, 0, nFuncs)
+		fnFPs   = make([]string, 0, nFuncs)
 		gSlot   = make(map[string]int, nGlobals)
 		gOrder  = make([]*ir.Global, 0, nGlobals)
+		gFPs    = make([]string, 0, nGlobals)
 	)
 	for _, f := range frags {
-		for _, g := range f.res.Module.Globals {
+		for j, g := range f.res.Module.Globals {
 			i, seen := gSlot[g.Name]
 			if !seen {
 				gSlot[g.Name] = len(gOrder)
 				gOrder = append(gOrder, g)
+				gFPs = append(gFPs, f.globalFPs[j])
 				continue
 			}
-			prev := gOrder[i]
-			if fc.fp(prev.Elem) != fc.fp(g.Elem) {
+			if gFPs[i] != f.globalFPs[j] {
 				return nil, nil, false
 			}
 			if g.HasInit {
-				if prev.HasInit {
+				if gOrder[i].HasInit {
 					return nil, nil, false // conflicting initializers
 				}
 				gOrder[i] = g // the initializing declaration wins the slot
 			}
 		}
-		for _, fn := range f.res.Module.Funcs {
+		for j, fn := range f.res.Module.Funcs {
 			i, seen := fnSlot[fn.Name]
 			if !seen {
 				fnSlot[fn.Name] = len(fnOrder)
 				fnOrder = append(fnOrder, fn)
+				fnFPs = append(fnFPs, f.funcFPs[j])
 				continue
 			}
-			prev := fnOrder[i]
-			if fc.fp(prev.Sig) != fc.fp(fn.Sig) {
+			if fnFPs[i] != f.funcFPs[j] {
 				return nil, nil, false
 			}
 			if !fn.IsDecl {
-				if !prev.IsDecl {
+				if !fnOrder[i].IsDecl {
 					return nil, nil, false // duplicate definition
 				}
 				fnOrder[i] = fn // the definition wins the slot
@@ -471,21 +488,6 @@ func (fc *FragmentCompiler) link(frags []*fragment) (*irgen.Result, map[string]u
 		}
 	}
 	return merged, bodyHashes, true
-}
-
-// fp is the memoizing entry point for typeFP. Recompiled fragments
-// allocate fresh type objects, so the memo is rebuilt if it ever grows
-// pathological.
-func (fc *FragmentCompiler) fp(t ctypes.Type) string {
-	if s, ok := fc.fpMemo[t]; ok {
-		return s
-	}
-	if len(fc.fpMemo) > 1<<16 {
-		fc.fpMemo = make(map[ctypes.Type]string)
-	}
-	s := typeFP(t, nil)
-	fc.fpMemo[t] = s
-	return s
 }
 
 // typeFP renders a type to a structural fingerprint. ctypes structs are

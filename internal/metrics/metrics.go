@@ -41,6 +41,9 @@ type RunMetrics struct {
 	UnitsSolved      int            `json:"units_solved"`
 	CacheHits        int            `json:"cache_hits"`
 	CacheMisses      int            `json:"cache_misses"`
+	// VFGTransfers counts the value-flow solver's instruction transfer
+	// evaluations over every unit solve (omitted from JSON when zero).
+	VFGTransfers int64 `json:"vfg_transfers,omitempty"`
 	// Frontend parse-cache counters (omitted from JSON when zero so the
 	// schema stays backward compatible with v1 consumers).
 	FrontendCacheHits   int `json:"frontend_cache_hits,omitempty"`
@@ -89,6 +92,7 @@ func (m *RunMetrics) Canonicalize() {
 	}
 	m.FixpointRounds = 0
 	m.UnitsSolved = 0
+	m.VFGTransfers = 0
 	m.CacheHits = 0
 	m.CacheMisses = 0
 	m.FrontendCacheHits = 0
@@ -160,6 +164,16 @@ func (c *Collector) SetPhase3(sccs, rounds, unitsSolved, cacheHits, cacheMisses 
 	c.m.UnitsSolved = unitsSolved
 	c.m.CacheHits = cacheHits
 	c.m.CacheMisses = cacheMisses
+	c.mu.Unlock()
+}
+
+// SetVFGTransfers records the value-flow solver's transfer evaluations.
+func (c *Collector) SetVFGTransfers(n int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.m.VFGTransfers = n
 	c.mu.Unlock()
 }
 

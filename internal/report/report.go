@@ -149,6 +149,9 @@ func WriteStats(w io.Writer, m *metrics.RunMetrics) {
 	if m.IncludeMemoHits+m.IncludeMemoMisses > 0 {
 		fmt.Fprintf(w, "  include memo hits/misses: %d/%d\n", m.IncludeMemoHits, m.IncludeMemoMisses)
 	}
+	if m.VFGTransfers > 0 {
+		fmt.Fprintf(w, "  vfg transfers: %d\n", m.VFGTransfers)
+	}
 }
 
 // Table1Header returns the header lines of the paper's Table 1.

@@ -148,6 +148,12 @@ type Result struct {
 	// UnitsAnalyzed counts (function, context) analysis units solved
 	// (solves, not distinct units) — the ablation metric.
 	UnitsAnalyzed int
+	// Transfers counts instruction transfer evaluations over every unit
+	// solve: the solver's work, which its visit order decides.
+	// SweptInstrs is its floor, one evaluation per instruction per
+	// solver pass, so Transfers/SweptInstrs is the transfers per
+	// instruction.
+	Transfers, SweptInstrs int64
 	// SCCs is the number of strongly connected components in the call
 	// graph (a structural, schedule-independent count).
 	SCCs int
@@ -281,8 +287,10 @@ type analysis struct {
 	intMu    sync.Mutex // guards internal
 	internal []error
 
-	solves  atomic.Int64
-	changed atomic.Bool
+	solves    atomic.Int64
+	transfers atomic.Int64
+	swept     atomic.Int64
+	changed   atomic.Bool
 
 	rounds                 int
 	cacheHits, cacheMisses int
@@ -536,12 +544,15 @@ func (a *analysis) solveUnit(u *unit) bool {
 	local := newMemStore()
 	newSum := summary{}
 
+	var transfers, swept int64 // summed locally, published once per solve
 	fd.solver.Transfer = func(in ir.Instr, get func(ir.Value) Taint) (Taint, bool) {
+		transfers++
 		return a.transfer(u, in, get, local, fd.deps)
 	}
 	seeds := a.policyParamSeeds(u, fd.seeds)
 	for inner := 0; inner < maxInnerRounds; inner++ {
 		facts := fd.solver.Solve(seeds)
+		swept += int64(len(fd.solver.Info.Instrs))
 		memChanged := a.applyEffectsPass(u, facts, local, fd.deps, &newSum)
 		if !memChanged {
 			break
@@ -549,6 +560,8 @@ func (a *analysis) solveUnit(u *unit) bool {
 		newSum = summary{} // recollected next pass with the updated memory
 	}
 	fd.solver.Transfer = nil // drop the closure's unit/overlay references
+	a.transfers.Add(transfers)
+	a.swept.Add(swept)
 
 	if !summaryEqual(u.sum, newSum) {
 		u.sum = newSum
@@ -1142,6 +1155,8 @@ func (m *memStore) read(ref pointsto.Ref) Taint {
 func (a *analysis) finish() *Result {
 	res := &Result{
 		UnitsAnalyzed: int(a.solves.Load()),
+		Transfers:     a.transfers.Load(),
+		SweptInstrs:   a.swept.Load(),
 		SCCs:          len(a.cfg.CG.BottomUp()),
 		Rounds:        a.rounds,
 		CacheHits:     a.cacheHits,
