@@ -7,6 +7,7 @@
 package safeflow_test
 
 import (
+	"context"
 	"testing"
 
 	"safeflow/internal/core"
@@ -43,15 +44,15 @@ func TestAllocRegression_Phases13(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
+			res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
-					if len(rep.ErrorsData) != sys.Expected.Errors {
+					rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
+					if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 						b.Fatalf("counts diverged")
 					}
 				}

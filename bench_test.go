@@ -14,6 +14,7 @@
 package safeflow_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -169,15 +170,15 @@ func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, opts core.Options) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep := core.AnalyzeModule(sys.Name, res, opts)
-			if len(rep.ErrorsData) != sys.Expected.Errors {
+			rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, opts)
+			if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 				b.Fatalf("counts diverged")
 			}
 		}
@@ -382,7 +383,7 @@ func BenchmarkInterp_CorpusIP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,15 +451,15 @@ func BenchmarkParallel_Phases13(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
+			res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
-				if len(rep.ErrorsData) != sys.Expected.Errors {
+				rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
+				if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 					b.Fatalf("counts diverged")
 				}
 			}

@@ -25,6 +25,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -291,15 +292,15 @@ func runJSON(w io.Writer, cacheDir string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", sys.Name, err)
 		}
-		res, err := frontend.Compile(sys.Name, csrc, sys.CFiles, frontend.Options{})
+		res, err := frontend.Compile(context.Background(), sys.Name, csrc, sys.CFiles, frontend.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", sys.Name, err)
 		}
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
-				if len(rep.ErrorsData) != sys.Expected.Errors {
+				rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
+				if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 					b.Fatalf("counts diverged")
 				}
 			}

@@ -266,18 +266,13 @@ func (r *Report) Clean() bool {
 }
 
 // AnalyzeSources compiles and analyzes the translation units named by
-// cFiles against the given source tree.
-func AnalyzeSources(name string, sources cpp.Source, cFiles []string, opts Options) (*Report, error) {
-	return AnalyzeSourcesContext(context.Background(), name, sources, cFiles, opts)
-}
-
-// AnalyzeSourcesContext is AnalyzeSources with cancellation: a cancelled
-// context stops the pipeline between translation units (frontend) and
-// between analysis units (phase-3 SCC waves) and returns ctx.Err().
-// Every phase runs panic-isolated — a crash is converted into a
-// *guard.InternalError in Report.Internal instead of unwinding the
-// caller, so one bad system in a batch fails alone.
-func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*Report, error) {
+// cFiles against the given source tree. A cancelled context stops the
+// pipeline between translation units (frontend) and between analysis
+// units (phase-3 SCC waves) and returns ctx.Err(). Every phase runs
+// panic-isolated — a crash is converted into a *guard.InternalError in
+// Report.Internal instead of unwinding the caller, so one bad system in a
+// batch fails alone.
+func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*Report, error) {
 	var col *metrics.Collector
 	if opts.Stats {
 		col = metrics.NewCollector()
@@ -300,7 +295,7 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 	err := guard.Run("frontend", name, func() error {
 		firePhaseHook("frontend", name)
 		if opts.Recover {
-			rr, cerr := frontend.CompileRecoverContext(ctx, name, sources, cFiles, fopts)
+			rr, cerr := frontend.CompileRecover(ctx, name, sources, cFiles, fopts)
 			if cerr != nil {
 				return cerr
 			}
@@ -308,7 +303,7 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 			return nil
 		}
 		var cerr error
-		res, cerr = frontend.CompileContext(ctx, name, sources, cFiles, fopts)
+		res, cerr = frontend.Compile(ctx, name, sources, cFiles, fopts)
 		return cerr
 	})
 	done()
@@ -352,20 +347,10 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 	return rep, nil
 }
 
-// AnalyzeString analyzes a single-buffer program (quickstart, tests).
-func AnalyzeString(name, src string, opts Options) (*Report, error) {
-	return AnalyzeSources(name, cpp.MapSource{"main.c": src}, []string{"main.c"}, opts)
-}
-
-// AnalyzeModule runs phases 1–3 on an already-compiled module.
-func AnalyzeModule(name string, res *irgen.Result, opts Options) *Report {
-	rep, _ := analyzeModuleWith(context.Background(), name, res, opts, nil, nil)
-	return rep
-}
-
-// AnalyzeModuleContext is AnalyzeModule with cancellation; it returns
-// ctx.Err() when the run was cancelled between phases or analysis units.
-func AnalyzeModuleContext(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
+// AnalyzeModule runs phases 1–3 on an already-compiled module; it
+// returns ctx.Err() when the run was cancelled between phases or analysis
+// units.
+func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
 	return analyzeModuleWith(ctx, name, res, opts, nil, nil)
 }
 
@@ -557,8 +542,8 @@ func callsInitCheck(f *ir.Function) bool {
 }
 
 // fingerprintSources derives a summary-cache key covering every analysis
-// input: the source files reachable through quoted includes (same
-// traversal as countSourceStats), the macro defines, and the options that
+// input: the source files reachable through quoted includes (in
+// walkSources order), the macro defines, and the options that
 // change phase-3 results. Two analyses with equal fingerprints see
 // identical modules, which is what the vfg cache's soundness relies on.
 func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts Options) string {
@@ -583,74 +568,87 @@ func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts O
 	sort.Strings(defs)
 	put(defs...)
 
-	seen := make(map[string]bool)
-	var visit func(file string)
-	visit = func(file string) {
-		if seen[file] {
-			return
-		}
-		seen[file] = true
+	walkSources(cFiles, func(file string) []string {
 		text, err := sources.ReadFile(file)
 		if err != nil {
 			put(file, "<unreadable>")
-			return
+			return nil
 		}
 		put(file, text)
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if !strings.HasPrefix(trimmed, "#include") {
-				continue
-			}
-			if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-				rest := trimmed[i+1:]
-				if j := strings.IndexByte(rest, '"'); j > 0 {
-					visit(rest[:j])
-				}
-			}
-		}
-	}
-	for _, f := range cFiles {
-		visit(f)
-	}
+		return quotedIncludes(text)
+	})
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // countSourceStats counts non-blank lines and annotation comments across
 // the program's files (headers included once each).
 func countSourceStats(sources cpp.Source, cFiles []string) (loc, annots int) {
+	walkSources(cFiles, func(name string) []string {
+		text, err := sources.ReadFile(name)
+		if err != nil {
+			return nil
+		}
+		l, a := lineStats(text)
+		loc += l
+		annots += a
+		return quotedIncludes(text)
+	})
+	return loc, annots
+}
+
+// lineStats counts one file's non-blank lines and annotation comments.
+func lineStats(text string) (loc, annots int) {
+	for _, line := range strings.Split(text, "\n") {
+		if strings.TrimSpace(line) != "" {
+			loc++
+		}
+		if strings.Contains(line, "SafeFlow Annotation") {
+			annots++
+		}
+	}
+	return loc, annots
+}
+
+// quotedIncludes returns the files text pulls in with #include "…", in
+// line order.
+func quotedIncludes(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		trimmed := strings.TrimSpace(line)
+		if !strings.HasPrefix(trimmed, "#include") {
+			continue
+		}
+		if i := strings.IndexByte(trimmed, '"'); i >= 0 {
+			rest := trimmed[i+1:]
+			if j := strings.IndexByte(rest, '"'); j > 0 {
+				out = append(out, rest[:j])
+			}
+		}
+	}
+	return out
+}
+
+// walkSources visits every file reachable from cFiles through quoted
+// includes exactly once, depth first in include order: a file, then each
+// file it includes with that file's own includes. visit handles one file
+// and returns the names it includes. Every whole-program source scan —
+// the cache fingerprint, the line counts, the suppression directives —
+// walks the program this way, so they all see the same files.
+func walkSources(cFiles []string, visit func(name string) []string) {
 	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
+	var walk func(name string)
+	walk = func(name string) {
 		if seen[name] {
 			return
 		}
 		seen[name] = true
-		text, err := sources.ReadFile(name)
-		if err != nil {
-			return
-		}
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if trimmed != "" {
-				loc++
-			}
-			if strings.Contains(line, "SafeFlow Annotation") {
-				annots++
-			}
-			if strings.HasPrefix(trimmed, "#include") {
-				if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-					rest := trimmed[i+1:]
-					if j := strings.IndexByte(rest, '"'); j > 0 {
-						visit(rest[:j])
-					}
-				}
-			}
+		for _, inc := range visit(name) {
+			walk(inc)
 		}
 	}
 	for _, f := range cFiles {
-		visit(f)
+		walk(f)
 	}
-	return loc, annots
 }
 
 // activePolicy resolves the policy the run analyzes under: the
@@ -664,38 +662,18 @@ func activePolicy(opts Options) *policy.Compiled {
 }
 
 // scanSourceSuppressions collects inline safeflow:ignore directives from
-// every file reachable through quoted includes (same traversal as
-// countSourceStats, so the scan sees exactly the analyzed program).
+// every file reachable through quoted includes, so the scan sees exactly
+// the analyzed program.
 func scanSourceSuppressions(sources cpp.Source, cFiles []string) []policy.Suppression {
 	var out []policy.Suppression
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
+	walkSources(cFiles, func(name string) []string {
 		text, err := sources.ReadFile(name)
 		if err != nil {
-			return
+			return nil
 		}
 		out = append(out, policy.ScanSuppressions(name, text)...)
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if !strings.HasPrefix(trimmed, "#include") {
-				continue
-			}
-			if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-				rest := trimmed[i+1:]
-				if j := strings.IndexByte(rest, '"'); j > 0 {
-					visit(rest[:j])
-				}
-			}
-		}
-	}
-	for _, f := range cFiles {
-		visit(f)
-	}
+		return quotedIncludes(text)
+	})
 	return out
 }
 

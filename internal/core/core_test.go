@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func analyzeFile(t *testing.T, path string, opts Options) *Report {
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
-	rep, err := AnalyzeSources("test", cpp.MapSource{"main.c": string(src)}, []string{"main.c"}, opts)
+	rep, err := AnalyzeSources(context.Background(), "test", cpp.MapSource{"main.c": string(src)}, []string{"main.c"}, opts)
 	if err != nil {
 		t.Fatalf("analyze %s: %v", path, err)
 	}
@@ -97,7 +98,7 @@ func TestFigure2Monitored(t *testing.T) {
 		"/***SafeFlow Annotation assume(core(nc, 0, sizeof(SHMData))) /***/\n{\n    double u;",
 		"/***SafeFlow Annotation assume(core(nc, 0, sizeof(SHMData))) /***/\n/***SafeFlow Annotation assume(core(f, 0, sizeof(SHMData))) /***/\n{\n    double u;")
 
-	rep, err := AnalyzeSources("patched", cpp.MapSource{"main.c": patched}, []string{"main.c"}, Options{})
+	rep, err := AnalyzeSources(context.Background(), "patched", cpp.MapSource{"main.c": patched}, []string{"main.c"}, Options{})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

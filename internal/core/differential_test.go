@@ -10,6 +10,7 @@ package core_test
 // dynamic ⊆ static is exactly the soundness direction the paper claims.
 
 import (
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"safeflow/internal/callgraph"
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/cpp"
 	"safeflow/internal/ctoken"
 	"safeflow/internal/frontend"
 	"safeflow/internal/interp"
@@ -48,7 +50,10 @@ func (w *diffWorld) Wait(seconds float64) {
 func runDifferential(t *testing.T, res *irgen.Result, sensor float64, rig func(m *interp.Machine)) {
 	t.Helper()
 
-	rep := core.AnalyzeModule(t.Name(), res, core.Options{})
+	rep, err := core.AnalyzeModule(context.Background(), t.Name(), res, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	staticData := make(map[ctoken.Pos]bool)
 	for _, e := range rep.ErrorsData {
 		staticData[e.Pos] = true
@@ -110,7 +115,7 @@ func TestDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{
+			res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{
 				Defines: map[string]string{"MAXITER": "200"},
 			})
 			if err != nil {
@@ -130,7 +135,7 @@ func TestDifferentialFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := frontend.CompileString("figure2", string(data), frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "figure2", cpp.MapSource{"main.c": string(data)}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestSessionLinkGates(t *testing.T) {
 			t.Fatalf("%s: edit does not anchor", e.name)
 		}
 		alone := cpp.MapSource{"gen.h": g.Sources["gen.h"], declUnit: edited}
-		if _, err := frontend.Compile("alone", alone, []string{declUnit}, frontend.Options{DisableParseCache: true}); err != nil {
+		if _, err := frontend.Compile(context.Background(), "alone", alone, []string{declUnit}, frontend.Options{DisableParseCache: true}); err != nil {
 			t.Fatalf("%s: the edited unit does not compile on its own: %v", e.name, err)
 		}
 
@@ -95,7 +95,7 @@ func TestSessionLinkGates(t *testing.T) {
 			cur[declUnit] = step.text
 			rep, stats, err := s.Update(context.Background(), map[string]string{declUnit: step.text})
 			got := outcome(t, rep, err)
-			frep, ferr := core.AnalyzeSourcesContext(context.Background(), g.Name, cpp.MapSource(cur), g.CFiles, opts)
+			frep, ferr := core.AnalyzeSources(context.Background(), g.Name, cpp.MapSource(cur), g.CFiles, opts)
 			want := outcome(t, frep, ferr)
 			if got != want {
 				t.Errorf("%s %s: session differs from fresh analysis\n--- session ---\n%s\n--- fresh ---\n%s", e.name, step.what, got, want)

@@ -40,7 +40,7 @@ func mustBuiltin(t *testing.T, name string) *policy.Compiled {
 
 func analyzeCred(t *testing.T, src string, opts Options) *Report {
 	t.Helper()
-	rep, err := AnalyzeSources("credsys", cpp.MapSource{"main.c": src}, []string{"main.c"}, opts)
+	rep, err := AnalyzeSources(context.Background(), "credsys", cpp.MapSource{"main.c": src}, []string{"main.c"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSessionSuppressionByteIdentity(t *testing.T) {
 	if !stats.Incremental {
 		t.Fatal("comment-only edit did not take the incremental path")
 	}
-	want, err := AnalyzeSources("credsys", cpp.MapSource{"main.c": edited}, []string{"main.c"}, opts)
+	want, err := AnalyzeSources(context.Background(), "credsys", cpp.MapSource{"main.c": edited}, []string{"main.c"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package core_test
 // degraded report is byte-identical at every worker count.
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -35,8 +36,7 @@ int main()
 }
 `,
 	}
-	rep, err := core.AnalyzeSources("missing-def", cpp.MapSource(sources),
-		[]string{"helper.c", "main.c"}, core.Options{Recover: true})
+	rep, err := core.AnalyzeSources(context.Background(), "missing-def", cpp.MapSource(sources), []string{"helper.c", "main.c"}, core.Options{Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,7 @@ int main()
 	}
 
 	// The same system in strict mode fails outright.
-	if _, err := core.AnalyzeSources("missing-def", cpp.MapSource(sources),
-		[]string{"helper.c", "main.c"}, core.Options{}); err == nil {
+	if _, err := core.AnalyzeSources(context.Background(), "missing-def", cpp.MapSource(sources), []string{"helper.c", "main.c"}, core.Options{}); err == nil {
 		t.Error("strict mode accepted the broken unit")
 	}
 }
@@ -72,8 +71,7 @@ func TestRecoverDegradedNeverClean(t *testing.T) {
 		"broken.c": "int bad( {\n",
 		"main.c":   "int main() { return 0; }\n",
 	}
-	rep, err := core.AnalyzeSources("degraded-clean", cpp.MapSource(sources),
-		[]string{"broken.c", "main.c"}, core.Options{Recover: true})
+	rep, err := core.AnalyzeSources(context.Background(), "degraded-clean", cpp.MapSource(sources), []string{"broken.c", "main.c"}, core.Options{Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +96,7 @@ func TestCorpusBrokenUnitDegradedDeterministic(t *testing.T) {
 
 	var firstText, firstJSON string
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		rep, err := core.AnalyzeSources(sys.Name, cpp.MapSource(src), sys.CFiles,
-			core.Options{Recover: true, Workers: workers})
+		rep, err := core.AnalyzeSources(context.Background(), sys.Name, cpp.MapSource(src), sys.CFiles, core.Options{Recover: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: analysis failed outright: %v", workers, err)
 		}

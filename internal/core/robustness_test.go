@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"safeflow/internal/cpp"
 	"safeflow/internal/irgen"
 )
 
@@ -132,7 +134,7 @@ func TestPipelineRobustness(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := &progGen{r: rand.New(rand.NewSource(seed))}
 		src := g.generate()
-		rep, err := AnalyzeString(fmt.Sprintf("fuzz-%d", seed), src, Options{})
+		rep, err := AnalyzeSources(context.Background(), fmt.Sprintf("fuzz-%d", seed), cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: pipeline error: %v\nprogram:\n%s", seed, err, src)
 		}
@@ -165,7 +167,7 @@ func TestPipelineRobustness(t *testing.T) {
 		if seed%4 != 0 {
 			continue
 		}
-		rep2, err := AnalyzeString(fmt.Sprintf("fuzz-%d-exp", seed), src, Options{Exponential: true})
+		rep2, err := AnalyzeSources(context.Background(), fmt.Sprintf("fuzz-%d-exp", seed), cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{Exponential: true})
 		if err != nil {
 			t.Fatalf("seed %d: exponential error: %v", seed, err)
 		}

@@ -15,13 +15,14 @@ import (
 )
 
 // Session holds a system open for incremental re-analysis. OpenSession
-// runs the full pipeline once and captures per-function state; Update
-// recompiles only the translation units whose preprocessed contents
-// changed (fragment compiler) and re-solves only the invalidated
-// functions plus their transitive caller cone (incremental vfg). The
-// patched report is byte-identical to a from-scratch analysis of the
-// edited sources at every worker count; any input the fast path cannot
-// represent exactly falls back to a from-scratch run transparently.
+// is the first update, from empty state: it compiles and analyzes the
+// system once and captures per-function state. Update recompiles only
+// the translation units whose preprocessed contents changed (fragment
+// compiler) and re-solves only the invalidated functions plus their
+// transitive caller cone (incremental vfg). The patched report is
+// byte-identical to a from-scratch analysis of the edited sources at
+// every worker count; any input the fast path cannot represent exactly
+// falls back to a from-scratch run transparently.
 //
 // A Session is safe for concurrent use; updates are serialized (the
 // fragment cache and captured state are single-writer).
@@ -33,15 +34,16 @@ type Session struct {
 	sources map[string]string
 	cFiles  []string
 	fc      *frontend.FragmentCompiler
+	// fragOK is false after the fragment path declined and the fallback
+	// ran; updates then try fragments again only with captured state.
 	fragOK  bool
 	incr    *vfg.IncrState
 	locMemo map[string]*locEntry
 	last    *Report
 	// lastRes is the linked module the last good report was computed
-	// for (or, after open, the module whose analysis the open report is
-	// byte-identical to). When an update's compile returns the same
-	// result object — every fragment reused or adopted — the previous
-	// report is still exact and the downstream phases are skipped.
+	// for. When an update's compile returns the same result object —
+	// every fragment reused or adopted — the previous report is still
+	// exact and the downstream phases are skipped.
 	lastRes *irgen.Result
 	stats   UpdateStats
 }
@@ -65,8 +67,11 @@ type UpdateStats struct {
 }
 
 // OpenSession analyzes the system from scratch and opens it for
-// incremental updates. The sources map is copied; cFiles order is
-// preserved (it determines report identity).
+// incremental updates. The open is the session's first update, from
+// empty state: one compile through the fragment compiler, falling back
+// to the whole-module pipeline only when the fragment path declines. The
+// sources map is copied; cFiles order is preserved (it determines report
+// identity).
 func OpenSession(ctx context.Context, name string, sources map[string]string, cFiles []string, opts Options) (*Session, *Report, error) {
 	s := &Session{
 		name:    name,
@@ -74,6 +79,8 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 		sources: make(map[string]string, len(sources)),
 		cFiles:  append([]string(nil), cFiles...),
 		locMemo: make(map[string]*locEntry),
+		// No fragment compile has failed yet: the first update tries them.
+		fragOK: true,
 	}
 	for k, v := range sources {
 		s.sources[k] = v
@@ -89,27 +96,11 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 		DiskCache:         s.opts.DiskCache,
 	}
 	s.fc = frontend.NewFragmentCompiler(name, fopts, vfg.HashFunctionBody)
-
-	// Warm the fragment cache and take its body hashes as the session's
-	// fingerprint baseline, so the state captured now is comparable with
-	// the hashes later updates compute.
-	fres, hashes, fok := s.fc.Compile(ctx, cpp.MapSource(s.sources), s.cFiles)
-	s.fragOK = fok
-	if !fok {
-		hashes = nil
-	}
-
-	openOpts := s.opts
-	openOpts.incrOpts = &vfg.IncrOptions{BodyHashes: hashes}
-	rep, err := AnalyzeSourcesContext(ctx, name, cpp.MapSource(s.sources), s.cFiles, openOpts)
+	rep, _, err := s.update(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.incr = rep.incrState
 	s.last = rep
-	if fok && !rep.Degraded && len(rep.Internal) == 0 {
-		s.lastRes = fres
-	}
 	return s, rep, nil
 }
 
@@ -162,7 +153,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			col.SetTranslationUnits(len(s.cFiles))
 		}
 		done := col.Phase("frontend")
-		res, hashes, ok := s.fc.Compile(ctx, src, s.cFiles)
+		res, hashes, ok := s.fc.Compile(ctx, src, s.cFiles, col)
 		done()
 		if ok && res == s.lastRes && s.last != nil {
 			// Every fragment was reused or adopted: the module is the one
@@ -234,7 +225,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 	s.lastRes = nil
 	fullOpts := s.opts
 	fullOpts.incrOpts = &vfg.IncrOptions{}
-	rep, err := AnalyzeSourcesContext(ctx, s.name, src, s.cFiles, fullOpts)
+	rep, err := AnalyzeSources(ctx, s.name, src, s.cFiles, fullOpts)
 	if err != nil {
 		return nil, UpdateStats{}, err
 	}
@@ -293,47 +284,20 @@ type locEntry struct {
 // countStats reproduces countSourceStats over the session's sources,
 // recounting only files whose contents changed since the last update.
 func (s *Session) countStats() (loc, annots int) {
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
+	walkSources(s.cFiles, func(name string) []string {
 		text, ok := s.sources[name]
 		if !ok {
-			return
+			return nil
 		}
 		e := s.locMemo[name]
 		if e == nil || e.content != text {
-			e = &locEntry{content: text}
-			for _, line := range strings.Split(text, "\n") {
-				trimmed := strings.TrimSpace(line)
-				if trimmed != "" {
-					e.loc++
-				}
-				if strings.Contains(line, "SafeFlow Annotation") {
-					e.annots++
-				}
-				if strings.HasPrefix(trimmed, "#include") {
-					if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-						rest := trimmed[i+1:]
-						if j := strings.IndexByte(rest, '"'); j > 0 {
-							e.includes = append(e.includes, rest[:j])
-						}
-					}
-				}
-			}
+			e = &locEntry{content: text, includes: quotedIncludes(text)}
+			e.loc, e.annots = lineStats(text)
 			s.locMemo[name] = e
 		}
 		loc += e.loc
 		annots += e.annots
-		for _, inc := range e.includes {
-			visit(inc)
-		}
-	}
-	for _, f := range s.cFiles {
-		visit(f)
-	}
+		return e.includes
+	})
 	return loc, annots
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
@@ -31,7 +32,7 @@ func renderAll(t *testing.T, rep *core.Report) string {
 // fresh runs the from-scratch pipeline the session must reproduce.
 func fresh(t *testing.T, name string, sources map[string]string, cFiles []string, opts core.Options) *core.Report {
 	t.Helper()
-	rep, err := core.AnalyzeSourcesContext(context.Background(), name, cpp.MapSource(sources), cFiles, opts)
+	rep, err := core.AnalyzeSources(context.Background(), name, cpp.MapSource(sources), cFiles, opts)
 	if err != nil {
 		t.Fatalf("fresh analyze: %v", err)
 	}
@@ -239,5 +240,29 @@ func TestSessionAddRemoveFile(t *testing.T) {
 	want = renderAll(t, fresh(t, g.Name, cur, g.CFiles, opts))
 	if got := renderAll(t, rep); got != want {
 		t.Fatalf("report after removing extra.c differs from fresh analysis")
+	}
+}
+
+// Opening a session compiles the system once: on a cold parse cache the
+// open report counts one parse-cache miss per unit and no hits (a second
+// compile of the same units would be all hits).
+func TestSessionOpenCompilesOnce(t *testing.T) {
+	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
+	// Fresh content: a comment unique to this run changes every unit's
+	// preprocessed text, so no earlier compile can have cached it.
+	g.Sources["gen.h"] += fmt.Sprintf("/* %s %d */\n", t.Name(), time.Now().UnixNano())
+	opts := core.Options{Workers: 1, Stats: true}
+	s, rep, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	m := rep.Metrics
+	if m == nil {
+		t.Fatal("open report has no metrics")
+	}
+	if m.FrontendCacheMisses != 130 || m.FrontendCacheHits != 0 {
+		t.Errorf("open report: frontend cache hits/misses = %d/%d, want 0/130",
+			m.FrontendCacheHits, m.FrontendCacheMisses)
 	}
 }

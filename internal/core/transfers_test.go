@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"safeflow/internal/callgraph"
@@ -20,7 +21,7 @@ import (
 // deterministic, and the run's vfg_transfers metric reports it.
 func TestVFGTransfersPerInstr(t *testing.T) {
 	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
-	res, err := frontend.Compile(g.Name, cpp.MapSource(g.Sources), g.CFiles, frontend.Options{DisableParseCache: true})
+	res, err := frontend.Compile(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, frontend.Options{DisableParseCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,5 +134,5 @@ func (s System) AnalyzeContext(ctx context.Context, opts core.Options) (*core.Re
 	if err != nil {
 		return nil, err
 	}
-	return core.AnalyzeSourcesContext(ctx, s.Name, src, s.CFiles, opts)
+	return core.AnalyzeSources(ctx, s.Name, src, s.CFiles, opts)
 }

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"testing"
 
 	"safeflow/internal/core"
@@ -18,7 +19,7 @@ func TestGeneratedSystemsAnalyze(t *testing.T) {
 			Monitors: 1 + int(seed)%3,
 			Stages:   2 + int(seed)%4,
 		})
-		rep, err := core.AnalyzeSources(g.Name, cpp.MapSource(g.Sources), g.CFiles, core.Options{})
+		rep, err := core.AnalyzeSources(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: generated system does not analyze: %v", seed, err)
 		}

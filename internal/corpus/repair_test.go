@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestIPRepairedIsClean(t *testing.T) {
 		},
 	})
 
-	rep, err := core.AnalyzeSources("IP-repaired", repaired, sys.CFiles, core.Options{})
+	rep, err := core.AnalyzeSources(context.Background(), "IP-repaired", repaired, sys.CFiles, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestGenericSimplexFeedbackRepair(t *testing.T) {
 			"    s0 = st.s0;\n    s1 = st.s1;",
 		},
 	})
-	rep, err := core.AnalyzeSources("gsx-feedback-fixed", repaired, sys.CFiles, core.Options{})
+	rep, err := core.AnalyzeSources(context.Background(), "gsx-feedback-fixed", repaired, sys.CFiles, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDoubleIPBlendRepair(t *testing.T) {
 			"double blendFactor()\n/***SafeFlow Annotation assume(core(tuning, 0, sizeof(SHMTuning))) /***/\n{",
 		},
 	})
-	rep, err := core.AnalyzeSources("dip-blend-fixed", repaired, sys.CFiles, core.Options{})
+	rep, err := core.AnalyzeSources(context.Background(), "dip-blend-fixed", repaired, sys.CFiles, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,9 +289,15 @@ func (s *Store) evictOver() {
 		if total <= s.maxBytes {
 			break
 		}
-		if os.Remove(e.path) == nil {
+		// A file already gone — taken by a concurrent evictor or by Get's
+		// eviction of a bad entry — no longer counts against the budget,
+		// but the eviction is the other remover's to count.
+		switch err := os.Remove(e.path); {
+		case err == nil:
 			total -= e.size
 			evicted++
+		case os.IsNotExist(err):
+			total -= e.size
 		}
 	}
 	s.mu.Lock()

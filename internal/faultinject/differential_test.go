@@ -38,7 +38,7 @@ func TestDifferentialDegradedInclusion(t *testing.T) {
 			gen := corpus.Generate(seed, corpus.GenConfig{})
 
 			// Dynamic taint on the original program.
-			res, err := frontend.Compile(gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, frontend.Options{})
+			res, err := frontend.Compile(context.Background(), gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, frontend.Options{})
 			if err != nil {
 				t.Fatalf("original system does not compile: %v", err)
 			}

@@ -64,7 +64,7 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 
 	frontend.ResetParseCache()
 	vfg.ResetSummaryCache()
-	cold, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
+	cold, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cold run: %w", err)
 	}
@@ -78,7 +78,7 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 	// "Restart": only the (damaged) disk tier survives.
 	frontend.ResetParseCache()
 	vfg.ResetSummaryCache()
-	healed, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
+	healed, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("healed run: %w", err)
 	}

@@ -62,8 +62,7 @@ func TestFaultKindsProduceDiagnostics(t *testing.T) {
 				sources[name] = text
 			}
 			sources["stages.c"] += k.payload()
-			rep, err := core.AnalyzeSources(gen.Name, cpp.MapSource(sources), gen.CFiles,
-				core.Options{Recover: true})
+			rep, err := core.AnalyzeSources(context.Background(), gen.Name, cpp.MapSource(sources), gen.CFiles, core.Options{Recover: true})
 			if err != nil {
 				t.Fatalf("recovering analysis failed outright: %v", err)
 			}

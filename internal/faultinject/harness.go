@@ -108,7 +108,7 @@ type Result struct {
 func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	gen := corpus.Generate(sc.Seed, sc.Gen)
 	mutated, faults := Mutate(sc.Seed, gen.Sources, EligibleUnits, sc.Faults)
-	rep, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(mutated), gen.CFiles, core.Options{
+	rep, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(mutated), gen.CFiles, core.Options{
 		Recover: true,
 		Workers: sc.Workers,
 		Stats:   sc.Stats,

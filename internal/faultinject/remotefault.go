@@ -166,7 +166,7 @@ func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBa
 		vfg.ResetSummaryCache()
 		opts := base
 		opts.DiskCache = dc
-		rep, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
+		rep, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s run: %w", what, err)
 		}

@@ -3,29 +3,32 @@
 // point used by the analysis pipeline, the CLI, and tests.
 //
 // Translation units are independent until the type checker merges them, so
-// Compile preprocesses, lexes and parses them concurrently on a bounded
-// worker pool (Options.Workers, default GOMAXPROCS). Results are merged in
-// the caller's file order and the first error — in that same stable order,
-// not in completion order — is the one reported, so compilation output is
-// identical at every worker count.
-//
-// CompileContext additionally honors cancellation between translation
-// units, and every unit is panic-isolated: a crash while compiling one
+// the front half (preprocess, lex, parse) runs concurrently on a bounded
+// worker pool (Options.Workers, default GOMAXPROCS), honoring cancellation
+// between units. Every unit is panic-isolated: a crash while compiling one
 // file surfaces as a guard.InternalError for that file while the other
-// units finish normally.
+// units finish normally. Results are merged in the caller's file order,
+// so compilation output is identical at every worker count.
 //
-// CompileRecover is the graceful-degradation entry point: instead of
-// failing the whole system on the first broken translation unit it skips
-// the units that cannot be compiled, records one structured
-// diag.Diagnostic per failure, and builds the module from the survivors.
-// Type checking runs a drop-and-retry loop — errors are attributed to the
-// unit whose declarations produced them, that unit is dropped with its
-// diagnostics, and the remaining units are re-checked — so one broken
-// file (or a cascade it causes) never hides the verdicts of the rest.
+// One driver serves both entry points. CompileRecover is the graceful-
+// degradation path: it skips the units that cannot be compiled, records
+// one structured diag.Diagnostic per failure, and builds the module from
+// the survivors. Type checking and lowering run a drop-and-retry loop —
+// errors are attributed to the unit whose declarations produced them,
+// that unit is dropped with its diagnostics, and the remaining units are
+// re-checked — so one broken file (or a cascade it causes) never hides
+// the verdicts of the rest. Compile is fail-stop on top of the same
+// driver: the first failing stage is fatal, and the first failure in
+// file order is the error reported.
+//
+// FragmentCompiler (incr.go) compiles units one by one for incremental
+// sessions and links them; it shares the per-unit parse step with the
+// driver.
 package frontend
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -48,9 +51,6 @@ import (
 type Options struct {
 	// Defines predefines object-like macros (as with -D).
 	Defines map[string]string
-	// SkipPromote leaves the IR in pre-mem2reg form (used by tests that
-	// inspect the unpromoted program).
-	SkipPromote bool
 	// Workers bounds the number of translation units compiled concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 compiles sequentially.
 	Workers int
@@ -94,24 +94,47 @@ type unitOutcome struct {
 	// the names of functions whose definitions are now unavailable.
 	partial *cast.File
 	diags   []diag.Diagnostic
+	// internal is the *guard.InternalError of a unit whose front half
+	// panicked (diags then holds its "internal" diagnostic).
+	internal error
 }
 
-// compileUnitDiags runs the per-TU front half: preprocess, lex, parse,
-// sharing included headers with the compile's other units through ic.
-// Every failure is recorded as a structured diagnostic — all lexer
-// errors, all parser errors after resynchronization — never just the
-// first one.
-func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCache) unitOutcome {
-	pp := newPreprocessor(sources, opts, ic)
-	text, err := pp.Expand(cf)
+// compileUnitDiags runs one unit's front half — preprocess, then the
+// shared parse step — sharing included headers with the compile's other
+// units through ic. It is panic-isolated: a crash becomes the unit's
+// internal error and "internal" diagnostic, so the other units of the
+// batch still complete.
+func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCache) (out unitOutcome) {
+	err := guard.Run("frontend", cf, func() error {
+		pp := newPreprocessor(sources, opts, ic)
+		text, err := pp.Expand(cf)
+		if err != nil {
+			out.diags = []diag.Diagnostic{{Unit: cf, Phase: diag.PhasePreprocess, Msg: err.Error()}}
+			return nil
+		}
+		var key [sha256.Size]byte
+		if !opts.DisableParseCache {
+			key = parseCacheKey(cf, text)
+		}
+		out = parseUnit(cf, text, pp.Segments(), key, opts, ic)
+		return nil
+	})
 	if err != nil {
-		return unitOutcome{diags: []diag.Diagnostic{{
-			Unit: cf, Phase: diag.PhasePreprocess, Msg: err.Error(),
+		out = unitOutcome{internal: err, diags: []diag.Diagnostic{{
+			Unit: cf, Phase: diag.PhaseInternal, Msg: err.Error(),
 		}}}
 	}
-	var key [32]byte
+	return out
+}
+
+// parseUnit is the per-unit parse step of every compile path: memory
+// parse cache, then the disk tier, then lex and parse, storing a fully
+// parsed unit in both tiers. key is parseCacheKey(cf, text); it is unused
+// when the parse cache is off. Every failure is recorded as a structured
+// diagnostic — all lexer errors, all parser errors after
+// resynchronization — never just the first one.
+func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts Options, ic *includeCache) unitOutcome {
 	if !opts.DisableParseCache {
-		key = parseCacheKey(cf, text)
 		if f := parseCacheGet(key, opts.Metrics); f != nil {
 			opts.Metrics.AddFrontendCache(1, 0)
 			return unitOutcome{file: f}
@@ -126,7 +149,7 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 			}
 		}
 	}
-	toks, errs := ic.lex(cf, text, pp.Segments())
+	toks, errs := ic.lex(cf, text, segs)
 	if len(errs) > 0 {
 		out := unitOutcome{}
 		for _, e := range errs {
@@ -147,8 +170,7 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 		out.partial, _ = cparse.New(cf, toks).ParseFile()
 		return out
 	}
-	p := cparse.New(cf, toks)
-	f, err := p.ParseFile()
+	f, err := cparse.New(cf, toks).ParseFile()
 	if err != nil {
 		out := unitOutcome{partial: f}
 		var el cparse.ErrorList
@@ -177,16 +199,6 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 	return unitOutcome{file: f}
 }
 
-// compileUnit is the fail-stop wrapper: any diagnostic fails the unit
-// with an error carrying every recorded failure (not just the first).
-func compileUnit(sources cpp.Source, cf string, opts Options, ic *includeCache) (*cast.File, error) {
-	out := compileUnitDiags(sources, cf, opts, ic)
-	if len(out.diags) > 0 {
-		return nil, diagsError(cf, out.diags)
-	}
-	return out.file, nil
-}
-
 // diagsError folds a unit's diagnostics into one error in the classic
 // fail-stop format ("lex file.c: ..."), joining every message.
 func diagsError(cf string, ds []diag.Diagnostic) error {
@@ -201,38 +213,9 @@ func diagsError(cf string, ds []diag.Diagnostic) error {
 	return fmt.Errorf("%s %s: %s", ds[0].Phase, cf, strings.Join(msgs, "\n\t"))
 }
 
-// compileUnitSafe isolates one translation unit: a panic anywhere in its
-// preprocess/lex/parse chain becomes that unit's error, not a process
-// crash, so the other units of the batch still complete.
-func compileUnitSafe(sources cpp.Source, cf string, opts Options, ic *includeCache) (f *cast.File, err error) {
-	err = guard.Run("frontend", cf, func() error {
-		var uerr error
-		f, uerr = compileUnit(sources, cf, opts, ic)
-		return uerr
-	})
-	return f, err
-}
-
-// compileUnitRecover isolates one unit in recovering mode: a panic is
-// recorded as an "internal" diagnostic for the unit instead of an error,
-// so the unit is skipped like any other broken one.
-func compileUnitRecover(sources cpp.Source, cf string, opts Options, ic *includeCache) (out unitOutcome) {
-	err := guard.Run("frontend", cf, func() error {
-		out = compileUnitDiags(sources, cf, opts, ic)
-		return nil
-	})
-	if err != nil {
-		out = unitOutcome{diags: []diag.Diagnostic{{
-			Unit: cf, Phase: diag.PhaseInternal, Msg: err.Error(),
-		}}}
-	}
-	return out
-}
-
 // runUnitPool compiles the n translation units through work(i) on a
-// bounded worker pool, honoring cancellation between units. work is
-// called at most once per index; indices skipped due to cancellation are
-// reported through the returned cancelled slice.
+// bounded worker pool, honoring cancellation between units: work is
+// called at most once per index, and not at all once ctx is done.
 func runUnitPool(ctx context.Context, n int, opts Options, work func(i int)) {
 	workers := workerCount(opts.Workers, n)
 	if workers <= 1 {
@@ -273,47 +256,18 @@ feed:
 
 // Compile builds the translation units named by cFiles (each preprocessed
 // independently against sources) into one typed, SSA-promoted module.
-func Compile(name string, sources cpp.Source, cFiles []string, opts Options) (*irgen.Result, error) {
-	return CompileContext(context.Background(), name, sources, cFiles, opts)
-}
-
-// CompileContext is Compile with cancellation: a cancelled context stops
-// the worker pool between translation units (never mid-unit) and returns
+// It is fail-stop: the first failing stage is fatal. That is the first
+// unit in cFiles order with a diagnostic (or its *guard.InternalError if
+// it panicked), else the first type-check pass ("typecheck: ..."), else
+// the first lowering error ("lower: ..."). A cancelled context stops the
+// worker pool between translation units (never mid-unit) and returns
 // ctx.Err() promptly with no goroutines left behind.
-func CompileContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*irgen.Result, error) {
-	files := make([]*cast.File, len(cFiles))
-	errs := make([]error, len(cFiles))
-	ic := newIncludeCache()
-	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		files[i], errs[i] = compileUnitSafe(sources, cFiles[i], opts, ic)
-	})
-	ic.report(opts.Metrics)
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	// First error in stable file order, regardless of completion order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	prog, err := csema.Analyze(files)
+func Compile(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*irgen.Result, error) {
+	rr, err := compile(ctx, name, sources, cFiles, opts, true)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck: %w", err)
+		return nil, err
 	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-
-	res := irgen.Build(name, prog)
-	if len(res.Errors) > 0 {
-		return res, fmt.Errorf("lower: %w", res.Errors[0])
-	}
-	if !opts.SkipPromote {
-		irgen.Promote(res.Module)
-	}
-	return res, nil
+	return rr.Res, nil
 }
 
 // RecoverResult is the output of the graceful-degradation compile path.
@@ -338,19 +292,21 @@ func (r *RecoverResult) Degraded() bool { return len(r.Diags) > 0 }
 // CompileRecover is Compile with graceful degradation: translation units
 // that fail to preprocess, lex, parse, or type-check are skipped with
 // structured diagnostics instead of failing the whole system, and the
-// module is built from the survivors.
-func CompileRecover(name string, sources cpp.Source, cFiles []string, opts Options) (*RecoverResult, error) {
-	return CompileRecoverContext(context.Background(), name, sources, cFiles, opts)
+// module is built from the survivors. The result is deterministic at
+// every worker count: diagnostics carry a total sort order and units are
+// dropped in stable file order.
+func CompileRecover(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*RecoverResult, error) {
+	return compile(ctx, name, sources, cFiles, opts, false)
 }
 
-// CompileRecoverContext is CompileRecover with cancellation. The result
-// is deterministic at every worker count: diagnostics carry a total sort
-// order and units are dropped in stable file order.
-func CompileRecoverContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*RecoverResult, error) {
+// compile is the one front-end driver behind Compile and CompileRecover.
+// It always runs the recovering pipeline; failStop makes the first
+// failure of each stage the compile's error instead of a skipped unit.
+func compile(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options, failStop bool) (*RecoverResult, error) {
 	outs := make([]unitOutcome, len(cFiles))
 	ic := newIncludeCache()
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		outs[i] = compileUnitRecover(sources, cFiles[i], opts, ic)
+		outs[i] = compileUnitDiags(sources, cFiles[i], opts, ic)
 	})
 	ic.report(opts.Metrics)
 	if ctx.Err() != nil {
@@ -366,7 +322,15 @@ func CompileRecoverContext(ctx context.Context, name string, sources cpp.Source,
 		live        []tu
 		skippedDefs = make(map[string]bool)
 	)
+	// Outcomes are read in stable file order, regardless of completion
+	// order.
 	for i, o := range outs {
+		if failStop && o.internal != nil {
+			return nil, o.internal
+		}
+		if failStop && len(o.diags) > 0 {
+			return nil, diagsError(cFiles[i], o.diags)
+		}
 		diags = append(diags, o.diags...)
 		if o.file != nil {
 			live = append(live, tu{cFiles[i], o.file})
@@ -380,51 +344,58 @@ func CompileRecoverContext(ctx context.Context, name string, sources cpp.Source,
 	// drop the culprits, and retry with the rest. Each iteration drops at
 	// least one unit (or finishes), so the loop terminates; cascades —
 	// a unit failing only because a dropped unit's typedefs are gone —
-	// resolve in later iterations.
-	var prog *csema.Program
+	// resolve in later iterations. Lowering errors are attributed to
+	// units by position and resolved the same way: the culprits are
+	// dropped and the reduced set is type-checked again. An error that
+	// cannot be attributed to a surviving unit (e.g. a malformed
+	// annotation in a shared header) is unrecoverable.
+	var (
+		prog *csema.Program
+		res  *irgen.Result
+	)
 	for {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		files := make([]*cast.File, len(live))
-		for i, u := range live {
-			files[i] = u.file
-		}
-		p, perFile := csema.AnalyzeUnits(files)
-		var next []tu
-		dropped := false
-		for i, errs := range perFile {
-			if len(errs) == 0 {
-				next = append(next, live[i])
-				continue
+		for prog == nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			dropped = true
-			for _, e := range errs {
-				diags = append(diags, diag.Diagnostic{
-					Unit: live[i].name, Pos: e.Pos, Phase: diag.PhaseTypecheck, Msg: e.Msg,
-				})
+			files := make([]*cast.File, len(live))
+			for i, u := range live {
+				files[i] = u.file
 			}
-			harvestDefs(live[i].file, skippedDefs)
+			p, perFile := csema.AnalyzeUnits(files)
+			var (
+				next []tu
+				all  csema.ErrorList
+			)
+			for i, errs := range perFile {
+				if len(errs) == 0 {
+					next = append(next, live[i])
+					continue
+				}
+				all = append(all, errs...)
+				for _, e := range errs {
+					diags = append(diags, diag.Diagnostic{
+						Unit: live[i].name, Pos: e.Pos, Phase: diag.PhaseTypecheck, Msg: e.Msg,
+					})
+				}
+				harvestDefs(live[i].file, skippedDefs)
+			}
+			if len(all) == 0 {
+				prog = p
+			} else if failStop {
+				return nil, fmt.Errorf("typecheck: %w", all)
+			}
+			live = next
 		}
-		live = next
-		if !dropped {
-			prog = p
-			break
-		}
-	}
-
-	// Lowering: annotation errors are attributed to units by position and
-	// resolved with the same drop-and-retry scheme. An error that cannot
-	// be attributed to a surviving unit (e.g. a malformed annotation in a
-	// shared header) is unrecoverable.
-	var res *irgen.Result
-	for {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		res = irgen.Build(name, prog)
 		if len(res.Errors) == 0 {
 			break
+		}
+		if failStop {
+			return nil, fmt.Errorf("lower: %w", res.Errors[0])
 		}
 		drop := make(map[string]bool)
 		for _, e := range res.Errors {
@@ -451,39 +422,9 @@ func CompileRecoverContext(ctx context.Context, name string, sources cpp.Source,
 				next = append(next, u)
 			}
 		}
-		live = next
-		// Re-run the type-check loop over the reduced unit set.
-		for {
-			files := make([]*cast.File, len(live))
-			for i, u := range live {
-				files[i] = u.file
-			}
-			p, perFile := csema.AnalyzeUnits(files)
-			var nxt []tu
-			dropped := false
-			for i, errs := range perFile {
-				if len(errs) == 0 {
-					nxt = append(nxt, live[i])
-					continue
-				}
-				dropped = true
-				for _, e := range errs {
-					diags = append(diags, diag.Diagnostic{
-						Unit: live[i].name, Pos: e.Pos, Phase: diag.PhaseTypecheck, Msg: e.Msg,
-					})
-				}
-				harvestDefs(live[i].file, skippedDefs)
-			}
-			live = nxt
-			if !dropped {
-				prog = p
-				break
-			}
-		}
+		live, prog = next, nil
 	}
-	if !opts.SkipPromote {
-		irgen.Promote(res.Module)
-	}
+	irgen.Promote(res.Module)
 
 	out := &RecoverResult{Res: res}
 	diag.Sort(diags)
@@ -519,10 +460,4 @@ func harvestDefs(f *cast.File, into map[string]bool) {
 			into[fd.Name] = true
 		}
 	}
-}
-
-// CompileString is a convenience for single-buffer programs (tests,
-// quickstart examples).
-func CompileString(name, src string, opts Options) (*irgen.Result, error) {
-	return Compile(name, cpp.MapSource{"main.c": src}, []string{"main.c"}, opts)
 }

@@ -1,10 +1,12 @@
 package frontend
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"safeflow/internal/annot"
+	"safeflow/internal/cpp"
 	"safeflow/internal/ir"
 )
 
@@ -47,7 +49,7 @@ int main() {
 	return 0;
 }
 `
-	res, err := CompileString("smoke", src, Options{})
+	res, err := Compile(context.Background(), "smoke", cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -122,7 +124,7 @@ int sum() {
 int main() { return sum(); }
 `,
 	}
-	res, err := Compile("inc", toSource(sources), []string{"main.c"}, Options{})
+	res, err := Compile(context.Background(), "inc", toSource(sources), []string{"main.c"}, Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -151,7 +153,7 @@ func TestCompileErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := CompileString(tc.name, tc.src, Options{})
+			_, err := Compile(context.Background(), tc.name, cpp.MapSource{"main.c": tc.src}, []string{"main.c"}, Options{})
 			if err == nil {
 				t.Fatalf("expected error containing %q, got nil", tc.want)
 			}

@@ -1,6 +1,8 @@
 package frontend_test
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/fuzzcamp"
+	"safeflow/internal/report"
 )
 
 // campaignSeedTexts is the shared seed frontier with the sffuzz
@@ -27,8 +30,10 @@ func campaignSeedTexts() []string {
 }
 
 // FuzzCompile feeds arbitrary C-subset sources through the whole
-// pipeline: compilation and then full analysis. Both must reject bad
-// input with an error — panics are the only failure mode. Seeded with
+// pipeline: compilation and then full analysis, fail-stop and
+// recovering. Each must reject bad input with an error or a degraded
+// report — panics are the only failure mode — and the two modes must
+// agree. Seeded with
 // every real program in the repository. Each input is also used as a
 // header shared by several units, whose spliced segment tokens must
 // equal a whole-buffer lex.
@@ -66,13 +71,38 @@ func FuzzCompile(f *testing.F) {
 			"b.c":    "int b0;\n#include \"fuzz.h\"\nint b1;\n#include \"fuzz.h\"\n",
 			"main.c": src,
 		}, []string{"a.c", "b.c", "main.c", "a.c"})
-		res, err := frontend.CompileString("fuzz", src, frontend.Options{})
+		main := cpp.MapSource{"main.c": src}
+		res, err := frontend.Compile(context.Background(), "fuzz", main, []string{"main.c"}, frontend.Options{})
 		if err == nil && res == nil {
 			t.Fatal("nil result without error")
 		}
-		rep, err := core.AnalyzeString("fuzz", src, core.Options{})
-		if err == nil && rep == nil {
+		// Fail-stop is recovery with the first failure made fatal: it
+		// fails exactly when the recovering run fails or degrades, and
+		// otherwise both render the same report.
+		stop, stopErr := core.AnalyzeSources(context.Background(), "fuzz", main, []string{"main.c"}, core.Options{})
+		if stopErr == nil && stop == nil {
 			t.Fatal("nil report without error")
+		}
+		rec, recErr := core.AnalyzeSources(context.Background(), "fuzz", main, []string{"main.c"}, core.Options{Recover: true})
+		if recErr == nil && rec == nil {
+			t.Fatal("nil recovering report without error")
+		}
+		recFailed := recErr != nil || rec.Degraded
+		if (stopErr != nil) != recFailed {
+			t.Fatalf("fail-stop error %v, but recovering run error %v degraded %v",
+				stopErr, recErr, recErr == nil && rec.Degraded)
+		}
+		if stopErr == nil {
+			var a, b bytes.Buffer
+			if err := report.WriteJSON(&a, stop); err != nil {
+				t.Fatal(err)
+			}
+			if err := report.WriteJSON(&b, rec); err != nil {
+				t.Fatal(err)
+			}
+			if a.String() != b.String() {
+				t.Fatalf("fail-stop and recovering reports differ:\n--- fail-stop ---\n%s\n--- recovering ---\n%s", a.String(), b.String())
+			}
 		}
 	})
 }
@@ -99,8 +129,7 @@ func FuzzParseRecovery(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		render := func() string {
-			rr, err := frontend.CompileRecover("fuzz", cpp.MapSource{"main.c": src}, []string{"main.c"},
-				frontend.Options{DisableParseCache: true})
+			rr, err := frontend.CompileRecover(context.Background(), "fuzz", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{DisableParseCache: true})
 			if err != nil {
 				return "error: " + err.Error()
 			}

@@ -53,13 +53,13 @@ func TestIncludeMemoCompileCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		col := metrics.NewCollector()
 		opts := Options{Workers: workers, Metrics: col, DisableParseCache: true}
-		if _, err := CompileContext(context.Background(), "split", src, cFiles, opts); err != nil {
+		if _, err := Compile(context.Background(), "split", src, cFiles, opts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CompileRecover("split", src, cFiles, opts); err != nil {
+		if _, err := CompileRecover(context.Background(), "split", src, cFiles, opts); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := NewFragmentCompiler("split", opts, nil).Compile(context.Background(), src, cFiles); !ok {
+		if _, _, ok := NewFragmentCompiler("split", opts, nil).Compile(context.Background(), src, cFiles, col); !ok {
 			t.Fatal("fragment compile failed")
 		}
 		m := col.Finish()
@@ -74,7 +74,7 @@ func TestIncludeMemoCompileCounts(t *testing.T) {
 	}
 	// A unit without #include never touches the memo.
 	col := metrics.NewCollector()
-	if _, err := CompileString("plain", "int main() { return 0; }\n", Options{Metrics: col}); err != nil {
+	if _, err := Compile(context.Background(), "plain", cpp.MapSource{"main.c": "int main() { return 0; }\n"}, []string{"main.c"}, Options{Metrics: col}); err != nil {
 		t.Fatal(err)
 	}
 	if m := col.Finish(); m.IncludeMemoHits+m.IncludeMemoMisses != 0 {
@@ -93,7 +93,7 @@ func TestParseCacheLRU(t *testing.T) {
 	compile := func() *metrics.RunMetrics {
 		t.Helper()
 		col := metrics.NewCollector()
-		if _, err := Compile("lru", src, cFiles, Options{Metrics: col}); err != nil {
+		if _, err := Compile(context.Background(), "lru", src, cFiles, Options{Metrics: col}); err != nil {
 			t.Fatal(err)
 		}
 		return col.Finish()

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -117,13 +118,13 @@ func TestIncludeMemoDegradedDiagnostics(t *testing.T) {
 		"d.c": "/* open\n#include \"h.h\"\n*/ int d;\n",
 	}
 	cFiles := []string{"a.c", "b.c", "c.c", "d.c"}
-	rr, err := CompileRecover("degraded", src, cFiles, Options{DisableParseCache: true})
+	rr, err := CompileRecover(context.Background(), "degraded", src, cFiles, Options{DisableParseCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
 	for _, cf := range cFiles {
-		solo, err := CompileRecover("solo", src, []string{cf}, Options{DisableParseCache: true})
+		solo, err := CompileRecover(context.Background(), "solo", src, []string{cf}, Options{DisableParseCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

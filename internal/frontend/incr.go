@@ -27,13 +27,13 @@ import (
 	"strings"
 
 	"safeflow/internal/cast"
-	"safeflow/internal/cparse"
 	"safeflow/internal/cpp"
 	"safeflow/internal/csema"
 	"safeflow/internal/ctypes"
 	"safeflow/internal/guard"
 	"safeflow/internal/ir"
 	"safeflow/internal/irgen"
+	"safeflow/internal/metrics"
 )
 
 // HashFunc fingerprints one lowered function body (supplied by the
@@ -74,7 +74,8 @@ type FragmentCompiler struct {
 }
 
 // NewFragmentCompiler returns a compiler for one session. hashFn may be
-// nil, in which case no body hashes are produced.
+// nil, in which case no body hashes are produced. opts.Metrics is unused:
+// each Compile call reports into the collector it is given.
 func NewFragmentCompiler(name string, opts Options, hashFn HashFunc) *FragmentCompiler {
 	return &FragmentCompiler{
 		name: name, opts: opts, hashFn: hashFn,
@@ -117,15 +118,16 @@ func (r *recordingSource) ReadFile(name string) (string, error) {
 	return text, err
 }
 
-// Compile builds (or reuses) one fragment per cFile and links them.
+// Compile builds (or reuses) one fragment per cFile and links them,
+// reporting its parse-cache and include-memo counts into col (nil-safe).
 // ok=false means the fragment path cannot represent this input (compile
 // diagnostics, link conflicts, cancellation) and the caller must fall
 // back to the full pipeline.
-func (fc *FragmentCompiler) Compile(ctx context.Context, sources cpp.Source, cFiles []string) (res *irgen.Result, bodyHashes map[string]uint64, ok bool) {
+func (fc *FragmentCompiler) Compile(ctx context.Context, sources cpp.Source, cFiles []string, col *metrics.Collector) (res *irgen.Result, bodyHashes map[string]uint64, ok bool) {
 	// Panic-isolate the whole fragment path: a crash anywhere inside it
 	// degrades to the full pipeline instead of taking the session down.
 	err := guard.Run("frontend", "fragments", func() error {
-		res, bodyHashes, ok = fc.compile(ctx, sources, cFiles)
+		res, bodyHashes, ok = fc.compile(ctx, sources, cFiles, col)
 		return nil
 	})
 	if err != nil {
@@ -134,17 +136,19 @@ func (fc *FragmentCompiler) Compile(ctx context.Context, sources cpp.Source, cFi
 	return res, bodyHashes, ok
 }
 
-func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFiles []string) (*irgen.Result, map[string]uint64, bool) {
+func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFiles []string, col *metrics.Collector) (*irgen.Result, map[string]uint64, bool) {
+	opts := fc.opts
+	opts.Metrics = col
 	live := make(map[string]bool, len(cFiles))
 	frags := make([]*fragment, 0, len(cFiles))
 	ic := newIncludeCache()
-	defer ic.report(fc.opts.Metrics)
+	defer ic.report(col)
 	for _, cf := range cFiles {
 		if ctx.Err() != nil {
 			return nil, nil, false
 		}
 		live[cf] = true
-		text, segs, ok := fc.expand(sources, cf, ic)
+		text, segs, ok := fc.expand(sources, cf, opts, ic)
 		if !ok {
 			return nil, nil, false
 		}
@@ -153,7 +157,7 @@ func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFi
 			frags = append(frags, f)
 			continue
 		}
-		f, ok := fc.build(cf, text, segs, key, ic)
+		f, ok := fc.build(cf, text, segs, key, opts, ic)
 		if !ok {
 			delete(fc.frags, cf) // a stale fragment must not outlive its source
 			return nil, nil, false
@@ -287,12 +291,12 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 // expand preprocesses one unit exactly as compileUnitDiags does,
 // skipping the preprocessor entirely while the unit's recorded include
 // closure is unchanged (and then returning no segments).
-func (fc *FragmentCompiler) expand(sources cpp.Source, cf string, ic *includeCache) (string, []cpp.Segment, bool) {
+func (fc *FragmentCompiler) expand(sources cpp.Source, cf string, opts Options, ic *includeCache) (string, []cpp.Segment, bool) {
 	if e := fc.expansions[cf]; e != nil && e.fresh(sources) {
 		return e.text, nil, true
 	}
 	rec := &recordingSource{src: sources, deps: make(map[string]string)}
-	pp := newPreprocessor(rec, fc.opts, ic)
+	pp := newPreprocessor(rec, opts, ic)
 	text, err := pp.Expand(cf)
 	if err != nil {
 		delete(fc.expansions, cf)
@@ -302,42 +306,14 @@ func (fc *FragmentCompiler) expand(sources cpp.Source, cf string, ic *includeCac
 	return text, pp.Segments(), true
 }
 
-// build compiles one fragment: parse (through the shared parse cache),
-// single-file type-check, lower, promote, hash. Any diagnostic fails the
-// fragment path.
-func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, ic *includeCache) (*fragment, bool) {
-	var file *cast.File
-	if !fc.opts.DisableParseCache {
-		if f := parseCacheGet(key, fc.opts.Metrics); f != nil {
-			fc.opts.Metrics.AddFrontendCache(1, 0)
-			file = f
-		} else if fc.opts.DiskCache != nil {
-			if f := parseDiskGet(fc.opts.DiskCache, key, cf, fc.opts.Metrics); f != nil {
-				parseCachePut(key, f)
-				fc.opts.Metrics.AddFrontendCache(1, 0)
-				file = f
-			}
-		}
-	}
+// build compiles one fragment: the shared parse step (parse cache, disk
+// tier, lex, parse), single-file type-check, lower, promote, hash. Any
+// diagnostic fails the fragment path.
+func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts Options, ic *includeCache) (*fragment, bool) {
+	file := parseUnit(cf, text, segs, key, opts, ic).file
 	if file == nil {
-		toks, errs := ic.lex(cf, text, segs)
-		if len(errs) > 0 {
-			return nil, false
-		}
-		f, err := cparse.New(cf, toks).ParseFile()
-		if err != nil {
-			return nil, false
-		}
-		if !fc.opts.DisableParseCache {
-			parseCachePut(key, f)
-			if fc.opts.DiskCache != nil {
-				parseDiskPut(fc.opts.DiskCache, key, f)
-			}
-			fc.opts.Metrics.AddFrontendCache(0, 1)
-		}
-		file = f
+		return nil, false
 	}
-
 	prog, err := csema.Analyze([]*cast.File{file})
 	if err != nil {
 		return nil, false
@@ -346,9 +322,7 @@ func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha2
 	if len(res.Errors) > 0 {
 		return nil, false
 	}
-	if !fc.opts.SkipPromote {
-		irgen.Promote(res.Module)
-	}
+	irgen.Promote(res.Module)
 	frag := &fragment{
 		key:       key,
 		res:       res,

@@ -18,7 +18,7 @@ func compileCounting(t *testing.T, sources map[string]string, opts Options) (hit
 	t.Helper()
 	col := metrics.NewCollector()
 	opts.Metrics = col
-	if _, err := Compile("cachetest", toSource(sources), []string{"main.c"}, opts); err != nil {
+	if _, err := Compile(context.Background(), "cachetest", toSource(sources), []string{"main.c"}, opts); err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	snap := col.Finish()
@@ -56,7 +56,7 @@ func TestParseCacheContentKey(t *testing.T) {
 	}
 
 	// The edited parse must reflect the new contents, not the cached AST.
-	res, err := Compile("edited", toSource(sources), []string{"main.c"}, Options{})
+	res, err := Compile(context.Background(), "edited", toSource(sources), []string{"main.c"}, Options{})
 	if err != nil {
 		t.Fatalf("compile after edit: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestParseCacheNoPoisonOnError(t *testing.T) {
 	bad := map[string]string{"main.c": "int main( { return 0; }\n"}
 	for i := 0; i < 2; i++ {
 		col := metrics.NewCollector()
-		if _, err := Compile("bad", toSource(bad), []string{"main.c"}, Options{Metrics: col}); err == nil {
+		if _, err := Compile(context.Background(), "bad", toSource(bad), []string{"main.c"}, Options{Metrics: col}); err == nil {
 			t.Fatalf("run %d: expected parse error", i)
 		}
 		snap := col.Finish()
@@ -112,7 +112,7 @@ func TestParseCacheNoPoisonOnCancel(t *testing.T) {
 	sources := map[string]string{"main.c": cacheTestSrc}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompileContext(ctx, "cancelled", toSource(sources), []string{"main.c"}, Options{}); err != context.Canceled {
+	if _, err := Compile(ctx, "cancelled", toSource(sources), []string{"main.c"}, Options{}); err != context.Canceled {
 		t.Fatalf("cancelled compile err = %v, want context.Canceled", err)
 	}
 	if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 1 {

@@ -1,18 +1,21 @@
 package frontend
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"safeflow/internal/cpp"
 	"safeflow/internal/diag"
+	"safeflow/internal/guard"
 )
 
 // All lexical errors must be surfaced — historically only errs[0]
 // reached the caller. The fail-stop error carries every message.
 func TestLexReportsAllErrors(t *testing.T) {
 	src := "int a = @;\nchar *s = \"unterminated;\n"
-	_, err := CompileString("lexerrs", src, Options{DisableParseCache: true})
+	_, err := Compile(context.Background(), "lexerrs", cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{DisableParseCache: true})
 	if err == nil {
 		t.Fatal("expected lex errors")
 	}
@@ -25,8 +28,7 @@ func TestLexReportsAllErrors(t *testing.T) {
 
 func recoverCompile(t *testing.T, sources map[string]string, cFiles []string) *RecoverResult {
 	t.Helper()
-	rr, err := CompileRecover("recover", cpp.MapSource(sources), cFiles,
-		Options{DisableParseCache: true})
+	rr, err := CompileRecover(context.Background(), "recover", cpp.MapSource(sources), cFiles, Options{DisableParseCache: true})
 	if err != nil {
 		t.Fatalf("CompileRecover: %v", err)
 	}
@@ -134,5 +136,56 @@ func TestRecoverCleanRun(t *testing.T) {
 	}, []string{"a.c", "b.c"})
 	if rr.Degraded() || len(rr.Diags) != 0 || rr.MissingDefs != nil {
 		t.Errorf("clean run degraded: diags=%v missing=%v", rr.Diags, rr.MissingDefs)
+	}
+}
+
+// panicSource crashes the preprocessor when it reads the named file.
+type panicSource struct {
+	cpp.MapSource
+	boom string
+}
+
+func (p panicSource) ReadFile(name string) (string, error) {
+	if name == p.boom {
+		panic("injected read crash")
+	}
+	return p.MapSource.ReadFile(name)
+}
+
+// A unit that panics is isolated on both paths: fail-stop returns its
+// *guard.InternalError when it is the first failing unit in file order,
+// and recovery skips it with an "internal" diagnostic.
+func TestUnitPanicIsolated(t *testing.T) {
+	src := panicSource{MapSource: cpp.MapSource{
+		"ok.c":  "int ok() { return 1; }\n",
+		"bad.c": "int oops( {\n",
+	}, boom: "boom.c"}
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		opts := Options{Workers: workers, DisableParseCache: true}
+		_, err := Compile(ctx, "panic", src, []string{"ok.c", "boom.c", "bad.c"}, opts)
+		var ie *guard.InternalError
+		if !errors.As(err, &ie) || ie.Phase != "frontend" || ie.Unit != "boom.c" {
+			t.Fatalf("workers=%d: fail-stop error = %v, want the internal error of boom.c", workers, err)
+		}
+		_, err = Compile(ctx, "panic", src, []string{"ok.c", "bad.c", "boom.c"}, opts)
+		if err == nil || !strings.HasPrefix(err.Error(), "parse bad.c: ") {
+			t.Fatalf("workers=%d: fail-stop error = %v, want bad.c's parse error first", workers, err)
+		}
+		rr, err := CompileRecover(ctx, "panic", src, []string{"ok.c", "boom.c", "bad.c"}, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: CompileRecover: %v", workers, err)
+		}
+		if got := diag.Units(rr.Diags); len(got) != 2 || got[0] != "bad.c" || got[1] != "boom.c" {
+			t.Fatalf("workers=%d: diagnostic units = %v, want [bad.c boom.c]", workers, got)
+		}
+		for _, d := range rr.Diags {
+			if d.Unit == "boom.c" && (d.Phase != diag.PhaseInternal || !strings.Contains(d.Msg, "injected read crash")) {
+				t.Errorf("workers=%d: boom.c diagnostic = %s", workers, d)
+			}
+		}
+		if rr.Res.Module.FuncByName("ok") == nil {
+			t.Errorf("workers=%d: surviving unit lost", workers)
+		}
 	}
 }

@@ -125,7 +125,7 @@ func (e *Executor) maxSteps() int64 {
 
 // analyze runs one recovering, cache-free analysis of the sources.
 func analyze(ctx context.Context, in Input, sources map[string]string, workers int, stats bool) (*core.Report, error) {
-	return core.AnalyzeSourcesContext(ctx, in.Name, cpp.MapSource(sources), in.CFiles, core.Options{
+	return core.AnalyzeSources(ctx, in.Name, cpp.MapSource(sources), in.CFiles, core.Options{
 		Recover:           true,
 		Workers:           workers,
 		Stats:             stats,
@@ -212,8 +212,7 @@ func (e *Executor) Execute(ctx context.Context, in Input) (*ExecResult, error) {
 	// Dynamic taint on strictly-compiling inputs (the interpreter needs
 	// a complete module).
 	var hot map[ctoken.Pos]bool
-	if cres, cerr := frontend.Compile(in.Name, cpp.MapSource(in.Sources), in.CFiles,
-		frontend.Options{DisableParseCache: true}); cerr == nil {
+	if cres, cerr := frontend.Compile(context.Background(), in.Name, cpp.MapSource(in.Sources), in.CFiles, frontend.Options{DisableParseCache: true}); cerr == nil {
 		m := interp.New(cres.Module, execWorld{})
 		m.MaxSteps = e.maxSteps()
 		tr := m.EnableTaint(shmflow.Analyze(cres.Module, callgraph.New(cres.Module)))

@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 
 	"safeflow/internal/corpus"
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/ir"
 	"safeflow/internal/plant"
@@ -14,7 +16,7 @@ import (
 
 func compile(t *testing.T, src string) *ir.Module {
 	t.Helper()
-	res, err := frontend.CompileString("t", src, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -283,7 +285,7 @@ func TestCorpusIPExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{
+	res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{
 		// Shorten the mission so the test is quick: 600 periods (6 s).
 		Defines: map[string]string{"MAXITER": "600"},
 	})

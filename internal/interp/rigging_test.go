@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -57,7 +58,7 @@ func runGSX(t *testing.T, rig bool) *gsxWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), sys.Name, src, sys.CFiles, frontend.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,17 @@
 package pointsto
 
 import (
+	"context"
 	"testing"
 
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/ir"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
 	t.Helper()
-	res, err := frontend.CompileString("t", src, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func figure2Report(t *testing.T) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.AnalyzeSources("figure2", cpp.MapSource{"main.c": string(src)}, []string{"main.c"}, core.Options{})
+	rep, err := core.AnalyzeSources(context.Background(), "figure2", cpp.MapSource{"main.c": string(src)}, []string{"main.c"}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +49,9 @@ func TestWriteReportContents(t *testing.T) {
 }
 
 func TestWriteCleanReport(t *testing.T) {
-	rep, err := core.AnalyzeString("clean", `
+	rep, err := core.AnalyzeSources(context.Background(), "clean", cpp.MapSource{"main.c": `
 int main() { return 0; }
-`, core.Options{})
+`}, []string{"main.c"}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestTable1Rendering(t *testing.T) {
 
 func mustAnalyzeString(t *testing.T, src string) *core.Report {
 	t.Helper()
-	rep, err := core.AnalyzeString("t", src, core.Options{})
+	rep, err := core.AnalyzeSources(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

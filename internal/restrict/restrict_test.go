@@ -1,10 +1,12 @@
 package restrict
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"safeflow/internal/callgraph"
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/shmflow"
 )
@@ -27,7 +29,7 @@ void initComm()
 
 func check(t *testing.T, src string) []Violation {
 	t.Helper()
-	res, err := frontend.CompileString("t", src, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

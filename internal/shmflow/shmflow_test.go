@@ -1,10 +1,12 @@
 package shmflow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"safeflow/internal/callgraph"
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/ir"
 )
@@ -30,7 +32,7 @@ void initComm()
 
 func analyze(t *testing.T, src string) (*Result, *ir.Module) {
 	t.Helper()
-	res, err := frontend.CompileString("t", src, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -1,10 +1,12 @@
 package vfg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"safeflow/internal/callgraph"
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 	"safeflow/internal/pointsto"
 	"safeflow/internal/shmflow"
@@ -26,7 +28,7 @@ void initComm()
 
 func run(t *testing.T, src string, exponential bool) *Result {
 	t.Helper()
-	res, err := frontend.CompileString("t", src, frontend.Options{})
+	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -168,12 +168,12 @@ func Analyze(name string, sources map[string]string, cFiles []string, opts Optio
 // units in the frontend, SCC waves in phase 3 — and returns ctx.Err()
 // promptly with no goroutines left behind.
 func AnalyzeContext(ctx context.Context, name string, sources map[string]string, cFiles []string, opts Options) (*Report, error) {
-	return core.AnalyzeSourcesContext(ctx, name, cpp.MapSource(sources), cFiles, opts)
+	return core.AnalyzeSources(ctx, name, cpp.MapSource(sources), cFiles, opts)
 }
 
 // AnalyzeString analyzes a single self-contained program.
 func AnalyzeString(name, src string, opts Options) (*Report, error) {
-	return core.AnalyzeString(name, src, opts)
+	return Analyze(name, map[string]string{"main.c": src}, []string{"main.c"}, opts)
 }
 
 // AnalyzeDir analyzes all .c files in a directory (headers resolve
