@@ -62,6 +62,9 @@ type UpdateStats struct {
 	// closure of the incremental solve.
 	UnitsReplayed int
 	UnitsSolved   int
+	// UnitsCutOff counts the replayed units inside the invalidation cone:
+	// callers whose callees re-solved to their previous summaries.
+	UnitsCutOff int
 	// Restarts counts verification-triggered cone expansions.
 	Restarts int
 }
@@ -210,6 +213,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 				st.FuncsReused = rep.incrStats.FuncsReused
 				st.UnitsReplayed = rep.incrStats.UnitsReplayed
 				st.UnitsSolved = rep.incrStats.UnitsSolved
+				st.UnitsCutOff = rep.incrStats.UnitsCutOff
 				st.Restarts = rep.incrStats.Restarts
 			}
 			return rep, st, nil

@@ -1,5 +1,5 @@
 // Incremental re-analysis: the phase-3 scheduler's persistent dependency
-// graph and fine-grained invalidation (ISSUE 8's tentpole).
+// graph and fine-grained invalidation.
 //
 // A tracked run records, per (function, context) unit, everything the unit
 // contributed to the analysis beyond its summary: the global memory cells
@@ -12,22 +12,32 @@
 //
 // On the next run, functions whose fingerprint changed are dirty; the
 // dirty set plus its transitive caller cone in the (new) call graph is
-// invalidated and re-solved, while every unit outside the cone is
-// *replayed*: its recorded summary, writes, sources and errors are
-// installed verbatim instead of re-solving. Replay is sound because
+// invalidated, while every unit outside the cone is *replayed*: its
+// recorded summary, writes, sources and errors are installed verbatim
+// instead of re-solving. Replay is sound because
 //   - a replayed unit's fingerprints are unchanged, so its local transfer
 //     behavior is identical;
 //   - its callees are outside the cone too (the cone is caller-closed),
 //     so the callee summaries it depended on are also unchanged;
 //   - taints only grow under join, so the union of recorded writes over
 //     all of a unit's solves equals its final-round writes.
-// The one input replay cannot see locally is the global memory store
-// (a re-solved unit may now write different taints into cells a replayed
-// unit read). A post-convergence verification diffs the previous run's
-// portable cells against the new ones; any replayed unit that read a
-// changed cell is added to the dirty set and the analysis restarts with
-// the larger cone. Restarts are capped; the cap falls back to a full
-// (tracked) solve, which is always correct.
+// Inside the cone the same argument gives *early cutoff*: a unit of a
+// function that is not itself dirty, in a non-recursive SCC, is replayed
+// from its record when the bottom-up wave finds that every callee unit it
+// consults was replayed or solved to a summary canonically equal to its
+// previous record. So an edit that leaves a function's summary unchanged
+// re-solves only that function's units.
+//
+// Two inputs replay cannot see locally are re-checked after convergence.
+// A cut-off unit's callee may re-solve in a later round to a different
+// summary: every cut-off unit's callees are compared again, and a mismatch
+// marks the unit dirty. The global memory store may move (a re-solved
+// unit may now write different taints into cells a replayed unit read):
+// a verification diffs the previous run's portable cells against the new
+// ones, and any replayed unit that read a changed cell is marked dirty.
+// Either way the analysis restarts with the larger cone. Restarts are
+// capped; the cap falls back to a full (tracked) solve, which is always
+// correct.
 //
 // Degraded runs never participate: Config.Incr is ignored when
 // MissingDefs is non-empty, and the callers (core.Session) never capture
@@ -107,6 +117,9 @@ type IncrStats struct {
 	// UnitsReplayed/UnitsSolved partition the final unit closure.
 	UnitsReplayed int
 	UnitsSolved   int
+	// UnitsCutOff counts the replayed units inside the invalidation cone:
+	// installed by early cutoff because their callees kept their summaries.
+	UnitsCutOff int
 	// Restarts counts verification-triggered cone expansions.
 	Restarts int
 }
@@ -206,7 +219,9 @@ func mixRef(h *fnvHash, r pointsto.Ref) {
 	h.int(int64(d.kind))
 	h.str(d.name)
 	h.str(d.fn)
-	h.str(d.pos.String())
+	h.str(d.pos.File)
+	h.int(int64(d.pos.Line))
+	h.int(int64(d.pos.Col))
 	h.int(r.Off)
 }
 
@@ -382,23 +397,30 @@ func (a *analysis) dryCheckRecord(b *binder, rec *unitRecord) bool {
 	return true
 }
 
-// buildReplayPlan selects the previous run's records that may be replayed:
-// units of functions outside the invalidation cone whose descriptors all
-// rebind. A record that fails the dry check is simply dropped — its unit
-// re-solves normally, which by fingerprint induction produces the same
-// summary, so callers' replays stay valid.
-func (a *analysis) buildReplayPlan(prev *IncrState, cone map[string]bool) map[string]*unitRecord {
-	plan := make(map[string]*unitRecord, len(prev.units))
+// buildReplayPlan selects the previous run's records that may be reused:
+// units of functions outside the invalidation cone, installed at getUnit,
+// and units of the cone's functions that are not dirty, the candidates
+// for early cutoff. Only records whose descriptors all rebind qualify. A
+// record that fails the dry check is simply dropped — its unit re-solves
+// normally, which by fingerprint induction produces the same summary, so
+// callers' replays stay valid.
+func (a *analysis) buildReplayPlan(prev *IncrState, cone, dirty map[string]bool) (replay, cutoff map[string]*unitRecord) {
+	replay = make(map[string]*unitRecord, len(prev.units))
+	cutoff = make(map[string]*unitRecord)
 	for key, rec := range prev.units {
-		if rec == nil || cone[rec.fn] {
+		if rec == nil || dirty[rec.fn] {
 			continue
 		}
 		if !a.dryCheckRecord(a.replayBinder, rec) {
 			continue
 		}
-		plan[key] = rec
+		if cone[rec.fn] {
+			cutoff[key] = rec
+		} else {
+			replay[key] = rec
+		}
 	}
-	return plan
+	return replay, cutoff
 }
 
 // ---------------------------------------------------------------------------
@@ -415,12 +437,12 @@ func (a *analysis) sourceFromKeyCtx(p pSrc, ctx string) (*Source, bool) {
 	return s, true
 }
 
-// installReplay installs a record into a freshly created unit: summary,
-// global-memory writes, interned sources (with their context keys) and
-// error dependencies. Bind-first, then commit; after the plan's dry check
-// a bind failure cannot occur, but a failed install still leaves the unit
-// solvable (partial writes are join-only and a subset of what the solve
-// will write).
+// installReplay installs a record into a unit that was never solved:
+// summary, global-memory writes, interned sources (with their context
+// keys) and error dependencies. Bind-first, then commit; after the plan's
+// dry check a bind failure cannot occur, but a failed install still
+// leaves the unit solvable (partial writes are join-only and a subset of
+// what the solve will write).
 func (a *analysis) installReplay(u *unit, rec *unitRecord) bool {
 	b := a.replayBinder
 	sum, ok := b.bindSummary(rec.sum)
@@ -444,9 +466,11 @@ func (a *analysis) installReplay(u *unit, rec *unitRecord) bool {
 		writes = append(writes, memWr{ref, t})
 	}
 	u.sum = sum
-	u.replayed = true
+	u.sumSeq = a.seq.Add(1)
 	for _, w := range writes {
-		a.mem.write(w.ref, w.t)
+		if a.mem.write(w.ref, w.t) {
+			a.logChange(w.ref.Obj, u)
+		}
 	}
 	for _, cs := range rec.sources {
 		if _, ok := a.sourceFromKeyCtx(cs.src, cs.ctx); !ok {
@@ -455,6 +479,43 @@ func (a *analysis) installReplay(u *unit, rec *unitRecord) bool {
 	}
 	for _, pe := range rec.errors {
 		a.replayError(pe)
+	}
+	u.replayed, u.rec = true, rec
+	return true
+}
+
+// tryCutoff replays a cone unit's previous record instead of solving it
+// when every callee unit it consults kept its previous summary (early
+// cutoff). The wave calls it for never-solved units of non-recursive
+// SCCs only, after every callee SCC has finished.
+func (a *analysis) tryCutoff(u *unit) bool {
+	rec := a.cutoff[u.key]
+	if rec == nil || u.start != 0 || !calleesKept(u) {
+		return false
+	}
+	if !a.installReplay(u, rec) {
+		return false
+	}
+	u.cutOff = true
+	return true
+}
+
+// noteKept records, after a solve in an incremental run, whether u's
+// summary is canonically equal to its previous record's. Source ids
+// differ between runs, so the comparison is on the portable form.
+func (a *analysis) noteKept(u *unit) {
+	prev := a.prev.units[u.key]
+	u.kept = prev != nil && canonPSummary(a.exportSummary(u.sum)) == canonPSummary(prev.sum)
+}
+
+// calleesKept reports whether every callee unit of u holds the summary
+// its previous record holds: replayed (installed or cut off), or solved
+// to an equal summary.
+func calleesKept(u *unit) bool {
+	for _, cu := range u.calleeUnits {
+		if !cu.replayed && !cu.kept {
+			return false
+		}
 	}
 	return true
 }
@@ -611,7 +672,7 @@ func (a *analysis) captureState(fps map[string]fnFingerprint, regionFP uint64) *
 	}
 	for _, u := range a.unitList {
 		if u.replayed {
-			st.units[u.key] = a.replay[u.key]
+			st.units[u.key] = u.rec
 			continue
 		}
 		rec := &unitRecord{fn: u.fn.Name, sum: a.exportSummary(u.sum)}
@@ -700,37 +761,81 @@ func canonPTaint(p pTaint) string {
 			strconv.Itoa(int(st.src.key.kind))+"\x01"+st.src.key.region+"\x01"+
 			st.src.key.detail+"\x01"+st.src.key.rule+"\x01"+st.src.fn+"\x01"+strconv.Itoa(int(st.k)))
 	}
-	sort.Strings(entries)
 	var b strings.Builder
-	prev := ""
-	for i, e := range entries {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
-		b.WriteString(e)
-		b.WriteByte('\x02')
-	}
-	idxs := make([]int, 0, len(p.params))
-	for i := range p.params {
+	writeSortedSet(&b, entries, '\x02')
+	b.WriteString(canonParams(p.params))
+	return b.String()
+}
+
+// canonParams renders symbolic parameter kinds in index order.
+func canonParams(params map[int]Kind) string {
+	idxs := make([]int, 0, len(params))
+	for i := range params {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
+	var b strings.Builder
 	for _, i := range idxs {
 		b.WriteString(strconv.Itoa(i))
 		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(int(p.params[i])))
+		b.WriteString(strconv.Itoa(int(params[i])))
 		b.WriteByte('\x03')
 	}
 	return b.String()
+}
+
+// writeSortedSet writes the distinct entries in sorted order, each
+// followed by sep. It sorts entries in place.
+func writeSortedSet(b *strings.Builder, entries []string, sep byte) {
+	sort.Strings(entries)
+	for i, e := range entries {
+		if i > 0 && e == entries[i-1] {
+			continue
+		}
+		b.WriteString(e)
+		b.WriteByte(sep)
+	}
+}
+
+// canonPSummary renders a portable summary canonically: the return taint,
+// then effects and obligations as sets (summaryEqual's semantics).
+func canonPSummary(p pSummary) string {
+	var b strings.Builder
+	b.WriteString(canonPTaint(p.ret))
+	b.WriteByte('\x04')
+	effs := make([]string, 0, len(p.effects))
+	for _, e := range p.effects {
+		effs = append(effs, strconv.Itoa(int(e.ref.obj.kind))+"\x01"+e.ref.obj.name+"\x01"+e.ref.obj.fn+"\x01"+
+			e.ref.obj.pos.String()+"\x01"+strconv.FormatInt(e.ref.off, 10)+"\x01"+canonParams(e.params))
+	}
+	writeSortedSet(&b, effs, '\x05')
+	b.WriteByte('\x04')
+	obs := make([]string, 0, len(p.asserts))
+	for _, o := range p.asserts {
+		obs = append(obs, o.pos.String()+"\x01"+o.fnName+"\x01"+o.vbl+"\x01"+o.rule+"\x01"+canonParams(o.params))
+	}
+	writeSortedSet(&b, obs, '\x05')
+	return b.String()
+}
+
+// verifyCutoffs re-checks every cut-off unit's callees after convergence
+// and adds to affected the functions of those whose callees no longer
+// hold their previous summaries: a callee solved again in a later round
+// may have moved after the wave compared it.
+func (a *analysis) verifyCutoffs(affected map[string]bool) {
+	for _, u := range a.unitList {
+		if u.cutOff && !calleesKept(u) {
+			affected[u.fn.Name] = true
+		}
+	}
 }
 
 // verifyIncremental diffs the previous run's portable memory cells
 // against this run's and returns the replayed functions whose recorded
 // reads observe a changed cell (respecting the unknown-offset read
 // semantics of memStore.read). An empty result proves every replayed
-// unit saw the same global memory it recorded, closing the one soundness
-// gap replay has; a non-empty result triggers a cone-expansion restart.
+// unit saw the same global memory it recorded, closing replay's memory
+// gap; a non-empty result triggers a cone-expansion restart.
 func (a *analysis) verifyIncremental(prev *IncrState) map[string]bool {
 	cur := make(map[pRef]pTaint, len(prev.cells))
 	a.mem.mu.RLock()
@@ -761,20 +866,15 @@ func (a *analysis) verifyIncremental(prev *IncrState) map[string]bool {
 			mark(pr)
 		}
 	}
-	if len(changedRefs) == 0 {
-		return nil
-	}
-
 	affected := make(map[string]bool)
+	if len(changedRefs) == 0 {
+		return affected
+	}
 	for _, u := range a.unitList {
 		if !u.replayed {
 			continue
 		}
-		rec := a.replay[u.key]
-		if rec == nil {
-			continue
-		}
-		for _, r := range rec.reads {
+		for _, r := range u.rec.reads {
 			if r.off == pointsto.UnknownOffset {
 				if changedObjs[r.obj] {
 					affected[u.fn.Name] = true
@@ -797,7 +897,8 @@ func (a *analysis) verifyIncremental(prev *IncrState) map[string]bool {
 const maxIncrRestarts = 3
 
 // runIncremental is the incremental driver: fingerprint, invalidate the
-// dirty cone, replay everything else, verify, restart on drift.
+// dirty cone, replay everything else, cut off cone units whose callees
+// kept their summaries, verify, restart on drift.
 func runIncremental(cfg Config) *Result {
 	// Replay and the cross-run summary cache are mutually exclusive: a
 	// seeded summary has no replay record, and a replayed unit must not
@@ -835,7 +936,8 @@ func runIncremental(cfg Config) *Result {
 		if !full {
 			cone = callerClosure(cfg.CG, cfg.Module, dirty)
 			a.replayBinder = a.newBinder()
-			a.replay = a.buildReplayPlan(prev, cone)
+			a.prev = prev
+			a.replay, a.cutoff = a.buildReplayPlan(prev, cone, dirty)
 		}
 		a.runScheduled(workerCount(cfg.Workers))
 		res := a.finish()
@@ -846,7 +948,9 @@ func runIncremental(cfg Config) *Result {
 			return res
 		}
 		if !full {
-			if affected := a.verifyIncremental(prev); len(affected) > 0 {
+			affected := a.verifyIncremental(prev)
+			a.verifyCutoffs(affected)
+			if len(affected) > 0 {
 				stats.Restarts++
 				for f := range affected {
 					dirty[f] = true
@@ -866,6 +970,9 @@ func runIncremental(cfg Config) *Result {
 			}
 		}
 		for _, u := range a.unitList {
+			if u.cutOff {
+				stats.UnitsCutOff++
+			}
 			if u.replayed {
 				stats.UnitsReplayed++
 			} else {

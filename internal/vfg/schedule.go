@@ -4,6 +4,14 @@
 // unique least fixpoint of the monotone transfer functions, so it is
 // independent of the schedule; combined with the total sort orders in
 // finish(), reports are byte-identical at every worker count.
+//
+// Rounds are demand-driven. A unit's solve is a function of three inputs
+// only: its own body, the summaries of the callee units it consults, and
+// the global memory objects its loads read. The first round solves every
+// unit; a later round solves only the units one of whose inputs changed
+// after their latest solve began (see markStale). A unit's own writes
+// never make it stale: they are visible to it through its local overlay,
+// which the unit's inner rounds iterate to a fixpoint.
 
 package vfg
 
@@ -13,6 +21,8 @@ import (
 
 	"safeflow/internal/callgraph"
 	"safeflow/internal/guard"
+	"safeflow/internal/ir"
+	"safeflow/internal/pointsto"
 )
 
 // workerCount resolves the effective worker-pool size.
@@ -25,9 +35,9 @@ func workerCount(requested int) int {
 
 // runScheduled is the driver for the summary-sharing (non-exponential)
 // mode: precompute the (function, context) unit closure, then run rounds
-// of bottom-up SCC waves until nothing changes. Multiple rounds are needed
-// because taint also flows top-down through the global memory store
-// (a caller's store feeding a callee's load).
+// of bottom-up SCC waves until no unit is stale. Later rounds exist
+// because taint also flows top-down through the global memory store: a
+// caller's store feeds a load in a callee that was solved before it.
 func (a *analysis) runScheduled(workers int) {
 	a.seedRoots()
 	a.expandUnits(0)
@@ -37,7 +47,6 @@ func (a *analysis) runScheduled(workers int) {
 			return
 		}
 		a.rounds++
-		a.changed.Store(false)
 		n := len(a.unitList)
 		a.solveWaves(workers)
 		if len(a.unitList) > n {
@@ -45,7 +54,7 @@ func (a *analysis) runScheduled(workers int) {
 			// fallback paths; re-close over them to be safe.
 			a.expandUnits(n)
 		}
-		if !a.changed.Load() {
+		if !a.markStale() {
 			break
 		}
 	}
@@ -56,6 +65,84 @@ func (a *analysis) runScheduled(workers int) {
 		return
 	}
 	a.storeSummaryCache()
+}
+
+// objChange logs the changes to one global memory object since the last
+// staleness check: the latest change with its writer, and the latest
+// change by any other writer. That is enough to tell whether a unit other
+// than u changed the object after u's solve began.
+type objChange struct {
+	seq, otherSeq uint64
+	writer        *unit
+}
+
+func (c *objChange) add(seq uint64, w *unit) {
+	if w != c.writer {
+		c.otherSeq, c.writer = c.seq, w
+	}
+	c.seq = seq
+}
+
+func (c objChange) changedAfter(u *unit, start uint64) bool {
+	if c.writer != u {
+		return c.seq > start
+	}
+	return c.otherSeq > start
+}
+
+// logChange records that w changed a cell of o. The sequence number is
+// taken after the cell changed, so a solve that started later (a higher
+// start) reads the new value; taking it under logMu keeps the log in
+// sequence order.
+func (a *analysis) logChange(o *pointsto.Object, w *unit) {
+	a.logMu.Lock()
+	c := a.memLog[o]
+	c.add(a.seq.Add(1), w)
+	a.memLog[o] = c
+	a.logMu.Unlock()
+}
+
+// needsSolve reports whether u is stale: never solved, invalidated by a
+// memory change (memStale), or consulting a callee unit whose summary
+// changed after u's latest solve began. Callee units in other SCCs have
+// finished this wave before u's task runs, so their sumSeq is final.
+func (a *analysis) needsSolve(u *unit) bool {
+	if u.start == 0 || u.memStale {
+		return true
+	}
+	for _, cu := range u.calleeUnits {
+		if cu.sumSeq > u.start {
+			return true
+		}
+	}
+	return false
+}
+
+// markStale runs single-threaded between waves: it marks every unit that
+// read an object another unit changed after the reader's latest solve
+// began, clears the change log, and reports whether any unit is stale.
+// Clearing is sound because every logged change was compared against
+// every unit's current start; a later solve only raises the start.
+func (a *analysis) markStale() bool {
+	stale := false
+	for _, u := range a.unitList {
+		if u.replayed {
+			continue
+		}
+		if len(a.memLog) > 0 && u.start != 0 && !u.memStale {
+			for _, o := range a.fnDataOf(u.fn).reads {
+				if c, ok := a.memLog[o]; ok && c.changedAfter(u, u.start) {
+					u.memStale = true
+					break
+				}
+			}
+		}
+		if a.needsSolve(u) {
+			stale = true
+		}
+	}
+	clear(a.memLog)
+	return stale
 }
 
 // solveSCCSafe isolates one SCC solve: a panic inside the component's
@@ -80,8 +167,10 @@ func (a *analysis) solveSCCSafe(t *sccUnits) {
 // (fn, ctx) induces a unit (callee, active) for every defined, non-init
 // callee of fn, because contexts depend only on the call structure and the
 // assume(core(...)) facts — not on taint values. The list grows while we
-// iterate, so this is a breadth-first closure. Single-threaded (runs
-// between waves); the per-unit work is trivial next to solving.
+// iterate, so this is a breadth-first closure. Each binding is memoized in
+// the caller's calleeUnits, so a unit's callee units are known before its
+// first solve. Single-threaded (runs between waves); the per-unit work is
+// trivial next to solving.
 func (a *analysis) expandUnits(from int) {
 	for i := from; i < len(a.unitList); i++ {
 		u := a.unitList[i]
@@ -89,7 +178,10 @@ func (a *analysis) expandUnits(from int) {
 			if callee.IsDecl || a.cfg.SF.InitFuncs[callee] {
 				continue
 			}
-			a.getUnit(callee, u.active, "")
+			if u.calleeUnits == nil {
+				u.calleeUnits = make(map[*ir.Function]*unit)
+			}
+			u.calleeUnits[callee] = a.getUnit(callee, u.active, "")
 		}
 	}
 }
@@ -101,10 +193,12 @@ type sccUnits struct {
 	recursive bool
 }
 
-// solveWaves solves every current unit once (to its local fixpoint),
+// solveWaves solves every stale unit (to its local fixpoint),
 // scheduling SCCs bottom-up: an SCC starts only after all SCCs it calls
 // into have finished this wave, and independent SCCs run concurrently on
-// a pool of `workers` goroutines.
+// a pool of `workers` goroutines. Every SCC with unreplayed units is
+// visited, because whether a unit is stale can depend on a callee solved
+// earlier in the same wave.
 func (a *analysis) solveWaves(workers int) {
 	// Group units by SCC, preserving creation order within each group.
 	bySCC := make(map[*callgraph.SCC]*sccUnits)
@@ -199,25 +293,26 @@ func (a *analysis) solveWaves(workers int) {
 	wg.Wait()
 }
 
-// solveSCC analyzes the units of one SCC. Non-recursive components need a
-// single pass per unit (the function cannot call itself, so its context
-// units are mutually independent); recursive components iterate to a local
-// fixpoint over their mutually-dependent summaries.
+// solveSCC solves the stale units of one SCC. Non-recursive components
+// need a single pass (the function cannot call itself, so its context
+// units are mutually independent), and there a cone unit of an
+// incremental run may be cut off instead of solved; recursive components
+// iterate until no unit is stale, i.e. to a local fixpoint over their
+// mutually-dependent summaries.
 func (a *analysis) solveSCC(t *sccUnits) {
-	if !t.recursive {
-		for _, u := range t.units {
-			a.solveUnit(u)
-		}
-		return
-	}
 	for iter := 0; iter < maxRounds; iter++ {
-		changed := false
+		solved := false
 		for _, u := range t.units {
-			if a.solveUnit(u) {
-				changed = true
+			if !a.needsSolve(u) || (!t.recursive && a.tryCutoff(u)) {
+				continue
 			}
+			a.solveUnit(u)
+			if a.prev != nil {
+				a.noteKept(u)
+			}
+			solved = true
 		}
-		if !changed {
+		if !t.recursive || !solved {
 			return
 		}
 	}

@@ -200,6 +200,7 @@ func newAnalysis(cfg Config) *analysis {
 		errors:  make(map[string]*ErrorDep),
 		mem:     newMemStore(),
 		fnData:  make(map[*ir.Function]*fnData),
+		memLog:  make(map[*pointsto.Object]objChange),
 	}
 }
 
@@ -244,19 +245,32 @@ type unit struct {
 	activeKey string  // active.Key(), precomputed (hot in sourceFor)
 	sum       summary
 	// calleeUnits memoizes getUnit lookups per callee in summary mode (the
-	// (callee → unit) binding is fixed for the life of the unit). Units of
-	// one function solve sequentially, so no lock is needed.
+	// (callee → unit) binding is fixed for the life of the unit); the
+	// scheduler fills it in expandUnits. Units of one function solve
+	// sequentially, so no lock is needed.
 	calleeUnits map[*ir.Function]*unit
 	// noncoreParams are parameter names annotated noncore (socket
 	// descriptors, §3.4.3); coreLocals are names of local buffers assumed
 	// core by assume(core(...)) that did not resolve to a region.
 	noncoreParams map[string]bool
 	coreLocals    map[string]bool
+	// Demand-driven scheduling state (see markStale): start is the
+	// sequence number taken when the unit's latest solve began (0: never
+	// solved), sumSeq the one taken when its summary last changed, and
+	// memStale marks a unit another unit's write invalidated since start.
+	start, sumSeq uint64
+	memStale      bool
 	// Incremental-mode state: replayed marks a unit installed from a
-	// previous run's record (never solved); the rec* maps accumulate the
-	// unit's own contributions when tracking is on. All are touched only
-	// by the unit's (single) solver goroutine or under a.mu at creation.
+	// previous run's record rec (never solved), cutOff one installed by
+	// early cutoff inside the invalidation cone, and kept a solved unit
+	// whose latest summary equals its previous record's; the rec* maps
+	// accumulate the unit's own contributions when tracking is on. All are
+	// touched only by the unit's (single) solver goroutine or under a.mu
+	// at creation.
 	replayed  bool
+	cutOff    bool
+	kept      bool
+	rec       *unitRecord
 	recWrites map[pointsto.Ref]Taint
 	recReads  map[pointsto.Ref]bool
 	recSrcs   map[recSrcKey]bool
@@ -290,16 +304,27 @@ type analysis struct {
 	solves    atomic.Int64
 	transfers atomic.Int64
 	swept     atomic.Int64
-	changed   atomic.Bool
+	changed   atomic.Bool // round signal of the exponential-mode fixpoint
+
+	// seq orders solve starts, summary changes and memory changes; memLog
+	// holds the memory changes since the last staleness check (logMu).
+	seq    atomic.Uint64
+	logMu  sync.Mutex
+	memLog map[*pointsto.Object]objChange
 
 	rounds                 int
 	cacheHits, cacheMisses int
 
 	// Incremental-mode state (zero outside incremental runs): track turns
 	// on per-unit contribution recording; replay maps unit keys to the
-	// previous run's records, installed at getUnit via replayBinder.
+	// previous run's records, installed at getUnit via replayBinder;
+	// cutoff holds the records of cone units whose function is not dirty,
+	// installed by early cutoff when their callees kept the summaries of
+	// prev, the previous run's state.
 	track        bool
 	replay       map[string]*unitRecord
+	cutoff       map[string]*unitRecord
+	prev         *IncrState
 	replayBinder *binder
 }
 
@@ -437,13 +462,15 @@ func paramByName(fn *ir.Function, name string) *ir.Param {
 // fnData is the per-function solver state shared by every unit of the
 // function: control-dependence edges, the dense def-use index with the
 // control edges declared as extra uses, one reusable solver, and the
-// parameter seed facts (identical for every unit of the function). All
-// units of one function belong to the same callgraph SCC and therefore
-// solve sequentially, so sharing a single solver is race-free.
+// parameter seed facts (identical for every unit of the function), and
+// the global memory objects its loads read. All units of one function
+// belong to the same callgraph SCC and therefore solve sequentially, so
+// sharing a single solver is race-free.
 type fnData struct {
 	deps   map[*ir.Block][]cfgraph.ControlDep
 	solver *dataflow.ValueSolver[Taint]
 	seeds  []dataflow.Seed[Taint]
+	reads  []*pointsto.Object
 }
 
 func (a *analysis) fnDataOf(fn *ir.Function) *fnData {
@@ -467,6 +494,7 @@ func (a *analysis) fnDataOf(fn *ir.Function) *fnData {
 			}
 		}
 	}
+	seen := make(map[*pointsto.Object]bool)
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			switch x := in.(type) {
@@ -477,6 +505,19 @@ func (a *analysis) fnDataOf(fn *ir.Function) *fnData {
 				}
 			case *ir.Call:
 				addCtrlUses(x, b)
+			case *ir.Load:
+				// Every instruction is evaluated at least once per solve,
+				// so these are exactly the objects transfer reads from the
+				// global memory store.
+				if !a.cfg.SF.FactOf(fn, x.Addr).Empty() {
+					continue
+				}
+				for _, ref := range a.cfg.PTS.PointsTo(x.Addr) {
+					if o := ref.Obj; o.Kind != pointsto.ObjShm && !seen[o] {
+						seen[o] = true
+						d.reads = append(d.reads, o)
+					}
+				}
 			}
 		}
 	}
@@ -533,10 +574,14 @@ func (a *analysis) sourceFor(u *unit, pos ctoken.Pos, region *shmflow.Region, ki
 // maxInnerRounds caps the load/store iteration within one unit.
 const maxInnerRounds = 20
 
-// solveUnit analyzes u to a local fixpoint and reports whether its
-// summary changed (the per-SCC convergence signal for the scheduler).
-func (a *analysis) solveUnit(u *unit) bool {
+// solveUnit analyzes u to a local fixpoint; a changed summary takes a
+// new sumSeq, which makes u's callers stale.
+func (a *analysis) solveUnit(u *unit) {
 	a.solves.Add(1)
+	// Taken before the first read: a memory change sequenced at or below
+	// start is visible to this solve.
+	u.start = a.seq.Add(1)
+	u.memStale = false
 	fd := a.fnDataOf(u.fn)
 
 	// Local memory overlay: cells written in this unit, with full taints
@@ -565,10 +610,9 @@ func (a *analysis) solveUnit(u *unit) bool {
 
 	if !summaryEqual(u.sum, newSum) {
 		u.sum = newSum
+		u.sumSeq = a.seq.Add(1)
 		a.changed.Store(true)
-		return true
 	}
-	return false
 }
 
 // policyParamSeeds extends a function's parameter seeds with the
@@ -1000,13 +1044,15 @@ func (a *analysis) bufferAssumedCore(u *unit, buf ir.Value) bool {
 }
 
 // memWrite joins t into the global memory store, recording the write on
-// the unit when incremental tracking is on.
+// the unit when incremental tracking is on and logging a change for the
+// staleness check.
 func (a *analysis) memWrite(u *unit, ref pointsto.Ref, t Taint) {
 	if a.track {
 		u.recWrite(ref, t)
 	}
 	if a.mem.write(ref, t) {
 		a.changed.Store(true)
+		a.logChange(ref.Obj, u)
 	}
 }
 

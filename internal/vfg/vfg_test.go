@@ -28,6 +28,12 @@ void initComm()
 
 func run(t *testing.T, src string, exponential bool) *Result {
 	t.Helper()
+	return runConfig(t, src, Config{Exponential: exponential})
+}
+
+// runConfig compiles src and runs the analysis with cfg's options.
+func runConfig(t *testing.T, src string, cfg Config) *Result {
+	t.Helper()
 	res, err := frontend.Compile(context.Background(), "t", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -37,11 +43,10 @@ func run(t *testing.T, src string, exponential bool) *Result {
 	if len(sf.Errors) > 0 {
 		t.Fatalf("shmflow: %v", sf.Errors)
 	}
-	pts := pointsto.Analyze(res.Module, pointsto.ModeSubset)
-	return Run(Config{
-		Module: res.Module, CG: cg, SF: sf, PTS: pts,
-		AssertVars: res.AssertVars, Exponential: exponential,
-	})
+	cfg.Module, cfg.CG, cfg.SF = res.Module, cg, sf
+	cfg.PTS = pointsto.Analyze(res.Module, pointsto.ModeSubset)
+	cfg.AssertVars = res.AssertVars
+	return Run(cfg)
 }
 
 func onlyError(t *testing.T, r *Result) *ErrorDep {
