@@ -9,9 +9,11 @@ package safeflow_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/cpp"
 	"safeflow/internal/frontend"
 )
 
@@ -68,4 +70,39 @@ func TestAllocRegression_Phases13(t *testing.T) {
 				sys.Name, allocs, bytes, base.allocs, base.bytes)
 		})
 	}
+}
+
+// Front-end pin for the split 130-unit system (seed 1): a compile at one
+// worker without the parse cache, where every unit includes gen.h.
+// Parsing each memoized header segment once per compile and sharing its
+// declaration nodes across units took it from 34.4 MB and 377k
+// allocations per compile to 9.6 MB and 84k (go1.24, linux/amd64); the
+// bounds sit 1.5× above the latter, far below a per-unit header parse.
+const (
+	frontendSplit130MaxBytes  = 14_500_000
+	frontendSplit130MaxAllocs = 125_000
+)
+
+func TestAllocRegression_FrontendSplit130(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
+	opts := frontend.Options{Workers: 1, DisableParseCache: true}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := frontend.Compile(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+	if bytes > frontendSplit130MaxBytes {
+		t.Errorf("%d B/op, want ≤ %d", bytes, frontendSplit130MaxBytes)
+	}
+	if allocs > frontendSplit130MaxAllocs {
+		t.Errorf("%d allocs/op, want ≤ %d", allocs, frontendSplit130MaxAllocs)
+	}
+	t.Logf("%d allocs/op, %d B/op, %v/op", allocs, bytes, time.Duration(r.NsPerOp()))
 }

@@ -50,17 +50,16 @@ type Parser struct {
 	toks     []ctoken.Token
 	pos      int
 	typedefs map[string]bool
-	errs     ErrorList
-	fileName string
+	// ownTypedefs is set once typedefs is the parser's own copy; until
+	// then it may be a caller's set, which the parser never writes.
+	ownTypedefs bool
+	errs        ErrorList
+	fileName    string
 }
 
 // New returns a parser over the given tokens (which must end with EOF).
 func New(fileName string, toks []ctoken.Token) *Parser {
-	return &Parser{
-		toks:     toks,
-		typedefs: make(map[string]bool),
-		fileName: fileName,
-	}
+	return &Parser{toks: toks, fileName: fileName}
 }
 
 // maxErrors bounds error cascades.
@@ -68,15 +67,48 @@ const maxErrors = 50
 
 // ParseFile parses the whole translation unit.
 func (p *Parser) ParseFile() (*cast.File, error) {
-	f := &cast.File{Name: p.fileName}
-	for p.tok().Kind != ctoken.EOF && len(p.errs) < maxErrors {
-		decls := p.parseExternalDecl()
-		f.Decls = append(f.Decls, decls...)
-	}
-	if len(p.errs) > 0 {
-		return f, p.errs
+	decls, _, errs := ParseDecls(p.toks, nil)
+	f := &cast.File{Name: p.fileName, Decls: decls}
+	if len(errs) > 0 {
+		return f, errs
 	}
 	return f, nil
+}
+
+// ParseDecls parses toks (which must end with EOF) as a sequence of
+// external declarations, with the typedef names in typedefs already in
+// scope. typedefs is only read, so it may be shared; nil is the empty
+// set. It returns the declarations, the typedef names in scope at the
+// end — typedefs itself when toks declares no new one — and the errors.
+//
+// The typedef-name set is the parser's only state between external
+// declarations, and EOF ends no declaration without an error, so
+// parsing a buffer in pieces that each parse cleanly, threading the set
+// from one piece to the next, gives the declarations of a whole-buffer
+// parse.
+func ParseDecls(toks []ctoken.Token, typedefs map[string]bool) ([]cast.Decl, map[string]bool, ErrorList) {
+	p := &Parser{toks: toks, typedefs: typedefs}
+	var decls []cast.Decl
+	for p.tok().Kind != ctoken.EOF && len(p.errs) < maxErrors {
+		decls = append(decls, p.parseExternalDecl()...)
+	}
+	return decls, p.typedefs, p.errs
+}
+
+// addTypedef declares a typedef name, copying a borrowed set on its
+// first new name.
+func (p *Parser) addTypedef(name string) {
+	if p.typedefs[name] {
+		return
+	}
+	if !p.ownTypedefs {
+		own := make(map[string]bool, len(p.typedefs)+1)
+		for n := range p.typedefs {
+			own[n] = true
+		}
+		p.typedefs, p.ownTypedefs = own, true
+	}
+	p.typedefs[name] = true
 }
 
 func (p *Parser) tok() ctoken.Token { return p.toks[p.pos] }
@@ -213,7 +245,7 @@ func (p *Parser) parseExternalDecl() []cast.Decl {
 		}
 
 		if storage == cast.StorageTypedef {
-			p.typedefs[name] = true
+			p.addTypedef(name)
 			decls = append(decls, &cast.TypedefDecl{NamePos: namePos, Name: name, Type: typ})
 			if !p.accept(ctoken.COMMA) {
 				p.expect(ctoken.SEMI)
@@ -597,7 +629,7 @@ func (p *Parser) parseDeclStmt() cast.Stmt {
 	storage, base := p.parseDeclSpecifiers()
 	if storage == cast.StorageTypedef {
 		name, namePos, typ := p.parseDeclarator(base)
-		p.typedefs[name] = true
+		p.addTypedef(name)
 		p.expect(ctoken.SEMI)
 		// Block-scope typedefs are rare; we record them globally, which is a
 		// safe over-approximation for this subset.

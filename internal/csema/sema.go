@@ -142,6 +142,21 @@ type checker struct {
 	errs   ErrorList
 	scopes []map[string]Object
 	curFn  *Function
+
+	// Pass-1 repeat skipping (see AnalyzeUnits). gen counts the changes
+	// to a typedef's type, a struct, or an enumerator's value that could
+	// make a type resolve differently; tagDef records that resolving a
+	// type defined a struct or enum body; clean maps a skippable node to
+	// gen at its last error-free collection, recorded while record is set;
+	// skips counts the repeats skipped.
+	gen    int
+	tagDef bool
+	clean  map[cast.Decl]int
+	record bool
+	skips  int
+	// redefined records a "redefinition of function" error, the only way
+	// a definition node can occur twice.
+	redefined bool
 }
 
 // Analyze type-checks the files as one program.
@@ -162,6 +177,27 @@ func Analyze(files []*cast.File) (*Program, error) {
 // declarations (pass 1) and bodies (pass 2); it is empty when the file
 // checked cleanly. The recovering front end uses the attribution to drop
 // exactly the failing translation units and retry with the rest.
+//
+// The front end shares a header's declaration nodes between the units
+// that include it, so one node can occur in many files. Pass 1 collects a
+// repeat of a node only when doing so could change something. It skips a
+// global without initializer, or a prototype with no body and no
+// annotations, that was last collected without error, whose type defines
+// no struct or enum body, and since whose collection no typedef, struct or
+// enumerator has changed value. Collecting such a node only resolves its
+// type and compares it with the type GlobalMap or FuncByName already
+// holds. That type was fixed at the name's first declaration, or by the
+// builtin override, which happens at the latest at the node's first
+// collection. Its type resolves as before, because nothing it names has
+// changed, so the comparison succeeds again and changes no state.
+// Typedefs, records, initialized globals, definitions and annotated
+// prototypes are collected at every occurrence, so redefinition errors,
+// annotation lists and per-file attribution are those of per-unit
+// copies. Pass 2 checks a shared definition's body once, at its last
+// occurrence, which is where a per-unit copy's body would be checked.
+// Skipping is only ever an optimization: the bookkeeping stops when the
+// second file repeats no node of the first, so files parsed apart cost
+// what they did before.
 func AnalyzeUnits(files []*cast.File) (*Program, []ErrorList) {
 	prog := &Program{
 		Files:      files,
@@ -189,21 +225,48 @@ func AnalyzeUnits(files []*cast.File) (*Program, []ErrorList) {
 	// signatures across all files so order doesn't matter.
 	mark := 0
 	for i, f := range files {
+		// Repeats are met in later files, so the last file (a fragment's
+		// only one) records nothing. When the second file repeats nothing
+		// of the first, the files share no nodes (parsed apart, or decoded
+		// from the disk cache), and the bookkeeping stops.
+		if i >= 2 && c.skips == 0 {
+			c.clean = nil
+		}
+		c.record = i < len(files)-1 && (i == 0 || c.skips > 0)
 		for _, d := range f.Decls {
-			c.collectDecl(d)
+			c.collect(d)
 		}
 		mark = attribute(i, mark)
 	}
-	// Pass 2: check function bodies and global initializers.
+	// Pass 2: check function bodies and global initializers. A definition
+	// node that occurs more than once is checked at its last occurrence.
+	var last map[*cast.FuncDecl][2]int
+	if c.redefined {
+		last = lastDefinitions(files)
+	}
 	for i, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*cast.FuncDecl); ok && fd.Body != nil {
+		for j, d := range f.Decls {
+			if fd, ok := d.(*cast.FuncDecl); ok && fd.Body != nil && (last == nil || last[fd] == [2]int{i, j}) {
 				c.checkFuncBody(fd)
 			}
 		}
 		mark = attribute(i, mark)
 	}
 	return prog, perFile
+}
+
+// lastDefinitions maps each function-definition node to its last
+// occurrence (file, declaration index).
+func lastDefinitions(files []*cast.File) map[*cast.FuncDecl][2]int {
+	last := make(map[*cast.FuncDecl][2]int)
+	for i, f := range files {
+		for j, d := range f.Decls {
+			if fd, ok := d.(*cast.FuncDecl); ok && fd.Body != nil {
+				last[fd] = [2]int{i, j}
+			}
+		}
+	}
+	return last
 }
 
 func (c *checker) errorf(pos ctoken.Pos, format string, args ...any) {
@@ -440,6 +503,7 @@ func (c *checker) resolveStruct(st *cast.StructType) ctypes.Type {
 		c.prog.Structs[key] = s
 		return s
 	}
+	c.tagDef = true
 	var fields []ctypes.Field
 	for _, f := range st.Fields {
 		fields = append(fields, ctypes.Field{Name: f.Name, Type: c.resolveType(f.Type)})
@@ -450,6 +514,7 @@ func (c *checker) resolveStruct(st *cast.StructType) ctypes.Type {
 			// Fill the forward placeholder in place so earlier pointers
 			// resolve to the completed type.
 			*prev = *s
+			c.gen++
 			return prev
 		}
 		// The same header definition re-parsed in another translation
@@ -458,6 +523,7 @@ func (c *checker) resolveStruct(st *cast.StructType) ctypes.Type {
 			return prev
 		}
 		c.errorf(st.Keyword, "conflicting definitions of %s", s)
+		c.gen++
 	}
 	c.prog.Structs[key] = s
 	return s
@@ -483,6 +549,7 @@ func (c *checker) resolveEnum(et *cast.EnumType) {
 	if !et.Defined {
 		return
 	}
+	c.tagDef = true
 	var next int64
 	for _, m := range et.Members {
 		if m.Value != nil {
@@ -491,6 +558,9 @@ func (c *checker) resolveEnum(et *cast.EnumType) {
 			} else {
 				c.errorf(m.Value.Pos(), "enumerator value must be constant")
 			}
+		}
+		if old, ok := c.prog.Enums[m.Name]; ok && old.Value != next {
+			c.gen++
 		}
 		c.prog.Enums[m.Name] = &EnumConst{Name: m.Name, Value: next}
 		next++
@@ -586,10 +656,51 @@ func (p *Program) ConstEval(e cast.Expr) (int64, bool) {
 // ---------------------------------------------------------------------------
 // Declaration collection
 
+// collect is collectDecl, skipping a repeat that could change nothing
+// (see AnalyzeUnits).
+func (c *checker) collect(d cast.Decl) {
+	if !repeatable(d) {
+		c.collectDecl(d)
+		return
+	}
+	if gen, seen := c.clean[d]; seen && gen == c.gen {
+		c.skips++
+		return
+	}
+	errs, gen := len(c.errs), c.gen
+	c.tagDef = false
+	c.collectDecl(d)
+	if c.record && len(c.errs) == errs && !c.tagDef {
+		if c.clean == nil {
+			c.clean = make(map[cast.Decl]int)
+		}
+		// A change made by this very collection leaves gen past the
+		// recorded value, so the entry never matches.
+		c.clean[d] = gen
+	}
+}
+
+// repeatable reports whether collecting d again only resolves and
+// compares its type: a global without initializer, or a prototype with
+// no body and no annotations.
+func repeatable(d cast.Decl) bool {
+	switch dd := d.(type) {
+	case *cast.VarDecl:
+		return dd.Init == nil
+	case *cast.FuncDecl:
+		return dd.Body == nil && len(dd.Annotations) == 0
+	}
+	return false
+}
+
 func (c *checker) collectDecl(d cast.Decl) {
 	switch dd := d.(type) {
 	case *cast.TypedefDecl:
-		c.prog.Typedefs[dd.Name] = c.resolveType(dd.Type)
+		t := c.resolveType(dd.Type)
+		if prev, ok := c.prog.Typedefs[dd.Name]; ok && !prev.Equal(t) {
+			c.gen++
+		}
+		c.prog.Typedefs[dd.Name] = t
 	case *cast.RecordDecl:
 		c.resolveType(dd.Type)
 	case *cast.VarDecl:
@@ -621,6 +732,7 @@ func (c *checker) collectDecl(d cast.Decl) {
 			if dd.Body != nil {
 				if prev.IsDefined {
 					c.errorf(dd.NamePos, "redefinition of function %q", dd.Name)
+					c.redefined = true
 				}
 				prev.IsDefined = true
 				prev.Decl = dd
@@ -632,11 +744,13 @@ func (c *checker) collectDecl(d cast.Decl) {
 			return
 		}
 		fn := &Function{
-			Name:        dd.Name,
-			Type:        ft,
-			Decl:        dd,
-			Params:      params,
-			Annotations: dd.Annotations,
+			Name:   dd.Name,
+			Type:   ft,
+			Decl:   dd,
+			Params: params,
+			// Capped, so a later append copies instead of writing into
+			// the shared AST's array.
+			Annotations: dd.Annotations[:len(dd.Annotations):len(dd.Annotations)],
 			IsDefined:   dd.Body != nil,
 		}
 		for _, p := range params {

@@ -128,11 +128,13 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 }
 
 // parseUnit is the per-unit parse step of every compile path: memory
-// parse cache, then the disk tier, then lex and parse, storing a fully
-// parsed unit in both tiers. key is parseCacheKey(cf, text); it is unused
-// when the parse cache is off. Every failure is recorded as a structured
-// diagnostic — all lexer errors, all parser errors after
-// resynchronization — never just the first one.
+// parse cache, then the disk tier, then a piecewise parse that shares the
+// compile's parsed headers (includes.go), else a whole-buffer lex and
+// parse, storing a fully parsed unit in both tiers. key is
+// parseCacheKey(cf, text); it is unused when the parse cache is off.
+// Every failure is recorded as a structured diagnostic — all lexer
+// errors, all parser errors after resynchronization — never just the
+// first one.
 func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts Options, ic *includeCache) unitOutcome {
 	if !opts.DisableParseCache {
 		if f := parseCacheGet(key, opts.Metrics); f != nil {
@@ -149,8 +151,33 @@ func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts 
 			}
 		}
 	}
-	toks, errs := ic.lex(cf, text, segs)
-	if len(errs) > 0 {
+	f, ok := ic.parsePieces(cf, text, segs)
+	if !ok {
+		out := parseWhole(cf, text)
+		if out.file == nil {
+			return out
+		}
+		f = out.file
+	}
+	if !opts.DisableParseCache {
+		// Only fully parsed units are stored, so a failed, cancelled or
+		// panicking compilation never publishes a partial entry.
+		parseCachePut(key, f)
+		if opts.DiskCache != nil {
+			parseDiskPut(opts.DiskCache, key, f)
+		}
+		opts.Metrics.AddFrontendCache(0, 1)
+	}
+	return unitOutcome{file: f}
+}
+
+// parseWhole lexes and parses one unit's whole expanded text. A failed
+// unit's outcome holds every lexer error, every parser error after
+// resynchronization, and the best-effort partial AST.
+func parseWhole(cf, text string) unitOutcome {
+	lx := clex.New(cf, text)
+	toks := lx.All()
+	if errs := lx.Errors(); len(errs) > 0 {
 		out := unitOutcome{}
 		for _, e := range errs {
 			var le *clex.Error
@@ -186,15 +213,6 @@ func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts 
 			})
 		}
 		return out
-	}
-	if !opts.DisableParseCache {
-		// Only fully parsed units are stored, so a failed, cancelled or
-		// panicking compilation never publishes a partial entry.
-		parseCachePut(key, f)
-		if opts.DiskCache != nil {
-			parseDiskPut(opts.DiskCache, key, f)
-		}
-		opts.Metrics.AddFrontendCache(0, 1)
 	}
 	return unitOutcome{file: f}
 }

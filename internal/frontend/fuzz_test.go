@@ -65,7 +65,7 @@ func FuzzCompile(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		frontend.CheckSegmentLex(t, cpp.MapSource{
+		frontend.CheckSegmentParse(t, cpp.MapSource{
 			"fuzz.h": src,
 			"a.c":    "#include \"fuzz.h\"\n",
 			"b.c":    "int b0;\n#include \"fuzz.h\"\nint b1;\n#include \"fuzz.h\"\n",

@@ -2,8 +2,10 @@ package frontend_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"safeflow/internal/cast"
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	. "safeflow/internal/frontend"
@@ -16,12 +18,12 @@ func split130(seed int64) (cpp.MapSource, []string) {
 }
 
 // Every unit of every corpus system — the Table 1 systems, generated
-// systems of several shapes, and the split 130-unit system — splices to
-// exactly the whole-buffer token stream.
-func TestSegmentLexCorpus(t *testing.T) {
+// systems of several shapes, and the split 130-unit systems of seeds 1–3
+// — parses piecewise to exactly the whole-buffer file.
+func TestSegmentParseCorpus(t *testing.T) {
 	check := func(name string, src cpp.MapSource, cFiles []string) {
-		if n := CheckSegmentLex(t, src, cFiles); n != len(cFiles) {
-			t.Errorf("%s: %d of %d units spliced, want all", name, n, len(cFiles))
+		if n := CheckSegmentParse(t, src, cFiles); n != len(cFiles) {
+			t.Errorf("%s: %d of %d units parsed piecewise, want all", name, n, len(cFiles))
 		}
 	}
 	for _, sys := range corpus.All() {
@@ -37,11 +39,49 @@ func TestSegmentLexCorpus(t *testing.T) {
 			check(g.Name, cpp.MapSource(g.Sources), g.CFiles)
 		}
 	}
-	src, cFiles := split130(1)
-	if len(cFiles) != 130 {
-		t.Fatalf("split system has %d units, want 130", len(cFiles))
+	for seed := int64(1); seed <= 3; seed++ {
+		src, cFiles := split130(seed)
+		if len(cFiles) != 130 {
+			t.Fatalf("split system has %d units, want 130", len(cFiles))
+		}
+		check(fmt.Sprintf("split-130 seed %d", seed), src, cFiles)
 	}
-	check("split-130", src, cFiles)
+}
+
+// One sequential compile of the split 130-unit system parses gen.h once,
+// and every unit's file holds the same header declaration nodes.
+func TestSegmentSharedNodes(t *testing.T) {
+	src, cFiles := split130(1)
+	res, err := Compile(context.Background(), "split", src, cFiles, Options{Workers: 1, DisableParseCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := res.Prog.Files
+	if len(files) != 130 {
+		t.Fatalf("%d files, want 130", len(files))
+	}
+	var header []cast.Decl
+	for _, d := range files[0].Decls {
+		if d.Pos().File == "gen.h" {
+			header = append(header, d)
+		}
+	}
+	if len(header) < 100 {
+		t.Fatalf("%d header declarations in %s, want the whole of gen.h", len(header), files[0].Name)
+	}
+	for _, f := range files[1:] {
+		if len(f.Decls) < len(header) {
+			t.Fatalf("%s: %d declarations, fewer than gen.h's %d", f.Name, len(f.Decls), len(header))
+		}
+		for i, d := range header {
+			if f.Decls[i] != d {
+				t.Fatalf("%s: header declaration %d is not shared with %s", f.Name, i, files[0].Name)
+			}
+		}
+	}
+	if n := SegmentParses(src, cFiles); n != 1 {
+		t.Errorf("%d segment parses in one compile, want 1", n)
+	}
 }
 
 // The split 130-unit system expands gen.h once per compile and serves
