@@ -63,10 +63,10 @@ func BenchmarkTable1_DoubleIP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline: worker counts, batch fan-out, and the summary cache.
+// Parallel pipeline: worker counts, batch fan-out, and phase-3 replay.
 // The Workers1/WorkersMax pairs record the intra-pipeline speedup; the
 // AnalyzeAll pair records the batch fan-out speedup; the SummaryCache pair
-// records the warm-run speedup from the cross-run summary cache. All
+// records the warm-run speedup from replaying the stored phase-3 state. All
 // variants disable the cache except the cache benchmark itself, so they
 // measure the work they name.
 
@@ -142,7 +142,7 @@ func BenchmarkParallel_AnalyzeAll_Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results := make([]safeflow.Result, len(jobs))
 		for j, job := range jobs {
-			rep, err := safeflow.Analyze(job.Name, job.Sources, job.CFiles, job.Options)
+			rep, err := safeflow.AnalyzeContext(context.Background(), job.Name, job.Sources, job.CFiles, job.Options)
 			results[j] = safeflow.Result{Name: job.Name, Report: rep, Err: err}
 		}
 		checkBatch(b, results)
@@ -154,8 +154,8 @@ func BenchmarkParallel_SummaryCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{DisableCache: true})
 	})
-	// Every iteration after the first hits the cache entry written by its
-	// predecessor (same content fingerprint).
+	// Every iteration after the first replays the phase-3 state its
+	// predecessor stored.
 	b.Run("warm", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{})
 	})
@@ -183,8 +183,8 @@ func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, core.Options{}) })
-	b.Run("warm", func(b *testing.B) { run(b, core.Options{CacheKey: "bench-gsx-module"}) })
+	b.Run("cold", func(b *testing.B) { run(b, core.Options{DisableCache: true}) })
+	b.Run("warm", func(b *testing.B) { run(b, core.Options{}) })
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ func (benchWorld) Wait(float64)           {}
 func BenchmarkSessionUpdate_Split130(b *testing.B) {
 	raw := corpus.Generate(1, corpus.MaxShape)
 	g := corpus.Split(raw)
-	sess, _, err := safeflow.Open(g.Name, g.Sources, g.CFiles, safeflow.Options{})
+	sess, _, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, safeflow.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func BenchmarkSessionUpdate_Split130(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := changes[i%len(changes)]
 		for _, text := range []string{c.edited, c.base} {
-			if _, st, err := sess.Update(map[string]string{c.unit: text}); err != nil || !st.Incremental {
+			if _, st, err := sess.UpdateContext(context.Background(), map[string]string{c.unit: text}); err != nil || !st.Incremental {
 				b.Fatalf("update of %s: incremental=%v err=%v", c.unit, st.Incremental, err)
 			}
 		}
@@ -441,7 +441,7 @@ func BenchmarkSessionUpdate_Split130(b *testing.B) {
 
 // BenchmarkParallel_Phases13 isolates phases 1-3 (no frontend) per corpus
 // system: the module is compiled once outside the timer and every
-// iteration re-analyzes it cold (summary cache off). This is the
+// iteration re-analyzes it cold (DisableCache). This is the
 // allocation-profile baseline the alloc-regression tests pin against.
 func BenchmarkParallel_Phases13(b *testing.B) {
 	for _, sys := range corpus.All() {

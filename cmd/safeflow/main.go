@@ -28,9 +28,8 @@
 //	-trace f       write a runtime execution trace of the run to f
 //	-cachedir d    persistent cache directory shared across runs and with
 //	               safeflowd ("auto" = the per-user cache dir); parsed
-//	               units and converged summaries are reused across
-//	               process restarts, with every entry integrity-checked
-//	               on read
+//	               units are reused across process restarts, with every
+//	               entry integrity-checked on read
 //	-watch         keep the session open after the initial report and
 //	               incrementally re-analyze on every source change,
 //	               printing per-update latency and the findings delta

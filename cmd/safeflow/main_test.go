@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"safeflow/internal/frontend"
 )
 
 const defective = `
@@ -167,13 +169,17 @@ func TestCLIProfilePathErrors(t *testing.T) {
 	}
 }
 
-// -cachedir persists parse and summary results across process
-// "restarts": two runs sharing a cache directory produce identical
-// reports, and an unusable directory is a usage error naming the flag.
+// -cachedir persists parse results across process "restarts": two runs
+// sharing a cache directory produce identical reports, the directory
+// holds parse entries and nothing else, and an unusable directory is a
+// usage error naming the flag.
 func TestCLICacheDir(t *testing.T) {
 	dir := writeTemp(t, "core.c", defective)
 	cacheDir := t.TempDir()
 
+	// An earlier test may have parsed the same unit in this process; a
+	// memory hit writes nothing to disk.
+	frontend.ResetParseCache()
 	var first, second, errOut strings.Builder
 	if code := run([]string{"-cachedir", cacheDir, "-format", "json", dir}, &first, &errOut); code != 1 {
 		t.Fatalf("first run exit = %d (stderr: %s)", code, errOut.String())
@@ -182,8 +188,11 @@ func TestCLICacheDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("-cachedir run left the cache directory empty")
+	if len(entries) != 1 || entries[0].Name() != "parse" {
+		t.Fatalf("-cachedir run left %v, want the parse namespace only", entries)
+	}
+	if parsed, err := os.ReadDir(filepath.Join(cacheDir, "parse")); err != nil || len(parsed) == 0 {
+		t.Fatalf("-cachedir run wrote no parse entries (%v)", err)
 	}
 	if code := run([]string{"-cachedir", cacheDir, "-format", "json", dir}, &second, &errOut); code != 1 {
 		t.Fatalf("second run exit = %d (stderr: %s)", code, errOut.String())

@@ -1,8 +1,8 @@
 // Command safeflowd runs the SafeFlow analyzer as a long-lived HTTP
 // service with a persistent shared cache: one daemon process keeps the
-// in-memory parse and summary caches hot across requests, and the
+// in-memory parse cache and phase-3 states hot across requests, and the
 // content-addressed disk cache (shared with safeflow CLI processes
-// pointed at the same -cachedir) keeps them warm across restarts.
+// pointed at the same -cachedir) keeps parsed units warm across restarts.
 //
 // Usage:
 //

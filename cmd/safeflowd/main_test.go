@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -47,7 +48,7 @@ func TestServeAnalyzeDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := map[string]string{"figure2.c": string(src)}
-	rep, err := safeflow.Analyze("figure2", sources, []string{"figure2.c"}, safeflow.Options{})
+	rep, err := safeflow.AnalyzeContext(context.Background(), "figure2", sources, []string{"figure2.c"}, safeflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -120,7 +121,7 @@ func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
 	resetBenchCaches()
 	opts := safeflow.Options{DisableCache: true, DisableParseCache: true}
 	t0 := time.Now()
-	sess, _, err := safeflow.Open(sub.name, sub.sources, sub.cFiles, opts)
+	sess, _, err := safeflow.OpenContext(context.Background(), sub.name, sub.sources, sub.cFiles, opts)
 	if err != nil {
 		return incrBench{}, err
 	}
@@ -148,7 +149,7 @@ func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
 			cur[target] += fmt.Sprintf("\ndouble __benchProbe%d(double x)\n{\n    return x + %d.0;\n}\n", i, i)
 		}
 		t0 := time.Now()
-		_, stats, err := sess.Update(map[string]string{target: cur[target]})
+		_, stats, err := sess.UpdateContext(context.Background(), map[string]string{target: cur[target]})
 		lat = append(lat, time.Since(t0).Nanoseconds())
 		if err != nil {
 			return incrBench{}, fmt.Errorf("update %d: %w", i, err)
@@ -162,7 +163,7 @@ func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
 
 	resetBenchCaches()
 	t0 = time.Now()
-	if _, err := safeflow.Analyze(sub.name, cur, sub.cFiles, opts); err != nil {
+	if _, err := safeflow.AnalyzeContext(context.Background(), sub.name, cur, sub.cFiles, opts); err != nil {
 		return incrBench{}, fmt.Errorf("cold baseline: %w", err)
 	}
 	row.ColdNS = time.Since(t0).Nanoseconds()
@@ -187,7 +188,7 @@ func pct(sorted []int64, p float64) int64 {
 
 func resetBenchCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 }
 
 // runIncrSmoke is the CI gate: a quick incremental benchmark on a

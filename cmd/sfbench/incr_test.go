@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestGen50TUSplitsClean(t *testing.T) {
 		t.Fatalf("gen50TU produced %d translation units, want 50", len(cFiles))
 	}
 	resetBenchCaches()
-	rep, err := safeflow.Analyze(name, sources, cFiles,
+	rep, err := safeflow.AnalyzeContext(context.Background(), name, sources, cFiles,
 		safeflow.Options{DisableCache: true, DisableParseCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestGen50TUSplitsClean(t *testing.T) {
 func BenchmarkUpdate50TU(b *testing.B) {
 	name, sources, cFiles := gen50TU()
 	resetBenchCaches()
-	sess, _, err := safeflow.Open(name, sources, cFiles,
+	sess, _, err := safeflow.OpenContext(context.Background(), name, sources, cFiles,
 		safeflow.Options{DisableCache: true, DisableParseCache: true})
 	if err != nil {
 		b.Fatal(err)
@@ -42,7 +43,7 @@ func BenchmarkUpdate50TU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur += fmt.Sprintf("\n/* touch %d */\n", i)
-		_, stats, err := sess.Update(map[string]string{target: cur})
+		_, stats, err := sess.UpdateContext(context.Background(), map[string]string{target: cur})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -201,7 +201,7 @@ type benchSystem struct {
 	Name string `json:"name"`
 	// End-to-end wall times through the public pipeline (frontend +
 	// phases 1-3), first run cold, then the fastest of the warm repeats
-	// (parse cache + summary cache hot).
+	// (parse cache hot, phase 3 replayed from the stored state).
 	ColdNS      int64   `json:"end_to_end_cold_ns"`
 	WarmNS      int64   `json:"end_to_end_warm_ns"`
 	WarmSpeedup float64 `json:"warm_speedup"`
@@ -243,7 +243,7 @@ type benchRecord struct {
 // runJSON measures every corpus system and emits one benchRecord. It must
 // run in a fresh process (the run loop returns right after it) so the
 // first end-to-end run is genuinely cold: the parse cache is reset
-// explicitly and the summary cache starts empty.
+// explicitly and the store of phase-3 states starts empty.
 func runJSON(w io.Writer, cacheDir string) error {
 	const warmRuns = 5
 	// Schema v2 added the "daemon" request-latency section; v3 added the
@@ -260,7 +260,7 @@ func runJSON(w io.Writer, cacheDir string) error {
 
 		run := func() (*safeflow.Report, int64, error) {
 			t0 := time.Now()
-			rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles, opts)
+			rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, opts)
 			elapsed := time.Since(t0).Nanoseconds()
 			if err != nil {
 				return nil, 0, err
@@ -376,7 +376,7 @@ func benchDaemon(cacheDir string) ([]daemonBench, error) {
 
 	resetCaches := func() {
 		frontend.ResetParseCache()
-		vfg.ResetSummaryCache()
+		vfg.ResetStateStore()
 	}
 	request := func(body []byte) (int64, error) {
 		t0 := time.Now()
@@ -484,8 +484,8 @@ func runAblation(w io.Writer) bool {
 	ok := true
 	for _, sys := range corpus.All() {
 		// Cache off: the ablation compares the two algorithms' unit
-		// solves; a warm summary cache (e.g. after -table1 in the same
-		// process) would understate the summary-mode count.
+		// solves; a stored state (e.g. after -table1 in the same
+		// process) would replay units and understate the summary-mode count.
 		fast, err := sys.Analyze(core.Options{DisableCache: true})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)

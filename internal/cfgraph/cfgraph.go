@@ -149,9 +149,12 @@ func (t *DomTree) build() {
 		}
 	}
 
+	// Children follow block order, so every walk over the tree (mem2reg's
+	// renaming, hence phi edges and SSA names) is the same on every
+	// compile.
 	t.childs = make(map[*ir.Block][]*ir.Block)
-	for b, d := range t.idom {
-		if b != d {
+	for _, b := range t.fn.Blocks {
+		if d := t.idom[b]; d != b {
 			t.childs[d] = append(t.childs[d], b)
 		}
 	}

@@ -206,3 +206,49 @@ func TestRPOOrder(t *testing.T) {
 		t.Errorf("merge not last in RPO: %v", pos)
 	}
 }
+
+// TestChildrenFollowBlockOrder pins the dominator-tree children to block
+// order in both trees: mem2reg walks the tree to rename, so any other
+// order changes phi edges and SSA names from one compile to the next.
+func TestChildrenFollowBlockOrder(t *testing.T) {
+	// Three diamonds in a row: 0->1,2->3->4,5->6->7,8->9.
+	fn, b := buildCFG(
+		[]string{"e", "a", "b", "m", "c", "d", "n", "f", "g", "x"},
+		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}, {6, 7}, {6, 8}, {7, 9}, {8, 9}},
+		nil,
+	)
+	inOrder := func(kids []*ir.Block) bool {
+		for i := 1; i < len(kids); i++ {
+			if kids[i-1].Index >= kids[i].Index {
+				return false
+			}
+		}
+		return true
+	}
+	for iter := 0; iter < 20; iter++ {
+		dt := NewDomTree(fn)
+		for _, x := range []int{0, 3, 6} {
+			kids := dt.Children(b[x])
+			if len(kids) != 3 || !inOrder(kids) {
+				t.Fatalf("dom children of %s: %v, want three in block order", b[x].Label, labels(kids))
+			}
+		}
+		pdt := NewPostDomTree(fn)
+		for _, blk := range fn.Blocks {
+			if kids := pdt.Children(blk); !inOrder(kids) {
+				t.Fatalf("post-dom children of %s: %v, not in block order", blk.Label, labels(kids))
+			}
+		}
+		if kids := pdt.Children(pdt.virtualExit); !inOrder(kids) {
+			t.Fatalf("post-dom children of the exit: %v, not in block order", labels(kids))
+		}
+	}
+}
+
+func labels(bs []*ir.Block) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = b.Label
+	}
+	return out
+}

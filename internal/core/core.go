@@ -14,10 +14,10 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -86,28 +86,22 @@ type Options struct {
 	// and of phase 3 (callgraph SCCs). 0 means runtime.GOMAXPROCS(0);
 	// 1 runs sequentially. Reports are byte-identical at every setting.
 	Workers int
-	// CacheKey enables the phase-3 summary cache across repeated analyses
-	// of identical input. AnalyzeSources derives it from the source
-	// contents and options when empty; direct AnalyzeModule callers must
-	// set it themselves (it must fingerprint the module contents) or leave
-	// it empty to disable caching.
-	CacheKey string
-	// DisableCache turns the summary cache off entirely (cold-run
-	// benchmarks, memory-constrained batch runs).
+	// DisableCache makes the run cold: phase 3 neither loads nor stores
+	// the last converged state of the system (cold-run benchmarks,
+	// memory-constrained batch runs). Otherwise phase 3 starts from the
+	// state the last converged analysis of the same system name and
+	// options left, and replays every unchanged function from it.
 	DisableCache bool
 	// DisableParseCache turns the frontend's content-keyed parse cache
 	// off, forcing every translation unit through lex + parse even when
 	// its preprocessed contents are unchanged from a prior run.
 	DisableParseCache bool
 	// DiskCache, when non-nil, adds a persistent content-addressed tier
-	// below both in-memory caches: parsed ASTs (parse cache) and
-	// converged module summaries (vfg cache) are written to the store and
-	// read back across process restarts, so CLI warm starts and daemon
-	// workers skip work a previous process already did. Every entry is
-	// integrity-checked on read; a damaged entry is evicted and
-	// recomputed (cache_corrupt_evictions), never trusted. Degraded runs
-	// keep the existing contract: they neither seed from nor store to the
-	// summary tier.
+	// below the in-memory parse cache: parsed ASTs are written to the
+	// store and read back across process restarts, so CLI warm starts and
+	// daemon workers skip work a previous process already did. Every
+	// entry is integrity-checked on read; a damaged entry is evicted and
+	// recomputed (cache_corrupt_evictions), never trusted.
 	DiskCache diskcache.CacheBackend
 	// Stats collects run metrics (per-phase wall times, pipeline shape
 	// counters, cache hit rates, peak goroutines) into Report.Metrics,
@@ -118,8 +112,8 @@ type Options struct {
 	// default simplex-shm policy and renders reports byte-identically to
 	// builds that predate configurable policies; a non-nil policy adds
 	// per-rule attribution to the text and JSON reports. The policy's
-	// name and fingerprint join the summary-cache key, so two policies
-	// never share cache entries.
+	// name and fingerprint join the key of the stored phase-3 state, so
+	// two policies never share one.
 	Policy *policy.Compiled
 	// Recover enables graceful degradation: translation units that fail
 	// to preprocess, lex, parse, or type-check are skipped with
@@ -218,8 +212,8 @@ type Report struct {
 
 	// incrState is phase 3's captured per-function state for the next
 	// incremental update; incrStats describes how much of this run was
-	// reused. Both are nil on non-session runs. Unexported: Session owns
-	// the lifecycle.
+	// reused. Both are nil on non-session runs, whose state goes to the
+	// store instead. Unexported: Session owns the lifecycle.
 	incrState *vfg.IncrState
 	incrStats *vfg.IncrStats
 }
@@ -323,17 +317,11 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 	}
 	degraded := len(diags) > 0
 	if degraded {
-		// A degraded module must never publish to (or seed from) the
-		// summary cache: its fingerprint describes the full source set,
-		// not the surviving subset.
+		// A degraded module is never analyzed incrementally, nor stored:
+		// skipped-def summaries are conservative placeholders and are
+		// never reused.
 		opts.DisableCache = true
-		opts.CacheKey = ""
-		// And it must not be analyzed incrementally either: skipped-def
-		// summaries are conservative placeholders and are never reused.
 		opts.incrOpts = nil
-	}
-	if opts.CacheKey == "" && !opts.DisableCache {
-		opts.CacheKey = fingerprintSources(name, sources, cFiles, opts)
 	}
 	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing)
 	if err != nil {
@@ -359,10 +347,7 @@ func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Opt
 // metrics, and missing (may be nil) names the functions whose defining
 // units the recovering front end skipped.
 func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool) (*Report, error) {
-	mode := opts.PointsTo
-	if mode == 0 {
-		mode = pointsto.ModeSubset
-	}
+	mode := pointsToMode(opts)
 	m := res.Module
 	rep := &Report{Name: name, Module: m}
 	pol := activePolicy(opts)
@@ -429,9 +414,6 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return nil, ctx.Err()
 	}
 
-	if opts.DisableCache {
-		opts.CacheKey = ""
-	}
 	var roots []*ir.Function
 	var rootErrs []error
 	for _, r := range opts.Roots {
@@ -447,6 +429,18 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			roots = append(roots, f)
 		}
 	}
+	// A run outside a session starts from the last converged state of the
+	// same system and options, unless it is cold, degraded or exponential
+	// (the exponential driver tracks nothing).
+	incr, storeKey := opts.incrOpts, ""
+	if incr == nil && !opts.DisableCache && !opts.Exponential && len(missing) == 0 {
+		storeKey = stateKey(name, opts)
+		prev, corrupt := vfg.LoadState(storeKey)
+		if corrupt {
+			col.AddCacheCorruptEvictions(1)
+		}
+		incr = &vfg.IncrOptions{Prev: prev}
+	}
 	var v *vfg.Result
 	done = col.Phase("vfg")
 	err = guard.Run("vfg", name, func() error {
@@ -460,12 +454,10 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			Roots:       roots,
 			Exponential: opts.Exponential,
 			Workers:     opts.Workers,
-			CacheKey:    opts.CacheKey,
-			DiskCache:   opts.DiskCache,
 			Ctx:         ctx,
 			Metrics:     col,
 			MissingDefs: missing,
-			Incr:        opts.incrOpts,
+			Incr:        incr,
 			Policy:      opts.Policy,
 		})
 		return nil
@@ -480,13 +472,23 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return nil, ctx.Err()
 	}
 	rep.Internal = append(rep.Internal, v.Internal...)
-	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, v.CacheHits, v.CacheMisses)
-	col.SetVFGTransfers(v.Transfers)
-	rep.incrState = v.NextIncr
-	rep.incrStats = v.Incr
+	hits, misses := 0, 0
 	if v.Incr != nil {
 		col.SetIncremental(v.Incr.FuncsInvalidated, v.Incr.FuncsReused, v.Incr.UnitsReplayed, v.Incr.Restarts)
+		if storeKey != "" {
+			// Only a converged run with no recovered panic in any phase is
+			// stored: a partial state would poison every later run.
+			if v.NextIncr != nil && len(rep.Internal) == 0 {
+				vfg.StoreState(storeKey, v.NextIncr)
+			}
+			hits, misses = v.Incr.UnitsReplayed, v.Incr.UnitsSolved
+		} else {
+			rep.incrState = v.NextIncr
+			rep.incrStats = v.Incr
+		}
 	}
+	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, hits, misses)
+	col.SetVFGTransfers(v.Transfers)
 
 	rep.Warnings = v.Warnings
 	rep.UnitsAnalyzed = v.UnitsAnalyzed
@@ -541,25 +543,22 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
-// fingerprintSources derives a summary-cache key covering every analysis
-// input: the source files reachable through quoted includes (in
-// walkSources order), the macro defines, and the options that
-// change phase-3 results. Two analyses with equal fingerprints see
-// identical modules, which is what the vfg cache's soundness relies on.
-func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts Options) string {
-	h := sha256.New()
+// stateKey names a system's slot in the store of last converged states:
+// the system name plus every option that the per-function fingerprints
+// do not cover. It holds no source text — replay's soundness rests on
+// the fingerprints and verification, not on the key — so a re-analysis
+// after an edit finds the state its previous analysis left.
+func stateKey(name string, opts Options) string {
+	var b strings.Builder
 	put := func(parts ...string) {
 		for _, p := range parts {
-			fmt.Fprintf(h, "%d:%s;", len(p), p)
+			fmt.Fprintf(&b, "%d:%s;", len(p), p)
 		}
 	}
-	put("v2", name)
-	put(fmt.Sprintf("mode=%d exp=%v", opts.PointsTo, opts.Exponential))
-	// The policy changes phase-3 seeding, sink checking and rule
-	// attribution, all of which are encoded in cached summaries: fold its
-	// identity in so differing policies never share entries at any tier.
+	put(name, fmt.Sprintf("mode=%d exp=%v", pointsToMode(opts), opts.Exponential))
 	pol := activePolicy(opts)
 	put("policy="+pol.Name, pol.Fingerprint())
+	put(strconv.Itoa(len(opts.Roots)))
 	put(opts.Roots...)
 	defs := make([]string, 0, len(opts.Defines))
 	for k, v := range opts.Defines {
@@ -567,17 +566,7 @@ func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts O
 	}
 	sort.Strings(defs)
 	put(defs...)
-
-	walkSources(cFiles, func(file string) []string {
-		text, err := sources.ReadFile(file)
-		if err != nil {
-			put(file, "<unreadable>")
-			return nil
-		}
-		put(file, text)
-		return quotedIncludes(text)
-	})
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return b.String()
 }
 
 // countSourceStats counts non-blank lines and annotation comments across
@@ -649,6 +638,14 @@ func walkSources(cFiles []string, visit func(name string) []string) {
 	for _, f := range cFiles {
 		walk(f)
 	}
+}
+
+// pointsToMode resolves the alias-analysis solver the run uses.
+func pointsToMode(opts Options) pointsto.Mode {
+	if opts.PointsTo == 0 {
+		return pointsto.ModeSubset
+	}
+	return opts.PointsTo
 }
 
 // activePolicy resolves the policy the run analyzes under: the

@@ -1,7 +1,7 @@
 package core_test
 
 // Determinism under concurrency: the parallel pipeline (frontend workers,
-// phase-3 SCC scheduling, summary-cache warm starts) must never change a
+// phase-3 SCC scheduling, replay from the stored state) must never change a
 // report. Each corpus system is analyzed repeatedly at several worker
 // counts, with the cache cold and warm, and every rendered report — text
 // and JSON — must be byte-identical to the first.
@@ -36,8 +36,8 @@ func TestDeterministicReports(t *testing.T) {
 			run := 0
 			for _, workers := range workerCounts {
 				for i := 0; i < determinismRuns; i++ {
-					// Odd runs disable the summary cache so both the cold
-					// and the warm phase-3 paths are exercised; either way
+					// Odd runs disable the stored state so both the cold
+					// and the replaying phase-3 paths are exercised; either way
 					// the bytes must not move.
 					rep, err := sys.Analyze(core.Options{
 						Workers:      workers,

@@ -36,7 +36,8 @@ func analyzeIPWithStats(t *testing.T, opts core.Options) *core.Report {
 }
 
 func TestMetricsGolden(t *testing.T) {
-	rep := analyzeIPWithStats(t, core.Options{Workers: 2})
+	// Cold, so phase 3 solves: UnitsSolved below checks a live collector.
+	rep := analyzeIPWithStats(t, core.Options{Workers: 2, DisableCache: true})
 	m := rep.Metrics
 
 	// Volatile fields must be live before canonicalization — a golden

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
+	"safeflow/internal/frontend"
 	"safeflow/internal/policy"
 	"safeflow/internal/remotecache"
 	"safeflow/internal/vfg"
@@ -48,41 +50,43 @@ func analyzeCred(t *testing.T, src string, opts Options) *Report {
 }
 
 // TestPolicyFingerprintDistinct pins that differing policies produce
-// differing source fingerprints (and therefore cache keys), while the
-// nil policy and the explicit default share one — they analyze
-// identically, so sharing summaries is sound and wanted.
+// differing keys in the store of last converged states, while the nil
+// policy and the explicit default share one — they analyze identically,
+// so sharing a state is sound and wanted.
 func TestPolicyFingerprintDistinct(t *testing.T) {
-	src := cpp.MapSource{"main.c": credSrc}
-	files := []string{"main.c"}
-	base := fingerprintSources("s", src, files, Options{})
-	def := fingerprintSources("s", src, files, Options{Policy: policy.Default()})
-	cred := fingerprintSources("s", src, files, Options{Policy: mustBuiltin(t, "credential-leak")})
-	pii := fingerprintSources("s", src, files, Options{Policy: mustBuiltin(t, "pii-to-log")})
+	base := stateKey("s", Options{})
+	def := stateKey("s", Options{Policy: policy.Default()})
+	cred := stateKey("s", Options{Policy: mustBuiltin(t, "credential-leak")})
+	pii := stateKey("s", Options{Policy: mustBuiltin(t, "pii-to-log")})
 	if base != def {
-		t.Errorf("nil policy and explicit default must share a cache key: %s vs %s", base, def)
+		t.Errorf("nil policy and explicit default must share a state key: %q vs %q", base, def)
 	}
 	if base == cred || base == pii || cred == pii {
-		t.Errorf("distinct policies share a cache key: default=%s cred=%s pii=%s", base, cred, pii)
+		t.Errorf("distinct policies share a state key: default=%q cred=%q pii=%q", base, cred, pii)
 	}
 }
 
 // TestPolicyCacheIsolationMemory runs the same system under two
-// policies and asserts the in-memory summary cache holds two separate
-// entries — neither run saw the other's summaries.
+// policies and asserts the store of last converged states holds two
+// separate entries — neither run replayed the other's state.
 func TestPolicyCacheIsolationMemory(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
-	rep := analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, "credential-leak")})
+	vfg.ResetStateStore()
+	t.Cleanup(vfg.ResetStateStore)
+	cred := Options{Policy: mustBuiltin(t, "credential-leak")}
+	pii := Options{Policy: mustBuiltin(t, "pii-to-log")}
+	rep := analyzeCred(t, credSrc, cred)
 	if len(rep.ErrorsData) != 1 {
 		t.Fatalf("credential-leak: got %d errors, want 1", len(rep.ErrorsData))
 	}
-	rep = analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, "pii-to-log")})
+	rep = analyzeCred(t, credSrc, pii)
 	if len(rep.ErrorsData) != 0 {
 		t.Fatalf("pii-to-log: got %d errors, want 0", len(rep.ErrorsData))
 	}
-	keys := vfg.SummaryCacheKeys()
-	if len(keys) != 2 {
-		t.Fatalf("summary cache holds %d keys, want 2 (one per policy): %v", len(keys), keys)
+	keys := vfg.StateStoreKeys()
+	want := []string{stateKey("credsys", cred), stateKey("credsys", pii)}
+	sort.Strings(want)
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("store holds keys %q, want one per policy %q", keys, want)
 	}
 }
 
@@ -105,63 +109,52 @@ func (r *recordingCache) Put(ns string, version uint32, key [sha256.Size]byte, d
 	r.puts[ns] = append(r.puts[ns], key)
 }
 
-func (r *recordingCache) summaryKeys() map[[sha256.Size]byte]bool {
+func (r *recordingCache) namespaces() map[string]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[[sha256.Size]byte]bool)
-	for _, k := range r.puts["summary"] {
-		out[k] = true
+	out := make(map[string]int)
+	for ns, keys := range r.puts {
+		out[ns] = len(keys)
 	}
 	return out
 }
 
-// TestPolicyCacheIsolationDisk asserts the disk tier writes disjoint
-// summary keys for runs differing only in policy.
+// TestPolicyCacheIsolationDisk asserts that the disk tier holds parsed
+// units only: phase-3 state never leaves the process, so runs under two
+// policies write parse entries and nothing in a summary namespace.
 func TestPolicyCacheIsolationDisk(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
+	vfg.ResetStateStore()
+	t.Cleanup(vfg.ResetStateStore)
 	var _ diskcache.CacheBackend = (*recordingCache)(nil)
 
-	run := func(pol *policy.Compiled) map[[sha256.Size]byte]bool {
-		vfg.ResetSummaryCache()
+	for _, name := range []string{"credential-leak", "pii-to-log"} {
+		frontend.ResetParseCache()
 		rc := &recordingCache{}
-		analyzeCred(t, credSrc, Options{Policy: pol, DiskCache: rc})
-		keys := rc.summaryKeys()
-		if len(keys) == 0 {
-			t.Fatal("no summary keys written to the disk tier")
-		}
-		return keys
-	}
-	credKeys := run(mustBuiltin(t, "credential-leak"))
-	piiKeys := run(mustBuiltin(t, "pii-to-log"))
-	for k := range credKeys {
-		if piiKeys[k] {
-			t.Fatalf("disk tier key %x shared between policies", k)
+		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), DiskCache: rc})
+		ns := rc.namespaces()
+		if ns["parse"] == 0 || len(ns) != 1 {
+			t.Fatalf("%s: disk tier writes %v, want parse entries only", name, ns)
 		}
 	}
 }
 
 // TestPolicyCacheIsolationRemote drives the remote tier against a
-// recording HTTP server and asserts the two policies touch disjoint
-// entry URLs.
+// recording HTTP server and asserts that runs under two policies write
+// parse entries and nothing in a summary namespace.
 func TestPolicyCacheIsolationRemote(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
+	vfg.ResetStateStore()
+	t.Cleanup(vfg.ResetStateStore)
 
 	var mu sync.Mutex
-	paths := make(map[string]map[string]bool) // run label -> URL path set
-	var label string
+	var paths []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		if paths[label] == nil {
-			paths[label] = make(map[string]bool)
-		}
-		paths[label][r.URL.Path] = true
-		mu.Unlock()
 		if r.Method == http.MethodGet {
 			http.NotFound(w, r)
 			return
 		}
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	defer srv.Close()
@@ -170,28 +163,22 @@ func TestPolicyCacheIsolationRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(l string, pol *policy.Compiled) {
-		vfg.ResetSummaryCache()
+	for _, name := range []string{"credential-leak", "pii-to-log"} {
+		frontend.ResetParseCache()
 		mu.Lock()
-		label = l
+		paths = nil
 		mu.Unlock()
-		analyzeCred(t, credSrc, Options{Policy: pol, DiskCache: client})
-	}
-	run("cred", mustBuiltin(t, "credential-leak"))
-	run("pii", mustBuiltin(t, "pii-to-log"))
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(paths["cred"]) == 0 || len(paths["pii"]) == 0 {
-		t.Fatalf("remote tier saw no traffic: cred=%d pii=%d", len(paths["cred"]), len(paths["pii"]))
-	}
-	for p := range paths["cred"] {
-		if !strings.Contains(p, "/v1/e/") {
-			t.Fatalf("unexpected remote path %q", p)
+		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), DiskCache: client})
+		mu.Lock()
+		if len(paths) == 0 {
+			t.Fatalf("%s: remote tier saw no writes", name)
 		}
-		if paths["pii"][p] {
-			t.Fatalf("remote tier path %q shared between policies", p)
+		for _, p := range paths {
+			if !strings.HasPrefix(p, "/v1/e/parse/") {
+				t.Fatalf("%s: remote write to %q, want the parse namespace only", name, p)
+			}
 		}
+		mu.Unlock()
 	}
 }
 

@@ -88,10 +88,6 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 	for k, v := range sources {
 		s.sources[k] = v
 	}
-	// Incremental mode and the summary cache are mutually exclusive (a
-	// session replays its own records instead).
-	s.opts.DisableCache = true
-	s.opts.CacheKey = ""
 	fopts := frontend.Options{
 		Defines:           s.opts.Defines,
 		Workers:           s.opts.Workers,

@@ -1,8 +1,9 @@
 // Package daemon implements safeflowd, the long-running SafeFlow
 // analysis service: the full pipeline behind POST /v1/analyze, kept hot
 // by the in-memory caches and the persistent disk cache shared with the
-// CLI. One daemon process amortizes parse and summary work across every
-// request — and across its own restarts — the way the cold CLI cannot.
+// CLI. One daemon process amortizes parse and phase-3 work across every
+// request (parsed units also across its own restarts) the way the cold
+// CLI cannot.
 //
 // The service preserves the pipeline's two hard contracts (DESIGN.md
 // §7): byte determinism — the JSON body returned for a request is

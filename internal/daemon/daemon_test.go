@@ -9,6 +9,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ import (
 
 func resetMemoryCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 }
 
 func figure2(t *testing.T) string {
@@ -70,7 +71,7 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*http.Response, 
 // cliJSON renders the report exactly as `safeflow -json` would.
 func cliJSON(t *testing.T, name string, sources map[string]string, cFiles []string, opts safeflow.Options) []byte {
 	t.Helper()
-	rep, err := safeflow.Analyze(name, sources, cFiles, opts)
+	rep, err := safeflow.AnalyzeContext(context.Background(), name, sources, cFiles, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +212,10 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
 
 	_, want := postAnalyze(t, ts.URL, req)
-	if dc.Len("parse") == 0 || dc.Len("summary") == 0 {
-		t.Fatalf("no disk entries after first request: parse=%d summary=%d",
-			dc.Len("parse"), dc.Len("summary"))
+	if dc.Len("parse") == 0 {
+		t.Fatal("no parse entries on disk after first request")
 	}
-	if n := dc.Corrupt("parse", 100) + dc.Corrupt("summary", 100); n == 0 {
+	if n := dc.Corrupt("parse", 100); n == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
 	resetMemoryCaches() // force the daemon back onto the (damaged) disk tier

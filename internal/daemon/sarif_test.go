@@ -9,6 +9,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -63,7 +64,7 @@ func TestAnalyzeSARIFFormat(t *testing.T) {
 	}
 
 	// Byte-identical to the CLI writer.
-	rep, err := safeflow.Analyze("figure2", sources, []string{"figure2.c"}, safeflow.Options{})
+	rep, err := safeflow.AnalyzeContext(context.Background(), "figure2", sources, []string{"figure2.c"}, safeflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

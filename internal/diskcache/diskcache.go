@@ -17,7 +17,7 @@
 // directory and renamed into place, so concurrent processes never
 // observe a torn entry — they see either the old bytes, the new bytes,
 // or a miss. Entries are namespaced (one directory per namespace, e.g.
-// "parse" and "summary") and versioned: a caller bumps its namespace
+// "parse") and versioned: a caller bumps its namespace
 // version whenever its payload encoding changes, and entries written
 // under any other version are invalidated on read instead of being
 // decoded by the wrong codec.

@@ -31,7 +31,6 @@ type DiskScenario struct {
 	Seed    int64            // drives the system generator
 	Gen     corpus.GenConfig // generated-system shape (zero = defaults)
 	Parse   int              // parse-namespace entries to corrupt (clamped)
-	Summary int              // summary-namespace entries to corrupt (clamped)
 	Workers int              // pipeline worker count (0 = GOMAXPROCS)
 }
 
@@ -63,21 +62,20 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 	}
 
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 	cold, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cold run: %w", err)
 	}
-	if store.Len("parse") == 0 || store.Len("summary") == 0 {
-		return nil, fmt.Errorf("cold run left store empty: parse=%d summary=%d",
-			store.Len("parse"), store.Len("summary"))
+	if store.Len("parse") == 0 {
+		return nil, fmt.Errorf("cold run left no parse entries in the store")
 	}
 
-	corrupted := store.Corrupt("parse", sc.Parse) + store.Corrupt("summary", sc.Summary)
+	corrupted := store.Corrupt("parse", sc.Parse)
 
 	// "Restart": only the (damaged) disk tier survives.
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 	healed, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("healed run: %w", err)

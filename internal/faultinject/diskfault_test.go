@@ -14,7 +14,7 @@ import (
 // change one byte of the report.
 func TestDiskCorruptionInvariants(t *testing.T) {
 	defer frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
+	defer vfg.ResetStateStore()
 
 	for _, seed := range []int64{1, 7, 42} {
 		store, err := diskcache.Open(t.TempDir(), 0)
@@ -22,7 +22,7 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := RunDisk(context.Background(), DiskScenario{
-			Seed: seed, Parse: 2, Summary: 2,
+			Seed: seed, Parse: 2,
 		}, store)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -50,14 +50,14 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 // must be fully warm: disk hits, no corrupt evictions.
 func TestDiskCorruptionHealsStore(t *testing.T) {
 	defer frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
+	defer vfg.ResetStateStore()
 
 	store, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := RunDisk(context.Background(), DiskScenario{
-		Seed: 3, Parse: 100, Summary: 100,
+		Seed: 3, Parse: 100,
 	}, store)
 	if err != nil {
 		t.Fatal(err)

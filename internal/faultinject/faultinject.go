@@ -12,7 +12,7 @@
 // checker's drop-and-retry loop, conservative missing-definition taint —
 // is exercised end to end. Cache corruption, worker panics, and
 // cancellation are injected through the pipeline's existing test seams
-// (frontend.CorruptParseCache, vfg.CorruptSummaryCache,
+// (frontend.CorruptParseCache, vfg.CorruptStateStore,
 // core.SetPhaseHook) by the invariant tests in this package.
 package faultinject
 

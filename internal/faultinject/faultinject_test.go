@@ -140,22 +140,22 @@ func TestDegradedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// A degraded run must never write to the summary cache: its fingerprint
-// would describe the full source set, not the surviving subset, so a
-// later healthy run could be poisoned by a degraded module's summaries.
+// A degraded run must never write to the store of last converged states:
+// its skipped-def summaries are conservative placeholders, so a later
+// healthy run must not replay them.
 func TestNoSummaryCacheWritesOnFaultedRuns(t *testing.T) {
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 	frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
+	defer vfg.ResetStateStore()
 	defer frontend.ResetParseCache()
 	for _, seed := range harnessSeeds {
 		sc := Scenario{Seed: seed, Faults: 1}
 		if _, err := Run(context.Background(), sc); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Repro())
 		}
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Fatalf("seed %d: faulted run wrote %d summary-cache entries (keys %v)\n%s",
-				seed, n, vfg.SummaryCacheKeys(), sc.Repro())
+		if n := len(vfg.StateStoreKeys()); n != 0 {
+			t.Fatalf("seed %d: faulted run stored %d phase-3 states (keys %q)\n%s",
+				seed, n, vfg.StateStoreKeys(), sc.Repro())
 		}
 	}
 }
@@ -184,13 +184,14 @@ func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 	frontend.ResetParseCache()
 }
 
-// Corrupted cache entries self-heal: the entry is evicted, the unit (or
-// module) is recomputed, the eviction shows up in run metrics, and the
-// report is unchanged from the healthy warm run.
+// Corrupted cache entries self-heal: a damaged parse entry or stored
+// phase-3 state is evicted, the unit (or module) is recomputed, the
+// eviction shows up in run metrics, and the report is unchanged from the
+// healthy warm run.
 func TestCacheCorruptionSelfHeals(t *testing.T) {
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 	frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
+	defer vfg.ResetStateStore()
 	defer frontend.ResetParseCache()
 
 	scen := Scenario{Seed: 42, Stats: true}
@@ -204,18 +205,18 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if warm.Report.Degraded {
 		t.Fatal("unfaulted scenario reported degraded")
 	}
-	if _, err := run(); err != nil { // populate the summary cache fully
+	if _, err := run(); err != nil { // replay from the stored state
 		t.Fatal(err)
 	}
-	if vfg.SummaryCacheLen() == 0 || frontend.ParseCacheLen() == 0 {
-		t.Fatalf("healthy run did not populate caches (summary=%d parse=%d)",
-			vfg.SummaryCacheLen(), frontend.ParseCacheLen())
+	if len(vfg.StateStoreKeys()) == 0 || frontend.ParseCacheLen() == 0 {
+		t.Fatalf("healthy run did not populate caches (states=%d parse=%d)",
+			len(vfg.StateStoreKeys()), frontend.ParseCacheLen())
 	}
 
 	pc := frontend.CorruptParseCache(2)
-	sc := vfg.CorruptSummaryCache(1)
+	sc := vfg.CorruptStateStore(1)
 	if pc == 0 || sc == 0 {
-		t.Fatalf("corruption hooks touched nothing (parse=%d summary=%d)", pc, sc)
+		t.Fatalf("corruption hooks touched nothing (parse=%d states=%d)", pc, sc)
 	}
 	healed, err := run()
 	if err != nil {
@@ -266,12 +267,12 @@ func TestWorkerPanicIsolation(t *testing.T) {
 }
 
 // Seeded cancellation at randomized pipeline boundaries: the run returns
-// ctx.Err() promptly, leaves no goroutines behind, and never publishes
-// summary-cache entries for the aborted module.
+// ctx.Err() promptly, leaves no goroutines behind, and never stores a
+// phase-3 state for the aborted module.
 func TestSeededCancellation(t *testing.T) {
 	phases := []string{"frontend", "shmflow", "restrict", "pointsto", "vfg"}
-	vfg.ResetSummaryCache()
-	defer vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
+	defer vfg.ResetStateStore()
 	baseline := runtime.NumGoroutine()
 	for i, seed := range harnessSeeds {
 		phase := phases[(int(seed)+i)%len(phases)]
@@ -288,8 +289,8 @@ func TestSeededCancellation(t *testing.T) {
 		if err != context.Canceled {
 			t.Errorf("seed %d cancel@%s: err = %v, want context.Canceled\n%s", seed, phase, err, sc.Repro())
 		}
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Errorf("seed %d cancel@%s: cancelled run wrote %d summary entries\n%s", seed, phase, n, sc.Repro())
+		if n := len(vfg.StateStoreKeys()); n != 0 {
+			t.Errorf("seed %d cancel@%s: cancelled run stored %d phase-3 states\n%s", seed, phase, n, sc.Repro())
 		}
 	}
 	if err := WaitGoroutineBaseline(baseline, 2*time.Second); err != nil {

@@ -163,7 +163,7 @@ func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBa
 
 	run := func(dc diskcache.CacheBackend, what string) (*core.Report, error) {
 		frontend.ResetParseCache()
-		vfg.ResetSummaryCache()
+		vfg.ResetStateStore()
 		opts := base
 		opts.DiskCache = dc
 		rep, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)

@@ -47,8 +47,8 @@ func TestReplayScenario(t *testing.T) {
 // shared by the replay entry point and the seeded harness tests.
 func replayInvariants(t *testing.T, sc Scenario) {
 	t.Helper()
-	vfg.ResetSummaryCache()
-	defer vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
+	defer vfg.ResetStateStore()
 
 	var first *Result
 	for _, workers := range []int{sc.Workers, 1, runtime.GOMAXPROCS(0)} {
@@ -82,8 +82,8 @@ func replayInvariants(t *testing.T, sc Scenario) {
 		}
 	}
 	if sc.Faults > 0 {
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Errorf("faulted replay published %d summary-cache entries\n%s", n, sc.Repro())
+		if n := len(vfg.StateStoreKeys()); n != 0 {
+			t.Errorf("faulted replay stored %d phase-3 states\n%s", n, sc.Repro())
 		}
 	}
 	if t.Failed() {

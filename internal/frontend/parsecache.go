@@ -1,5 +1,5 @@
 // Content-keyed parse cache. Lex + parse dominate warm end-to-end runs
-// (the analysis phases are cached separately by the vfg summary cache), so
+// (phase 3 replays the last converged state of the system instead), so
 // repeated compilations of unchanged translation units — sfbench
 // iterations, watch-mode workloads, AnalyzeAll batches sharing headers —
 // reuse the parsed AST instead of re-deriving it.

@@ -46,10 +46,14 @@ func promoteFunc(f *ir.Function) {
 				}
 			}
 		}
+		// Seed the worklist in block order: phi placement order decides
+		// the phis' order in their blocks.
 		hasPhi := make(map[*ir.Block]bool)
 		work := make([]*ir.Block, 0, len(defBlocks))
-		for b := range defBlocks {
-			work = append(work, b)
+		for _, b := range f.Blocks {
+			if defBlocks[b] {
+				work = append(work, b)
+			}
 		}
 		for len(work) > 0 {
 			b := work[len(work)-1]

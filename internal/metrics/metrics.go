@@ -1,6 +1,6 @@
 // Package metrics instruments SafeFlow analysis runs: per-phase wall
 // times, pipeline shape counters (translation units, SCCs, fixpoint
-// rounds, summaries solved), summary-cache hit rates, and peak goroutine
+// rounds, summaries solved), phase-3 replay rates, and peak goroutine
 // counts. A Collector is threaded through one run; its Finish snapshot is
 // embedded in reports under the versioned "metrics" JSON key.
 //
@@ -39,8 +39,11 @@ type RunMetrics struct {
 	SCCs             int            `json:"sccs"`
 	FixpointRounds   int            `json:"fixpoint_rounds"`
 	UnitsSolved      int            `json:"units_solved"`
-	CacheHits        int            `json:"cache_hits"`
-	CacheMisses      int            `json:"cache_misses"`
+	// CacheHits / CacheMisses count the units a run that started from a
+	// stored phase-3 state replayed / solved; both are zero on cold runs
+	// and session updates.
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// VFGTransfers counts the value-flow solver's instruction transfer
 	// evaluations over every unit solve (omitted from JSON when zero).
 	VFGTransfers int64 `json:"vfg_transfers,omitempty"`
@@ -50,7 +53,7 @@ type RunMetrics struct {
 	FrontendCacheMisses int `json:"frontend_cache_misses,omitempty"`
 	// Disk-cache tier counters (omitted from JSON when zero): hits and
 	// misses observed against the persistent content-addressed store that
-	// backs the parse and summary caches across process restarts.
+	// backs the parse cache across process restarts.
 	DiskCacheHits   int `json:"disk_cache_hits,omitempty"`
 	DiskCacheMisses int `json:"disk_cache_misses,omitempty"`
 	// CacheCorruptEvictions counts cache entries (parse, summary, or
@@ -63,11 +66,12 @@ type RunMetrics struct {
 	// versus includes it expanded.
 	IncludeMemoHits   int `json:"include_memo_hits,omitempty"`
 	IncludeMemoMisses int `json:"include_memo_misses,omitempty"`
-	// Incremental re-analysis counters (set only on session updates;
+	// Incremental re-analysis counters (set on tracked runs — session
+	// updates and analyses that start from a stored phase-3 state;
 	// omitted from JSON when zero): how many functions the dependency
-	// graph invalidated versus reused, how many solved units were
-	// replayed from the previous run's records, and how many verify
-	// restarts the run needed.
+	// graph invalidated versus reused, how many units were replayed from
+	// the previous run's records, and how many verify restarts the run
+	// needed.
 	IncrFuncsInvalidated int `json:"incr_funcs_invalidated,omitempty"`
 	IncrFuncsReused      int `json:"incr_funcs_reused,omitempty"`
 	IncrUnitsReplayed    int `json:"incr_units_replayed,omitempty"`
@@ -178,7 +182,7 @@ func (c *Collector) SetVFGTransfers(n int64) {
 }
 
 // SetIncremental records the incremental re-analysis shape counters of
-// a session update.
+// a tracked run.
 func (c *Collector) SetIncremental(funcsInvalidated, funcsReused, unitsReplayed, restarts int) {
 	if c == nil {
 		return
@@ -203,8 +207,8 @@ func (c *Collector) AddFrontendCache(hits, misses int) {
 	c.mu.Unlock()
 }
 
-// AddDiskCache accumulates persistent-cache hit/miss counts; the parse
-// and summary caches report concurrently when a disk tier is attached.
+// AddDiskCache accumulates persistent-cache hit/miss counts; translation
+// units report concurrently when a disk tier is attached.
 func (c *Collector) AddDiskCache(hits, misses int) {
 	if c == nil {
 		return

@@ -1,8 +1,8 @@
 // Package remotecache puts the diskcache.CacheBackend contract on the
 // wire: a Client speaks a minimal content-addressed HTTP protocol to an
 // sfcached server, so a fleet of safeflowd replicas shares one
-// persistent store — a translation unit parsed (or a module summary
-// solved) by any replica is a hit for every other.
+// persistent store — a translation unit parsed by any replica is a hit
+// for every other.
 //
 // The remote tier inherits the cache discipline the local store already
 // keeps (DESIGN.md §7): it is an accelerator, never a source of record.
@@ -57,7 +57,7 @@ import (
 //	                                corrupted in transit is rejected
 //	                                (400) instead of stored
 //
-// ns is a short lowercase namespace ("parse", "summary"), version the
+// ns is a short lowercase namespace (e.g. "parse"), version the
 // caller's codec version, key the lowercase hex SHA-256 content key.
 const sumHeader = "X-Safeflow-Sum"
 

@@ -15,8 +15,7 @@ import (
 )
 
 // MaxEntryBytes bounds one cached payload on the wire; anything larger
-// is refused rather than buffered (no real parse or summary entry comes
-// close).
+// is refused rather than buffered (no real parse entry comes close).
 const MaxEntryBytes = 64 << 20
 
 var nsPattern = regexp.MustCompile(`^[a-z][a-z0-9_-]{0,31}$`)

@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 
 // TestSARIFDeterminism pins the CI-facing invariant for the new format:
 // the SARIF bytes are identical at every worker count and at every
-// cache temperature. Each worker count is rendered cold (summary cache
-// reset) and warm (second run over the populated cache) and every
+// cache temperature. Each worker count is rendered cold (stored states
+// reset) and warm (second run replaying the stored state) and every
 // rendering must equal the first.
 func TestSARIFDeterminism(t *testing.T) {
 	sys := corpus.All()[0]
@@ -25,7 +26,7 @@ func TestSARIFDeterminism(t *testing.T) {
 	}
 
 	render := func(workers int) []byte {
-		rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers})
+		rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestSARIFDeterminism(t *testing.T) {
 
 	var want []byte
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		vfg.ResetSummaryCache()
+		vfg.ResetStateStore()
 		cold := render(workers)
 		warm := render(workers)
 		if want == nil {
@@ -54,7 +55,7 @@ func TestSARIFDeterminism(t *testing.T) {
 			t.Errorf("workers=%d warm: SARIF bytes diverged", workers)
 		}
 	}
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 }
 
 // TestSARIFSuppressionsAndPolicy locks the SARIF surface for a policy
@@ -77,7 +78,7 @@ void serve()
     log_msg(tok); // safeflow:ignore no-such-rule bogus
 }
 `}
-	rep, err := safeflow.Analyze("s", src, []string{"main.c"}, safeflow.Options{Policy: pol})
+	rep, err := safeflow.AnalyzeContext(context.Background(), "s", src, []string{"main.c"}, safeflow.Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

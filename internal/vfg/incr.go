@@ -4,11 +4,16 @@
 // A tracked run records, per (function, context) unit, everything the unit
 // contributed to the analysis beyond its summary: the global memory cells
 // it wrote, the cells it read, the sources it interned and the errors it
-// recorded — all in the portable (pointer-free) forms the summary cache
-// already defines. The captured IncrState also fingerprints every defined
-// function: a body hash (name, positions, printed IR, assert annotations,
-// function facts) plus an environment hash (the shm facts, points-to
-// footprints and callee identities its transfer functions consult).
+// recorded — all in the portable (pointer-free) forms of portable.go.
+// The captured IncrState also fingerprints every defined function: a body
+// hash (name, positions, IR structure, assert annotations, function
+// facts) plus an environment hash (the shm facts, points-to footprints and
+// callee identities its transfer functions consult).
+//
+// Every tracked run — a session update, or a plain analysis that loaded
+// the last converged state of its system from the store (store.go) — goes
+// through runIncremental; a run with no previous state is an update from
+// empty state.
 //
 // On the next run, functions whose fingerprint changed are dirty; the
 // dirty set plus its transitive caller cone in the (new) call graph is
@@ -40,13 +45,13 @@
 // correct.
 //
 // Degraded runs never participate: Config.Incr is ignored when
-// MissingDefs is non-empty, and the callers (core.Session) never capture
-// state from a degraded run, so skipped-def summaries are never reused
-// across updates.
+// MissingDefs is non-empty, so a degraded run captures no state and
+// skipped-def summaries are never reused across runs.
 
 package vfg
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +59,7 @@ import (
 	"safeflow/internal/annot"
 	"safeflow/internal/callgraph"
 	"safeflow/internal/ctoken"
+	"safeflow/internal/ctypes"
 	"safeflow/internal/ir"
 	"safeflow/internal/pointsto"
 	"safeflow/internal/shmflow"
@@ -78,11 +84,14 @@ type IncrState struct {
 	regionFP uint64
 	units    map[string]*unitRecord
 	cells    map[pRef]pTaint
+	// check is the structural checksum taken at capture; the store
+	// verifies it on load.
+	check uint64
 }
 
 // fnFingerprint identifies one function's analysis-relevant content.
 type fnFingerprint struct {
-	body uint64 // name, positions, printed IR, asserts, facts
+	body uint64 // name, positions, IR structure, asserts, facts
 	env  uint64 // shm facts, points-to footprints, callee identities
 }
 
@@ -127,8 +136,9 @@ type IncrStats struct {
 // ---------------------------------------------------------------------------
 // Fingerprints
 
-// fnvHash is the incremental FNV-1a mixer (same parameters as the summary
-// cache's checksum).
+// fnvHash is the incremental FNV-1a mixer. Integers enter it as zigzag
+// varints, so the small numbers that dominate (positions, value numbers,
+// counts) cost one or two bytes of mixing rather than eight.
 type fnvHash struct{ h uint64 }
 
 func newFNV() *fnvHash { return &fnvHash{h: 14695981039346656037} }
@@ -136,9 +146,12 @@ func newFNV() *fnvHash { return &fnvHash{h: 14695981039346656037} }
 func (f *fnvHash) byte(b byte) { f.h = (f.h ^ uint64(b)) * 1099511628211 }
 
 func (f *fnvHash) int(n int64) {
-	for i := 0; i < 8; i++ {
-		f.byte(byte(uint64(n) >> (8 * i)))
+	u := uint64(n<<1) ^ uint64(n>>63)
+	for u >= 0x80 {
+		f.byte(byte(u) | 0x80)
+		u >>= 7
 	}
+	f.byte(byte(u))
 }
 
 func (f *fnvHash) str(s string) {
@@ -156,47 +169,291 @@ func (f *fnvHash) bool(b bool) {
 	}
 }
 
-// HashFunctionBody fingerprints one function's own content: its name and
-// position, the printed IR (operands appear as stable @name/%tN idents),
-// every instruction's source position, the assert-intrinsic variable
-// annotations, and the function's annotation facts. Two functions with
-// equal hashes have identical local transfer behavior under identical
-// environments. Exported for the incremental frontend, which hashes
+// HashFunctionBody fingerprints one function's own content: its name,
+// position and signature, then every block (label, predecessors) and
+// instruction (opcode, position, dense value number, operands, operator
+// kind, types, assert variable), and the function's annotation facts.
+// Two functions with equal hashes print identically and have identical
+// local transfer behavior under identical environments. It walks the IR
+// without printing, so it assigns no SSA names and writes nothing into
+// the function. Exported for the incremental frontend, which hashes
 // fragment functions at compile time so unchanged fragments can reuse
-// their hashes without reprinting.
+// their hashes.
 func HashFunctionBody(fn *ir.Function, assertVars map[*ir.Call]string) uint64 {
-	h := newFNV()
-	h.str(fn.Name)
-	h.str(fn.Pos.String())
-	h.bool(fn.IsDecl)
-	h.str(fn.String())
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			h.str(in.Pos().String())
-			if c, ok := in.(*ir.Call); ok {
-				h.str(assertVars[c])
-			}
+	b := &bodyHasher{fnvHash: *newFNV()}
+	b.str(fn.Name)
+	b.pos(fn.Pos)
+	b.bool(fn.IsDecl)
+	b.int(int64(len(fn.Params)))
+	for _, p := range fn.Params {
+		b.typ(p.Ty)
+		b.str(p.Name)
+	}
+	if fn.Sig != nil {
+		b.typ(fn.Sig.Result)
+	}
+	b.int(int64(len(fn.Blocks)))
+	for _, blk := range fn.Blocks {
+		b.str(blk.Label)
+		b.int(int64(len(blk.Preds)))
+		for _, p := range blk.Preds {
+			b.int(int64(p.Index))
+		}
+		b.int(int64(len(blk.Instrs)))
+		for _, in := range blk.Instrs {
+			b.instr(in, assertVars)
 		}
 	}
 	if ff, ok := fn.Facts.(*annot.FuncFacts); ok && ff != nil {
-		h.bool(ff.IsShmInit)
-		h.int(int64(len(ff.Core)))
+		b.bool(ff.IsShmInit)
+		b.int(int64(len(ff.Core)))
 		for _, cf := range ff.Core {
-			h.str(cf.Ptr)
-			h.int(cf.Offset)
-			h.int(cf.Size)
+			b.str(cf.Ptr)
+			b.int(cf.Offset)
+			b.int(cf.Size)
 		}
-		h.int(int64(len(ff.ShmVars)))
+		b.int(int64(len(ff.ShmVars)))
 		for _, sv := range ff.ShmVars {
-			h.str(sv.Ptr)
-			h.int(sv.Size)
+			b.str(sv.Ptr)
+			b.int(sv.Size)
 		}
-		h.int(int64(len(ff.NonCore)))
+		b.int(int64(len(ff.NonCore)))
 		for _, nc := range ff.NonCore {
-			h.str(nc.Name)
+			b.str(nc.Name)
 		}
 	}
-	return h.h
+	return b.h
+}
+
+// bodyHasher is HashFunctionBody's walk state: the running hash and the
+// file of the last position mixed, since consecutive instructions almost
+// always share it.
+type bodyHasher struct {
+	fnvHash
+	file string
+}
+
+// Instruction opcode tags.
+const (
+	opAlloca byte = iota + 1
+	opLoad
+	opStore
+	opGEP
+	opBinOp
+	opCmp
+	opCast
+	opCall
+	opPhi
+	opRet
+	opBr
+	opUnreachable
+	opOther
+)
+
+// Operand tags.
+const (
+	valNil byte = iota + 1
+	valConstInt
+	valConstFloat
+	valConstStr
+	valGlobal
+	valParam
+	valFunc
+	valAlloca
+	valInstr
+	valOther
+)
+
+// pos mixes a position; a file equal to the previous position's is
+// mixed as one marker byte.
+func (b *bodyHasher) pos(p ctoken.Pos) {
+	if p.File == b.file {
+		b.byte(0)
+	} else {
+		b.byte(1)
+		b.str(p.File)
+		b.file = p.File
+	}
+	b.int(int64(p.Line))
+	b.int(int64(p.Col))
+}
+
+// Type tags.
+const (
+	tyNil byte = iota + 1
+	tyBasic
+	tyPointer
+	tyArray
+	tyStruct
+	tyFunc
+	tyOther
+)
+
+// typ mixes a type by structure, covering exactly what its printed form
+// shows: a struct by kind and tag (field names when untagged), as
+// ctypes prints it.
+func (b *bodyHasher) typ(t ctypes.Type) {
+	switch x := t.(type) {
+	case nil:
+		b.byte(tyNil)
+	case *ctypes.Basic:
+		b.byte(tyBasic)
+		b.int(int64(x.Kind))
+	case *ctypes.Pointer:
+		b.byte(tyPointer)
+		b.typ(x.Elem)
+	case *ctypes.Array:
+		b.byte(tyArray)
+		b.int(x.Len)
+		b.typ(x.Elem)
+	case *ctypes.Struct:
+		b.byte(tyStruct)
+		b.bool(x.IsUnion)
+		b.str(x.Tag)
+		if x.Tag == "" {
+			b.int(int64(len(x.Fields)))
+			for _, f := range x.Fields {
+				b.str(f.Name)
+			}
+		}
+	case *ctypes.Func:
+		b.byte(tyFunc)
+		b.typ(x.Result)
+		b.int(int64(len(x.Params)))
+		for _, p := range x.Params {
+			b.typ(p)
+		}
+		b.bool(x.Variadic)
+	default:
+		b.byte(tyOther)
+		b.str(t.String())
+	}
+}
+
+// val mixes one operand: constants by value and type, globals and
+// functions by name and type, parameters by index and name, and
+// instruction results by their dense value number.
+func (b *bodyHasher) val(v ir.Value) {
+	switch x := v.(type) {
+	case nil:
+		b.byte(valNil)
+	case *ir.ConstInt:
+		b.byte(valConstInt)
+		b.int(x.Val)
+		b.typ(x.Ty)
+	case *ir.ConstFloat:
+		b.byte(valConstFloat)
+		b.int(int64(math.Float64bits(x.Val)))
+		b.typ(x.Ty)
+	case *ir.ConstStr:
+		b.byte(valConstStr)
+		b.str(x.Val)
+	case *ir.Global:
+		b.byte(valGlobal)
+		b.str(x.Name)
+		b.typ(x.Elem)
+	case *ir.Param:
+		b.byte(valParam)
+		b.int(int64(x.Index))
+		b.str(x.Name)
+	case *ir.Function:
+		b.byte(valFunc)
+		b.str(x.Name)
+		b.typ(x.Sig)
+	case *ir.Alloca:
+		b.byte(valAlloca)
+		b.int(int64(ir.ValueNum(x)))
+		b.str(x.VarName)
+	case ir.Instr:
+		b.byte(valInstr)
+		b.int(int64(ir.ValueNum(v)))
+	default:
+		b.byte(valOther)
+		b.str(v.Ident())
+		b.typ(v.Type())
+	}
+}
+
+func (b *bodyHasher) instr(in ir.Instr, assertVars map[*ir.Call]string) {
+	switch x := in.(type) {
+	case *ir.Alloca:
+		b.byte(opAlloca)
+		b.typ(x.Elem)
+		b.str(x.VarName)
+	case *ir.Load:
+		b.byte(opLoad)
+		b.val(x.Addr)
+	case *ir.Store:
+		b.byte(opStore)
+		b.val(x.Val)
+		b.val(x.Addr)
+	case *ir.GEP:
+		b.byte(opGEP)
+		b.val(x.Base)
+		b.int(int64(len(x.Indices)))
+		for _, ix := range x.Indices {
+			b.int(int64(ix.Field))
+			b.val(ix.Index)
+		}
+		b.typ(x.ResultT)
+	case *ir.BinOp:
+		b.byte(opBinOp)
+		b.int(int64(x.Op))
+		b.typ(x.Ty)
+		b.val(x.X)
+		b.val(x.Y)
+	case *ir.Cmp:
+		b.byte(opCmp)
+		b.int(int64(x.Op))
+		b.val(x.X)
+		b.val(x.Y)
+	case *ir.Cast:
+		b.byte(opCast)
+		b.int(int64(x.Kind))
+		b.val(x.X)
+		b.typ(x.To)
+	case *ir.Call:
+		b.byte(opCall)
+		b.str(x.Callee.Name)
+		b.typ(x.Callee.Sig)
+		b.int(int64(len(x.Args)))
+		for _, arg := range x.Args {
+			b.val(arg)
+		}
+		b.str(assertVars[x])
+	case *ir.Phi:
+		b.byte(opPhi)
+		b.typ(x.Ty)
+		b.str(x.Var)
+		b.int(int64(len(x.Edges)))
+		for _, e := range x.Edges {
+			b.val(e.Val)
+			b.int(int64(e.Pred.Index))
+		}
+	case *ir.Ret:
+		b.byte(opRet)
+		b.val(x.X)
+	case *ir.Br:
+		b.byte(opBr)
+		b.val(x.Cond)
+		b.int(int64(x.Then.Index))
+		if x.Else != nil {
+			b.int(int64(x.Else.Index))
+		} else {
+			b.int(-1)
+		}
+	case *ir.Unreachable:
+		b.byte(opUnreachable)
+	default:
+		b.byte(opOther)
+		b.str(in.String())
+	}
+	b.pos(in.Pos())
+	num := -1
+	if v, ok := in.(ir.Value); ok {
+		num = ir.ValueNum(v)
+	}
+	b.int(int64(num))
 }
 
 func mixFact(h *fnvHash, f shmflow.Fact) {
@@ -900,12 +1157,6 @@ const maxIncrRestarts = 3
 // dirty cone, replay everything else, cut off cone units whose callees
 // kept their summaries, verify, restart on drift.
 func runIncremental(cfg Config) *Result {
-	// Replay and the cross-run summary cache are mutually exclusive: a
-	// seeded summary has no replay record, and a replayed unit must not
-	// be re-stored under a whole-module key it no longer fingerprints.
-	cfg.CacheKey = ""
-	cfg.DiskCache = nil
-
 	fps := computeFingerprints(&cfg)
 	regionFP := regionFingerprint(cfg.SF)
 	prev := cfg.Incr.Prev
@@ -981,6 +1232,7 @@ func runIncremental(cfg Config) *Result {
 		}
 		res.Incr = stats
 		res.NextIncr = a.captureState(fps, regionFP)
+		res.NextIncr.check = res.NextIncr.checksum()
 		return res
 	}
 }

@@ -41,7 +41,6 @@ func workerCount(requested int) int {
 func (a *analysis) runScheduled(workers int) {
 	a.seedRoots()
 	a.expandUnits(0)
-	a.seedSummaryCache()
 	for round := 0; round < maxRounds; round++ {
 		if a.ctxDone() {
 			return
@@ -58,13 +57,6 @@ func (a *analysis) runScheduled(workers int) {
 			break
 		}
 	}
-	// A cancelled or crashed run holds partial state: never publish it.
-	// Seeded taints only grow under join, so a non-converged snapshot in
-	// the cache could inflate a later warm run's results.
-	if a.ctxDone() || len(a.internal) > 0 {
-		return
-	}
-	a.storeSummaryCache()
 }
 
 // objChange logs the changes to one global memory object since the last

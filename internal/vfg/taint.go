@@ -399,7 +399,7 @@ func paramsKey(p kindSet) string {
 }
 
 // paramsToMap expands a parameter kindSet to the map form used by the
-// portable cache entries.
+// portable (pointer-free) state.
 func paramsToMap(p kindSet) map[int]Kind {
 	if p.isEmpty() {
 		return nil

@@ -28,7 +28,6 @@ import (
 	"safeflow/internal/cfgraph"
 	"safeflow/internal/ctoken"
 	"safeflow/internal/dataflow"
-	"safeflow/internal/diskcache"
 	"safeflow/internal/ir"
 	"safeflow/internal/irgen"
 	"safeflow/internal/metrics"
@@ -55,23 +54,11 @@ type Config struct {
 	// Workers bounds the number of callgraph SCCs solved concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 solves sequentially.
 	Workers int
-	// CacheKey, when non-empty, enables the cross-run summary cache: units
-	// whose (function, context) summaries were computed by an earlier run
-	// with the same key are seeded from the cache, and this run's converged
-	// summaries are stored back. The key must fingerprint the module
-	// contents (see core.AnalyzeModule).
-	CacheKey string
-	// DiskCache, when non-nil (and CacheKey is set), adds a persistent
-	// tier below the in-memory summary cache: converged modules are also
-	// written to the content-addressed store and seeded back after a
-	// process restart. Integrity-checked on read (store checksum plus the
-	// module's structural checksum); a damaged entry degrades to a miss.
-	DiskCache diskcache.CacheBackend
 	// Ctx, when non-nil, cancels the analysis between units: the drivers
 	// check it between fixpoint rounds and before each SCC solve, so a
 	// cancelled run stops promptly with a partial (discarded) result and
-	// never publishes to the summary cache. Callers detect cancellation
-	// through Ctx.Err(), not through the Result.
+	// captures no state. Callers detect cancellation through Ctx.Err(),
+	// not through the Result.
 	Ctx context.Context
 	// Metrics, when non-nil, receives goroutine observations from worker
 	// goroutines (peak-concurrency instrumentation). Nil-safe.
@@ -96,8 +83,8 @@ type Config struct {
 	// copy taint between arguments, and the built-in shared-memory rules
 	// (unmonitored reads, noncore receives, kill-pid) run only when the
 	// policy enables them. Nil behaves exactly like the default
-	// simplex-shm policy. The policy's fingerprint must be folded into
-	// CacheKey by the caller — summaries encode rule attribution.
+	// simplex-shm policy. A stored state must only be passed back to a run
+	// under the same policy — summaries encode rule attribution.
 	Policy *policy.Compiled
 }
 
@@ -159,9 +146,6 @@ type Result struct {
 	SCCs int
 	// Rounds is the number of driver fixpoint rounds executed.
 	Rounds int
-	// CacheHits / CacheMisses count units seeded (or not) from the
-	// cross-run summary cache; both are zero when caching is off.
-	CacheHits, CacheMisses int
 	// Internal lists panics recovered inside SCC workers (as
 	// *guard.InternalError), sorted for deterministic reporting. The
 	// affected component's results may be partial; everything else is
@@ -208,7 +192,7 @@ func newAnalysis(cfg Config) *analysis {
 // Analysis state
 
 // srcKey identifies a source by value rather than by instruction pointer,
-// so sources unify across analysis passes (and across cache rebinding):
+// so sources unify across analysis passes (and across replay rebinding):
 // the same (position, kind, region, detail) is the same warning.
 type srcKey struct {
 	pos    ctoken.Pos
@@ -312,8 +296,7 @@ type analysis struct {
 	logMu  sync.Mutex
 	memLog map[*pointsto.Object]objChange
 
-	rounds                 int
-	cacheHits, cacheMisses int
+	rounds int
 
 	// Incremental-mode state (zero outside incremental runs): track turns
 	// on per-unit contribution recording; replay maps unit keys to the
@@ -1205,8 +1188,6 @@ func (a *analysis) finish() *Result {
 		SweptInstrs:   a.swept.Load(),
 		SCCs:          len(a.cfg.CG.BottomUp()),
 		Rounds:        a.rounds,
-		CacheHits:     a.cacheHits,
-		CacheMisses:   a.cacheMisses,
 	}
 	a.intMu.Lock()
 	res.Internal = append(res.Internal, a.internal...)

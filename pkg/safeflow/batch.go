@@ -1,7 +1,7 @@
 // Batch analysis: fan whole-system analyses out over a bounded worker
 // pool. Each job is an independent pipeline run (its own module, points-to
 // and value-flow state), so systems analyze concurrently without sharing
-// anything but the process-global summary cache; per-job Options.Workers
+// anything but the process-global caches; per-job Options.Workers
 // additionally parallelizes inside each pipeline.
 //
 // Jobs are fault-isolated: a panic anywhere in one job's pipeline

@@ -9,6 +9,7 @@ package safeflow_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"testing"
 
@@ -22,7 +23,7 @@ import (
 // are emptied so only the disk tier can make the next run warm.
 func resetMemoryCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
+	vfg.ResetStateStore()
 }
 
 func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
@@ -113,13 +114,12 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base
-	if dc.Len("parse") == 0 || dc.Len("summary") == 0 {
-		t.Fatalf("expected disk entries after cold run: parse=%d summary=%d",
-			dc.Len("parse"), dc.Len("summary"))
+	if dc.Len("parse") == 0 {
+		t.Fatal("expected parse entries on disk after cold run")
 	}
 
-	// Damage every entry in both namespaces, then "restart".
-	nCorrupt := dc.Corrupt("parse", 100) + dc.Corrupt("summary", 100)
+	// Damage every entry, then "restart".
+	nCorrupt := dc.Corrupt("parse", 100)
 	if nCorrupt == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
@@ -183,7 +183,7 @@ func TestDiskCacheCorpusDeterminism(t *testing.T) {
 					// disk-warm; that is exactly the matrix we want.
 					resetMemoryCaches()
 				}
-				rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles,
+				rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles,
 					safeflow.Options{Workers: workers, DiskCache: dc})
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", sys.Name, workers, temp, err)

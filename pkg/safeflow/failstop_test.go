@@ -6,6 +6,7 @@ package safeflow_test
 // to the front-end driver cannot silently reword or reorder them.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -98,7 +99,7 @@ func TestFailStopErrorText(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 3} {
-				rep, err := safeflow.Analyze("failstop", tc.sources, tc.cFiles,
+				rep, err := safeflow.AnalyzeContext(context.Background(), "failstop", tc.sources, tc.cFiles,
 					safeflow.Options{Workers: workers, DisableParseCache: true})
 				if err == nil {
 					t.Fatalf("workers=%d: no error (report %+v)", workers, rep)
@@ -123,7 +124,7 @@ func TestFailStopPanicIsInternalError(t *testing.T) {
 		}
 	})
 	defer core.SetPhaseHook(nil)
-	rep, err := safeflow.Analyze("panicky", map[string]string{
+	rep, err := safeflow.AnalyzeContext(context.Background(), "panicky", map[string]string{
 		"z.c": "int zf() { return 0; }\n",
 		"a.c": "int af() { return 1; }\n",
 	}, []string{"z.c", "a.c"}, safeflow.Options{})

@@ -9,6 +9,7 @@ package safeflow_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestPanicIsolationInBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		rep, err := safeflow.Analyze(s.Name, src, s.CFiles, safeflow.Options{})
+		rep, err := safeflow.AnalyzeContext(context.Background(), s.Name, src, s.CFiles, safeflow.Options{})
 		if err != nil {
 			t.Fatalf("solo %s: %v", s.Name, err)
 		}

@@ -6,7 +6,7 @@
 //
 // Typical use:
 //
-//	rep, err := safeflow.AnalyzeDir("IP controller", "./core", safeflow.Options{})
+//	rep, err := safeflow.AnalyzeDirContext(context.Background(), "IP controller", "./core", safeflow.Options{})
 //	if err != nil { ... }
 //	safeflow.WriteReport(os.Stdout, rep)
 //	if !rep.Clean() { os.Exit(1) }
@@ -88,10 +88,10 @@ type CacheBackend = diskcache.CacheBackend
 
 // DiskCache is a content-addressed on-disk cache shared by every
 // SafeFlow process pointed at the same directory: parsed translation
-// units and converged module summaries persist across process restarts,
-// so repeated analyses of unchanged inputs start warm even from a cold
-// process. Every entry is integrity-checked on read (SHA-256 of the
-// payload recorded at store time); corrupted entries are evicted and
+// units persist across process restarts, so repeated analyses of
+// unchanged inputs skip lexing and parsing even from a cold process.
+// Every entry is integrity-checked on read (SHA-256 of the payload
+// recorded at store time); corrupted entries are evicted and
 // recomputed, surfacing in run metrics as cache_corrupt_evictions. The
 // store is size-bounded with least-recently-used eviction.
 type DiskCache = diskcache.Store
@@ -159,6 +159,8 @@ const (
 // Analyze runs the full SafeFlow pipeline over an in-memory source tree.
 // sources maps file names (as used by #include "...") to contents; cFiles
 // lists the translation units to compile.
+//
+// Deprecated: Use AnalyzeContext, which can be cancelled.
 func Analyze(name string, sources map[string]string, cFiles []string, opts Options) (*Report, error) {
 	return AnalyzeContext(context.Background(), name, sources, cFiles, opts)
 }
@@ -178,6 +180,8 @@ func AnalyzeString(name, src string, opts Options) (*Report, error) {
 
 // AnalyzeDir analyzes all .c files in a directory (headers resolve
 // relative to the same directory).
+//
+// Deprecated: Use AnalyzeDirContext, which can be cancelled.
 func AnalyzeDir(name, dir string, opts Options) (*Report, error) {
 	return AnalyzeDirContext(context.Background(), name, dir, opts)
 }
@@ -216,6 +220,8 @@ func AnalyzeDirContext(ctx context.Context, name, dir string, opts Options) (*Re
 
 // AnalyzeFiles analyzes the named .c files; includes resolve relative to
 // each file's directory.
+//
+// Deprecated: Use AnalyzeFilesContext, which can be cancelled.
 func AnalyzeFiles(name string, paths []string, opts Options) (*Report, error) {
 	return AnalyzeFilesContext(context.Background(), name, paths, opts)
 }

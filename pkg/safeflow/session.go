@@ -30,6 +30,8 @@ type UpdateStats = core.UpdateStats
 // Open analyzes the system from scratch and opens it for incremental
 // updates. Parameters are as for Analyze; the returned report is
 // identical to Analyze's.
+//
+// Deprecated: Use OpenContext, which can be cancelled.
 func Open(name string, sources map[string]string, cFiles []string, opts Options) (*Session, *Report, error) {
 	return OpenContext(context.Background(), name, sources, cFiles, opts)
 }
@@ -48,6 +50,8 @@ func OpenContext(ctx context.Context, name string, sources map[string]string, cF
 // or new translation units (new .c files join the unit list in sorted
 // order); removed names files to delete from the source tree (removed
 // .c files leave the unit list).
+//
+// Deprecated: Use UpdateContext, which can be cancelled.
 func (s *Session) Update(changed map[string]string, removed ...string) (*Report, UpdateStats, error) {
 	return s.UpdateContext(context.Background(), changed, removed...)
 }

@@ -2,6 +2,7 @@ package safeflow_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -42,7 +43,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 	}
 
 	opts := safeflow.Options{Workers: 2, Stats: true, DisableCache: true}
-	sess, rep, err := safeflow.Open(g.Name, g.Sources, g.CFiles, opts)
+	sess, rep, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -53,7 +54,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 	for k, v := range g.Sources {
 		cur[k] = v
 	}
-	fresh, err := safeflow.Analyze(g.Name, cur, g.CFiles, opts)
+	fresh, err := safeflow.AnalyzeContext(context.Background(), g.Name, cur, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("fresh analyze: %v", err)
 	}
@@ -67,11 +68,11 @@ func TestSessionPublicLifecycle(t *testing.T) {
 			t.Fatalf("edit %d (%s) does not anchor", i, e.Desc)
 		}
 		cur[e.File] = text
-		rep, stats, err := sess.Update(map[string]string{e.File: text})
+		rep, stats, err := sess.UpdateContext(context.Background(), map[string]string{e.File: text})
 		if err != nil {
 			t.Fatalf("update %d (%s): %v", i, e.Desc, err)
 		}
-		fresh, err := safeflow.Analyze(g.Name, cur, g.CFiles, opts)
+		fresh, err := safeflow.AnalyzeContext(context.Background(), g.Name, cur, g.CFiles, opts)
 		if err != nil {
 			t.Fatalf("fresh analyze %d: %v", i, err)
 		}
@@ -98,7 +99,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 func TestSessionConcurrentReaders(t *testing.T) {
 	g := corpus.Generate(17, corpus.GenConfig{Regions: 2, Monitors: 2, Stages: 4})
 	opts := safeflow.Options{Workers: 2, DisableCache: true}
-	sess, _, err := safeflow.Open(g.Name, g.Sources, g.CFiles, opts)
+	sess, _, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestSessionConcurrentReaders(t *testing.T) {
 	text := g.Sources[target]
 	for i := 0; i < 6; i++ {
 		text += fmt.Sprintf("\n/* concurrent update %d */\n", i)
-		if _, _, err := sess.Update(map[string]string{target: text}); err != nil {
+		if _, _, err := sess.UpdateContext(context.Background(), map[string]string{target: text}); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}

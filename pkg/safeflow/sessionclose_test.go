@@ -5,6 +5,7 @@ package safeflow_test
 // answering from the final state, and closing twice is a no-op.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func TestSessionClose(t *testing.T) {
 	g := corpus.Generate(41, corpus.GenConfig{Regions: 1, Monitors: 2, Stages: 3})
-	sess, rep, err := safeflow.Open(g.Name, g.Sources, g.CFiles, safeflow.Options{})
+	sess, rep, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, safeflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestSessionClose(t *testing.T) {
 	sess.Close() // idempotent
 
 	file := g.CFiles[0]
-	if _, _, err := sess.Update(map[string]string{file: g.Sources[file] + "\n"}); !errors.Is(err, safeflow.ErrSessionClosed) {
+	if _, _, err := sess.UpdateContext(context.Background(), map[string]string{file: g.Sources[file] + "\n"}); !errors.Is(err, safeflow.ErrSessionClosed) {
 		t.Fatalf("Update after Close: err = %v, want ErrSessionClosed", err)
 	}
 

@@ -3,11 +3,12 @@ package safeflow_test
 // Stress layer: a batch of seeded pseudo-random systems (internal/corpus
 // generator) pushed through AnalyzeAll with mixed per-job options. Run
 // under -race in CI, this exercises the frontend worker pools, the
-// phase-3 SCC scheduler, the summary cache, and the batch fan-out all at
+// phase-3 SCC scheduler, the store of phase-3 states, and the batch fan-out all at
 // once; the assertions check fault-free completion and batch-vs-solo
 // agreement, not specific diagnostics.
 
 import (
+	"context"
 	"testing"
 
 	"safeflow/internal/corpus"
@@ -68,7 +69,7 @@ func TestStressPipeline(t *testing.T) {
 	// Batch results must agree with solo runs (spot-check a sample: the
 	// full cross-product is the determinism test's job).
 	for i := 0; i < len(jobs); i += 17 {
-		solo, err := safeflow.Analyze(jobs[i].Name, jobs[i].Sources, jobs[i].CFiles, jobs[i].Options)
+		solo, err := safeflow.AnalyzeContext(context.Background(), jobs[i].Name, jobs[i].Sources, jobs[i].CFiles, jobs[i].Options)
 		if err != nil {
 			t.Fatalf("solo %s: %v", jobs[i].Name, err)
 		}
