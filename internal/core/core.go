@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,9 +89,9 @@ type Options struct {
 	Workers int
 	// DisableCache makes the run cold: phase 3 neither loads nor stores
 	// the last converged state of the system (cold-run benchmarks,
-	// memory-constrained batch runs). Otherwise phase 3 starts from the
-	// state the last converged analysis of the same system name and
-	// options left, and replays every unchanged function from it.
+	// memory-constrained batch runs). Otherwise, when the last converged
+	// analysis of the same system name and options ran over the same
+	// sources, phase 3 replays its stored state instead of solving.
 	DisableCache bool
 	// DisableParseCache turns the frontend's content-keyed parse cache
 	// off, forcing every translation unit through lex + parse even when
@@ -323,13 +324,14 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		opts.DisableCache = true
 		opts.incrOpts = nil
 	}
-	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing)
+	loc, annots, digest := scanSources(sources, cFiles)
+	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing, digest)
 	if err != nil {
 		return nil, err
 	}
 	rep.Diagnostics = diags
 	rep.Degraded = degraded
-	rep.LinesOfCode, rep.AnnotationLines = countSourceStats(sources, cFiles)
+	rep.LinesOfCode, rep.AnnotationLines = loc, annots
 	rep.finishReport(activePolicy(opts), scanSourceSuppressions(sources, cFiles))
 	rep.Metrics = col.Finish()
 	return rep, nil
@@ -337,16 +339,18 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 
 // AnalyzeModule runs phases 1–3 on an already-compiled module; it
 // returns ctx.Err() when the run was cancelled between phases or analysis
-// units.
+// units. A module comes without source text, so its stored phase-3 state
+// is matched by system name and options alone.
 func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
-	return analyzeModuleWith(ctx, name, res, opts, nil, nil)
+	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0)
 }
 
 // analyzeModuleWith drives phases 1–3, each wrapped in panic isolation
 // and separated by cancellation checks; col (may be nil) collects
-// metrics, and missing (may be nil) names the functions whose defining
-// units the recovering front end skipped.
-func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool) (*Report, error) {
+// metrics, missing (may be nil) names the functions whose defining
+// units the recovering front end skipped, and digest names the sources
+// the module was compiled from (scanSources) for the state store.
+func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64) (*Report, error) {
 	mode := pointsToMode(opts)
 	m := res.Module
 	rep := &Report{Name: name, Module: m}
@@ -430,12 +434,12 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		}
 	}
 	// A run outside a session starts from the last converged state of the
-	// same system and options, unless it is cold, degraded or exponential
-	// (the exponential driver tracks nothing).
+	// same system, options and sources, unless it is cold, degraded or
+	// exponential (the exponential driver tracks nothing).
 	incr, storeKey := opts.incrOpts, ""
-	if incr == nil && !opts.DisableCache && !opts.Exponential && len(missing) == 0 {
+	if usesStore(opts) && len(missing) == 0 {
 		storeKey = stateKey(name, opts)
-		prev, corrupt := vfg.LoadState(storeKey)
+		prev, corrupt := vfg.LoadState(storeKey, digest)
 		if corrupt {
 			col.AddCacheCorruptEvictions(1)
 		}
@@ -479,7 +483,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			// Only a converged run with no recovered panic in any phase is
 			// stored: a partial state would poison every later run.
 			if v.NextIncr != nil && len(rep.Internal) == 0 {
-				vfg.StoreState(storeKey, v.NextIncr)
+				vfg.StoreState(storeKey, digest, v.NextIncr)
 			}
 			hits, misses = v.Incr.UnitsReplayed, v.Incr.UnitsSolved
 		} else {
@@ -543,11 +547,18 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
+// usesStore reports whether a run loads and stores the last converged
+// phase-3 state: every run outside a session that is not cold or
+// exponential (a degraded run is made cold before it gets here).
+func usesStore(opts Options) bool {
+	return opts.incrOpts == nil && !opts.DisableCache && !opts.Exponential
+}
+
 // stateKey names a system's slot in the store of last converged states:
 // the system name plus every option that the per-function fingerprints
-// do not cover. It holds no source text — replay's soundness rests on
-// the fingerprints and verification, not on the key — so a re-analysis
-// after an edit finds the state its previous analysis left.
+// do not cover. It holds no source text, so a system keeps one slot as
+// its sources change; the slot's entry is tagged with the digest of its
+// sources (scanSources).
 func stateKey(name string, opts Options) string {
 	var b strings.Builder
 	put := func(parts ...string) {
@@ -569,25 +580,43 @@ func stateKey(name string, opts Options) string {
 	return b.String()
 }
 
-// countSourceStats counts non-blank lines and annotation comments across
-// the program's files (headers included once each).
-func countSourceStats(sources cpp.Source, cFiles []string) (loc, annots int) {
+// digestSeed seeds the source digest: the store it tags lives in one
+// process.
+var digestSeed = maphash.MakeSeed()
+
+// scanSources counts non-blank lines and annotation comments across the
+// program's files (headers included once each), and hashes every file
+// with its name into digest: a stored phase-3 state is replayed only by
+// a run over the sources it was computed from.
+func scanSources(sources cpp.Source, cFiles []string) (loc, annots int, digest uint64) {
+	var h maphash.Hash
+	h.SetSeed(digestSeed)
+	put := func(s string) {
+		h.WriteString(strconv.Itoa(len(s)))
+		h.WriteByte(':')
+		h.WriteString(s)
+	}
 	walkSources(cFiles, func(name string) []string {
+		put(name)
 		text, err := sources.ReadFile(name)
 		if err != nil {
+			h.WriteByte('!')
 			return nil
 		}
+		put(text)
 		l, a := lineStats(text)
 		loc += l
 		annots += a
 		return quotedIncludes(text)
 	})
-	return loc, annots
+	return loc, annots, h.Sum64()
 }
 
 // lineStats counts one file's non-blank lines and annotation comments.
 func lineStats(text string) (loc, annots int) {
-	for _, line := range strings.Split(text, "\n") {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		if strings.TrimSpace(line) != "" {
 			loc++
 		}
@@ -602,7 +631,9 @@ func lineStats(text string) (loc, annots int) {
 // line order.
 func quotedIncludes(text string) []string {
 	var out []string
-	for _, line := range strings.Split(text, "\n") {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		trimmed := strings.TrimSpace(line)
 		if !strings.HasPrefix(trimmed, "#include") {
 			continue
@@ -621,7 +652,7 @@ func quotedIncludes(text string) []string {
 // includes exactly once, depth first in include order: a file, then each
 // file it includes with that file's own includes. visit handles one file
 // and returns the names it includes. Every whole-program source scan —
-// the cache fingerprint, the line counts, the suppression directives —
+// the source digest, the line counts, the suppression directives —
 // walks the program this way, so they all see the same files.
 func walkSources(cFiles []string, visit func(name string) []string) {
 	seen := make(map[string]bool)

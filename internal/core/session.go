@@ -185,7 +185,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			s.fragOK = true
 			opts := s.opts
 			opts.incrOpts = &vfg.IncrOptions{Prev: s.incr, BodyHashes: hashes}
-			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil)
+			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil, 0)
 			if err != nil {
 				return nil, UpdateStats{}, err
 			}
@@ -272,7 +272,7 @@ func (s *Session) CFiles() []string {
 	return append([]string(nil), s.cFiles...)
 }
 
-// locEntry memoizes one file's contribution to countSourceStats: its
+// locEntry memoizes one file's contribution to scanSources' counts: its
 // line counts and the quoted includes it pulls in, keyed by content.
 type locEntry struct {
 	content  string
@@ -281,7 +281,7 @@ type locEntry struct {
 	includes []string
 }
 
-// countStats reproduces countSourceStats over the session's sources,
+// countStats reproduces scanSources' counts over the session's sources,
 // recounting only files whose contents changed since the last update.
 func (s *Session) countStats() (loc, annots int) {
 	walkSources(s.cFiles, func(name string) []string {

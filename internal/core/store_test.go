@@ -12,10 +12,12 @@ import (
 	"safeflow/internal/vfg"
 )
 
-// A plain analysis starts from the last converged phase-3 state of the
-// same system name and options. These oracles check that the state never
-// changes a report: whatever the store holds, the report is the one a
-// cold (DisableCache) analysis of the same sources renders.
+// A plain analysis replays the last converged phase-3 state of the same
+// system name and options when that state was computed from the same
+// sources. These oracles check that the state never changes a report:
+// whatever the store holds, the report is the one a cold (DisableCache)
+// analysis of the same sources renders. Where a test needs a run to
+// replay another program's state, core.PlantState re-tags it.
 
 func split130(seed int64) corpus.Generated {
 	return corpus.Split(corpus.Generate(seed, corpus.MaxShape))
@@ -42,9 +44,10 @@ func coldRender(t *testing.T, name string, g corpus.Generated, opts core.Options
 }
 
 // TestStoreDifferentProgramSameKey analyzes program A, then program B
-// under the same name and options. B replays whatever of A's state its
-// fingerprints allow, and its report must be byte-identical to a cold
-// analysis of B: the key holds no source text, so the fingerprints and
+// under the same name and options. B's sources differ, so B replays
+// nothing. Then A's state is planted under B's sources: B replays
+// whatever of it the fingerprints allow, and its report must be
+// byte-identical to a cold analysis of B, since the fingerprints and
 // verification alone carry correctness. B is another split seed, or A
 // after a seeded edit script.
 func TestStoreDifferentProgramSameKey(t *testing.T) {
@@ -61,13 +64,71 @@ func TestStoreDifferentProgramSameKey(t *testing.T) {
 		{"split2-then-edited", split130(2), editedSplit130(t, 2)},
 	} {
 		opts := core.Options{Stats: true}
+		want := coldRender(t, "N", tc.b, opts)
 		fresh(t, "N", tc.a.Sources, tc.a.CFiles, opts)
 		rep := fresh(t, "N", tc.b.Sources, tc.b.CFiles, opts)
+		if rep.Metrics.CacheHits != 0 {
+			t.Errorf("%s: replayed %d units of a state computed from other sources", tc.name, rep.Metrics.CacheHits)
+		}
+		if renderAll(t, rep) != want {
+			t.Errorf("%s: report after a different program's run differs from a cold run", tc.name)
+		}
+
+		fresh(t, "N", tc.a.Sources, tc.a.CFiles, opts)
+		if !core.PlantState("N", opts, tc.a.Sources, tc.b.Sources, tc.a.CFiles, tc.b.CFiles) {
+			t.Fatalf("%s: program A stored no state", tc.name)
+		}
+		rep = fresh(t, "N", tc.b.Sources, tc.b.CFiles, opts)
 		replayed := rep.Metrics.CacheHits
-		if got, want := renderAll(t, rep), coldRender(t, "N", tc.b, opts); got != want {
-			t.Errorf("%s: report after a different program's state differs from a cold run", tc.name)
+		if renderAll(t, rep) != want {
+			t.Errorf("%s: report after replaying a different program's state differs from a cold run", tc.name)
+		}
+		if strings.Contains(tc.name, "edited") && replayed == 0 {
+			t.Errorf("%s: replayed no unit of the unedited program's state", tc.name)
 		}
 		t.Logf("%s: %d units replayed from the other program's state", tc.name, replayed)
+	}
+}
+
+// TestStoreChangedSourcesSolveCold appends a comment to every C file,
+// which changes no function and no report: the run over the changed
+// sources replays nothing and renders the same report, its repeat
+// replays every unit, and the original sources, whose state it
+// replaced, solve cold again.
+func TestStoreChangedSourcesSolveCold(t *testing.T) {
+	vfg.ResetStateStore()
+	t.Cleanup(vfg.ResetStateStore)
+	g := split130(1)
+	opts := core.Options{Stats: true}
+	want := renderAll(t, fresh(t, g.Name, g.Sources, g.CFiles, opts))
+
+	commented := corpus.Generated{Name: g.Name, CFiles: g.CFiles, Sources: make(map[string]string, len(g.Sources))}
+	for k, v := range g.Sources {
+		commented.Sources[k] = v
+	}
+	for _, cf := range g.CFiles {
+		// On the last line, so line counts and the report stay the same.
+		text := strings.TrimSuffix(g.Sources[cf], "\n")
+		commented.Sources[cf] = text + " /* changed */\n"
+	}
+	for i, tc := range []struct {
+		g        corpus.Generated
+		replayed bool
+	}{{commented, false}, {commented, true}, {g, false}} {
+		rep := fresh(t, g.Name, tc.g.Sources, tc.g.CFiles, opts)
+		hits, misses := 0, 129
+		if tc.replayed {
+			hits, misses = misses, hits
+		}
+		if m := rep.Metrics; m.CacheHits != hits || m.CacheMisses != misses {
+			t.Errorf("run %d: replayed %d units and solved %d, want %d and %d", i, m.CacheHits, m.CacheMisses, hits, misses)
+		}
+		if renderAll(t, rep) != want {
+			t.Errorf("run %d: report differs from the first run's", i)
+		}
+	}
+	if n := len(vfg.StateStoreKeys()); n != 1 {
+		t.Errorf("store holds %d states, want one slot for the system", n)
 	}
 }
 
@@ -114,7 +175,8 @@ func TestStoreNoSharingAcrossOptions(t *testing.T) {
 }
 
 // TestStoreRegionChangeSolvesFromEmpty changes the shape of every
-// shared-memory region: nothing of the stored state may be replayed.
+// shared-memory region and plants the unchanged program's state under
+// the changed sources: nothing of it may be replayed.
 func TestStoreRegionChangeSolvesFromEmpty(t *testing.T) {
 	vfg.ResetStateStore()
 	t.Cleanup(vfg.ResetStateStore)
@@ -131,6 +193,9 @@ func TestStoreRegionChangeSolvesFromEmpty(t *testing.T) {
 		wider.Sources[k] = v
 	}
 	wider.Sources["gen.h"] = strings.Replace(g.Sources["gen.h"], field, "int flag; int pad; double extra; }", 1)
+	if !core.PlantState(g.Name, opts, g.Sources, wider.Sources, g.CFiles, wider.CFiles) {
+		t.Fatal("the unchanged program stored no state")
+	}
 	rep := fresh(t, g.Name, wider.Sources, wider.CFiles, opts)
 	if m := rep.Metrics; m.CacheHits != 0 || m.IncrFuncsReused != 0 {
 		t.Errorf("region change replayed %d units and reused %d functions, want none", m.CacheHits, m.IncrFuncsReused)

@@ -51,6 +51,7 @@
 package vfg
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -84,8 +85,8 @@ type IncrState struct {
 	regionFP uint64
 	units    map[string]*unitRecord
 	cells    map[pRef]pTaint
-	// check is the structural checksum taken at capture; the store
-	// verifies it on load.
+	// check is the structural checksum StoreState takes; LoadState
+	// verifies it.
 	check uint64
 }
 
@@ -176,9 +177,10 @@ func (f *fnvHash) bool(b bool) {
 // Two functions with equal hashes print identically and have identical
 // local transfer behavior under identical environments. It walks the IR
 // without printing, so it assigns no SSA names and writes nothing into
-// the function. Exported for the incremental frontend, which hashes
-// fragment functions at compile time so unchanged fragments can reuse
-// their hashes.
+// the function; an instruction, operand or type kind it does not know
+// panics, so a new kind cannot go unhashed. Exported for the incremental
+// frontend, which hashes fragment functions at compile time so unchanged
+// fragments can reuse their hashes.
 func HashFunctionBody(fn *ir.Function, assertVars map[*ir.Call]string) uint64 {
 	b := &bodyHasher{fnvHash: *newFNV()}
 	b.str(fn.Name)
@@ -247,7 +249,6 @@ const (
 	opRet
 	opBr
 	opUnreachable
-	opOther
 )
 
 // Operand tags.
@@ -261,7 +262,6 @@ const (
 	valFunc
 	valAlloca
 	valInstr
-	valOther
 )
 
 // pos mixes a position; a file equal to the previous position's is
@@ -286,7 +286,6 @@ const (
 	tyArray
 	tyStruct
 	tyFunc
-	tyOther
 )
 
 // typ mixes a type by structure, covering exactly what its printed form
@@ -325,8 +324,7 @@ func (b *bodyHasher) typ(t ctypes.Type) {
 		}
 		b.bool(x.Variadic)
 	default:
-		b.byte(tyOther)
-		b.str(t.String())
+		panic(fmt.Sprintf("vfg: HashFunctionBody: unhandled type %T", t))
 	}
 }
 
@@ -368,9 +366,7 @@ func (b *bodyHasher) val(v ir.Value) {
 		b.byte(valInstr)
 		b.int(int64(ir.ValueNum(v)))
 	default:
-		b.byte(valOther)
-		b.str(v.Ident())
-		b.typ(v.Type())
+		panic(fmt.Sprintf("vfg: HashFunctionBody: unhandled operand %T", v))
 	}
 }
 
@@ -445,8 +441,7 @@ func (b *bodyHasher) instr(in ir.Instr, assertVars map[*ir.Call]string) {
 	case *ir.Unreachable:
 		b.byte(opUnreachable)
 	default:
-		b.byte(opOther)
-		b.str(in.String())
+		panic(fmt.Sprintf("vfg: HashFunctionBody: unhandled instruction %T", in))
 	}
 	b.pos(in.Pos())
 	num := -1
@@ -1232,7 +1227,6 @@ func runIncremental(cfg Config) *Result {
 		}
 		res.Incr = stats
 		res.NextIncr = a.captureState(fps, regionFP)
-		res.NextIncr.check = res.NextIncr.checksum()
 		return res
 	}
 }

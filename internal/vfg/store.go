@@ -1,14 +1,18 @@
 // The store of last converged states: a process-level LRU that keeps,
 // per system and analysis options, the IncrState of the last converged
-// run, so the next analysis of the same system replays every unchanged
-// function instead of solving it.
+// run, so a repeat analysis of the same sources replays every function
+// instead of solving it.
 //
-// The key holds no source text. Correctness comes from the per-function
-// fingerprints, regionFingerprint and verifyIncremental — the argument
-// that makes a session update sound — never from the key: a state left
-// by a different program under the same key costs solves, not results.
-// A stored state is immutable once captured and shared read-only by
-// concurrent runs. Its structural checksum, taken at capture, is
+// The key holds no source text, so a system holds one slot whatever its
+// sources. Each entry is tagged with a digest of the sources it was
+// computed from, and only a run over the same digest replays it: a run
+// over changed sources solves from empty state, like a cold run, and
+// its state replaces the slot. Re-analysis in proportion to an edit is
+// what a session is for. The tag is not what makes replay sound: that
+// comes from the per-function fingerprints, regionFingerprint and
+// verifyIncremental, the argument that makes a session update sound.
+// A stored state is immutable once stored and shared read-only by
+// concurrent runs. Its structural checksum, taken when it is stored, is
 // verified on every load; a damaged entry is evicted and the run solves
 // from empty state.
 
@@ -25,8 +29,9 @@ import (
 const maxCachedModules = 64
 
 type storeEntry struct {
-	key string
-	st  *IncrState
+	key    string
+	digest uint64 // of the sources st was computed from
+	st     *IncrState
 }
 
 var stateStore = struct {
@@ -35,10 +40,11 @@ var stateStore = struct {
 	byKey map[string]*list.Element
 }{lru: list.New(), byKey: make(map[string]*list.Element)}
 
-// LoadState returns the last converged state stored under key, or nil.
+// LoadState returns the last converged state stored under key, or nil
+// when there is none or it was computed from sources other than digest.
 // corrupt reports an entry whose checksum no longer matched: it was
 // evicted, and the caller counts it and solves from empty state.
-func LoadState(key string) (st *IncrState, corrupt bool) {
+func LoadState(key string, digest uint64) (st *IncrState, corrupt bool) {
 	stateStore.Lock()
 	defer stateStore.Unlock()
 	el, ok := stateStore.byKey[key]
@@ -46,6 +52,9 @@ func LoadState(key string) (st *IncrState, corrupt bool) {
 		return nil, false
 	}
 	e := el.Value.(*storeEntry)
+	if e.digest != digest {
+		return nil, false
+	}
 	if e.st.check != e.st.checksum() {
 		stateStore.lru.Remove(el)
 		delete(stateStore.byKey, key)
@@ -55,17 +64,22 @@ func LoadState(key string) (st *IncrState, corrupt bool) {
 	return e.st, false
 }
 
-// StoreState records st as the last converged state under key. st must
-// come from a converged, unfaulted, non-degraded run (Result.NextIncr).
-func StoreState(key string, st *IncrState) {
+// StoreState records st, computed from the sources digest names, as the
+// last converged state under key, and takes its checksum. st must come
+// from a converged, unfaulted, non-degraded run (Result.NextIncr) and is
+// not modified after.
+func StoreState(key string, digest uint64, st *IncrState) {
+	check := st.checksum()
 	stateStore.Lock()
 	defer stateStore.Unlock()
+	st.check = check
 	if el, ok := stateStore.byKey[key]; ok {
-		el.Value.(*storeEntry).st = st
+		e := el.Value.(*storeEntry)
+		e.digest, e.st = digest, st
 		stateStore.lru.MoveToFront(el)
 		return
 	}
-	stateStore.byKey[key] = stateStore.lru.PushFront(&storeEntry{key: key, st: st})
+	stateStore.byKey[key] = stateStore.lru.PushFront(&storeEntry{key: key, digest: digest, st: st})
 	for stateStore.lru.Len() > maxCachedModules {
 		oldest := stateStore.lru.Back()
 		stateStore.lru.Remove(oldest)
