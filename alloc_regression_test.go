@@ -53,7 +53,7 @@ func TestAllocRegression_Phases13(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
+					rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{})
 					if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 						b.Fatalf("counts diverged")
 					}
@@ -88,7 +88,7 @@ func TestAllocRegression_FrontendSplit130(t *testing.T) {
 		t.Skip("allocation pin skipped in -short mode")
 	}
 	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
-	opts := frontend.Options{Workers: 1, DisableParseCache: true}
+	opts := frontend.Options{Workers: 1}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

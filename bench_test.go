@@ -51,47 +51,48 @@ func benchmarkSystem(b *testing.B, sys corpus.System, opts core.Options) {
 }
 
 func BenchmarkTable1_IP(b *testing.B) {
-	benchmarkSystem(b, corpus.IP(), core.Options{})
+	benchmarkSystem(b, corpus.IP(), core.Options{Cache: core.NewCache()})
 }
 
 func BenchmarkTable1_GenericSimplex(b *testing.B) {
-	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{})
+	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Cache: core.NewCache()})
 }
 
 func BenchmarkTable1_DoubleIP(b *testing.B) {
-	benchmarkSystem(b, corpus.DoubleIP(), core.Options{})
+	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Cache: core.NewCache()})
 }
 
 // ---------------------------------------------------------------------------
 // Parallel pipeline: worker counts, batch fan-out, and phase-3 replay.
 // The Workers1/WorkersMax pairs record the intra-pipeline speedup; the
 // AnalyzeAll pair records the batch fan-out speedup; the SummaryCache pair
-// records the warm-run speedup from replaying the stored phase-3 state. All
-// variants disable the cache except the cache benchmark itself, so they
-// measure the work they name.
+// records the warm-run speedup from replaying the stored phase-3 state. The
+// core variants run without a cache except the cache benchmarks
+// themselves, so they measure the work they name; the batch pair goes
+// through the public API and its process cache.
 
 func BenchmarkParallel_IP_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_IP_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 0})
 }
 
 func BenchmarkParallel_GenericSimplex_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_GenericSimplex_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 0})
 }
 
 func BenchmarkParallel_DoubleIP_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_DoubleIP_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 0})
 }
 
 func table1Jobs(b *testing.B) []safeflow.Job {
@@ -105,7 +106,6 @@ func table1Jobs(b *testing.B) []safeflow.Job {
 		}
 		jobs[i] = safeflow.Job{
 			Name: sys.Name, Sources: src, CFiles: sys.CFiles,
-			Options: core.Options{DisableCache: true},
 		}
 	}
 	return jobs
@@ -152,12 +152,12 @@ func BenchmarkParallel_AnalyzeAll_Serial(b *testing.B) {
 func BenchmarkParallel_SummaryCache(b *testing.B) {
 	sys := corpus.GenericSimplex()
 	b.Run("cold", func(b *testing.B) {
-		benchmarkSystem(b, sys, core.Options{DisableCache: true})
+		benchmarkSystem(b, sys, core.Options{})
 	})
 	// Every iteration after the first replays the phase-3 state its
 	// predecessor stored.
 	b.Run("warm", func(b *testing.B) {
-		benchmarkSystem(b, sys, core.Options{})
+		benchmarkSystem(b, sys, core.Options{Cache: core.NewCache()})
 	})
 }
 
@@ -183,8 +183,8 @@ func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, core.Options{DisableCache: true}) })
-	b.Run("warm", func(b *testing.B) { run(b, core.Options{}) })
+	b.Run("cold", func(b *testing.B) { run(b, core.Options{}) })
+	b.Run("warm", func(b *testing.B) { run(b, core.Options{Cache: core.NewCache()}) })
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ func BenchmarkAblation_SummaryVsExponential(b *testing.B) {
 	b.Run("summaries", func(b *testing.B) {
 		// Cache off: the ablation measures the summary algorithm itself,
 		// not warm-start seeding from a previous iteration.
-		benchmarkSystem(b, sys, core.Options{DisableCache: true})
+		benchmarkSystem(b, sys, core.Options{})
 	})
 	b.Run("per_call_path", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{Exponential: true})
@@ -458,7 +458,7 @@ func BenchmarkParallel_Phases13(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
+				rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{})
 				if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
 					b.Fatalf("counts diverged")
 				}

@@ -120,6 +120,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := safeflow.Options{
 		Exponential: *exponential, Roots: roots, Stats: *stats, Workers: *workers,
 		Recover: !*strict,
+		// One cache per invocation: a process runs once, and every run in
+		// one test binary starts as cold as a new process.
+		Cache: safeflow.NewCache(),
 	}
 	if *policyArg != "" {
 		pol, err := safeflow.LoadPolicy(*policyArg)

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"safeflow/internal/frontend"
 )
 
 const defective = `
@@ -177,9 +175,6 @@ func TestCLICacheDir(t *testing.T) {
 	dir := writeTemp(t, "core.c", defective)
 	cacheDir := t.TempDir()
 
-	// An earlier test may have parsed the same unit in this process; a
-	// memory hit writes nothing to disk.
-	frontend.ResetParseCache()
 	var first, second, errOut strings.Builder
 	if code := run([]string{"-cachedir", cacheDir, "-format", "json", dir}, &first, &errOut); code != 1 {
 		t.Fatalf("first run exit = %d (stderr: %s)", code, errOut.String())

@@ -8,14 +8,8 @@
 // Instrumentation flags: -stats collects run metrics during -table1 and
 // prints each system's snapshot after the table; -cpuprofile f and
 // -trace f capture a pprof CPU profile / runtime execution trace of the
-// whole benchmark run; -json emits a machine-readable benchmark record
-// (per-system cold/warm end-to-end times, phase 1-3 ns / allocs / bytes
-// per op, cache hit rates, daemon request latencies, and incremental
-// session-update latencies) instead of the human-readable sections — the
-// checked-in perf trajectory points (BENCH_pr3.json, …) are its output.
-// -incrsmoke runs only the incremental-update smoke gate: a quick
-// session benchmark that fails when the p95 update latency is not
-// cheaper than a cold end-to-end run.
+// whole benchmark run. Performance is measured by the bench module
+// (bench/run.sh), not here.
 //
 // Measured values are printed next to the paper's, so divergence in the
 // environment-dependent columns (LoC of our reimplemented corpus) is
@@ -24,29 +18,18 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
-	"testing"
 	"time"
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
-	"safeflow/internal/daemon"
-	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 	"safeflow/internal/report"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 	"safeflow/pkg/simplexrt"
 )
@@ -63,11 +46,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ablation := fs.Bool("ablation", false, "run the phase-3 cost ablation")
 	all := fs.Bool("all", false, "run everything")
 	stats := fs.Bool("stats", false, "collect and print per-system run metrics with Table 1")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable benchmark record and exit")
-	incrSmoke := fs.Bool("incrsmoke", false, "run the incremental-update smoke gate and exit (fails if p95 update is not cheaper than a cold run)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
-	cacheDir := fs.String("cachedir", "", "disk-cache directory for the -json daemon benchmark (default: a fresh temporary dir, so cold requests are genuinely cold)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,17 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		defer trace.Stop()
-	}
-
-	if *incrSmoke {
-		return runIncrSmoke(stdout)
-	}
-	if *jsonOut {
-		if err := runJSON(stdout, *cacheDir); err != nil {
-			fmt.Fprintf(stderr, "sfbench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	ok := true
@@ -196,244 +165,6 @@ func runTable1(w io.Writer, stats bool) bool {
 	return allMatch
 }
 
-// benchSystem is one corpus system's row in the -json record.
-type benchSystem struct {
-	Name string `json:"name"`
-	// End-to-end wall times through the public pipeline (frontend +
-	// phases 1-3), first run cold, then the fastest of the warm repeats
-	// (parse cache hot, phase 3 replayed from the stored state).
-	ColdNS      int64   `json:"end_to_end_cold_ns"`
-	WarmNS      int64   `json:"end_to_end_warm_ns"`
-	WarmSpeedup float64 `json:"warm_speedup"`
-	// Phases 1-3 only (module compiled outside the timer, caches off) —
-	// the allocation profile the regression tests pin.
-	Phases13NSPerOp     int64 `json:"phases13_ns_per_op"`
-	Phases13AllocsPerOp int64 `json:"phases13_allocs_per_op"`
-	Phases13BytesPerOp  int64 `json:"phases13_bytes_per_op"`
-	// Cache hit rates observed on the last warm run.
-	FrontendCacheHitRate float64 `json:"frontend_cache_hit_rate"`
-	SummaryCacheHitRate  float64 `json:"summary_cache_hit_rate"`
-	// Report-rendering cost for the machine formats (the CI policy gate
-	// renders SARIF on every run, so regressions here are user-visible).
-	JSONRenderNSPerOp  int64 `json:"json_render_ns_per_op"`
-	SARIFRenderNSPerOp int64 `json:"sarif_render_ns_per_op"`
-}
-
-// daemonBench is one corpus system's request-latency row for the
-// safeflowd service path: the same analysis issued as POST /v1/analyze,
-// first with every cache empty, then with only the disk tier warm (the
-// restarted-daemon case), then with the in-memory caches hot (the
-// steady-state case).
-type daemonBench struct {
-	Name                string `json:"name"`
-	ColdRequestNS       int64  `json:"request_cold_ns"`
-	DiskWarmRequestNS   int64  `json:"request_disk_warm_ns"`
-	MemoryWarmRequestNS int64  `json:"request_memory_warm_ns"`
-}
-
-type benchRecord struct {
-	SchemaVersion int           `json:"schema_version"`
-	GoVersion     string        `json:"go_version"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	Systems       []benchSystem `json:"systems"`
-	Daemon        []daemonBench `json:"daemon"`
-	Incremental   []incrBench   `json:"incremental"`
-}
-
-// runJSON measures every corpus system and emits one benchRecord. It must
-// run in a fresh process (the run loop returns right after it) so the
-// first end-to-end run is genuinely cold: the parse cache is reset
-// explicitly and the store of phase-3 states starts empty.
-func runJSON(w io.Writer, cacheDir string) error {
-	const warmRuns = 5
-	// Schema v2 added the "daemon" request-latency section; v3 added the
-	// "incremental" session-update section; v4 adds the JSON/SARIF
-	// render-cost columns.
-	rec := benchRecord{SchemaVersion: 4, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, sys := range corpus.All() {
-		src, err := sys.SourceMap()
-		if err != nil {
-			return fmt.Errorf("%s: %w", sys.Name, err)
-		}
-		opts := safeflow.Options{Stats: true}
-		frontend.ResetParseCache()
-
-		run := func() (*safeflow.Report, int64, error) {
-			t0 := time.Now()
-			rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, opts)
-			elapsed := time.Since(t0).Nanoseconds()
-			if err != nil {
-				return nil, 0, err
-			}
-			if len(rep.ErrorsData) != sys.Expected.Errors || len(rep.Warnings) != sys.Expected.Warnings {
-				return nil, 0, fmt.Errorf("%s: report counts diverged from Table 1", sys.Name)
-			}
-			return rep, elapsed, nil
-		}
-
-		_, coldNS, err := run()
-		if err != nil {
-			return err
-		}
-		var warmNS int64
-		var last *safeflow.Report
-		for i := 0; i < warmRuns; i++ {
-			rep, ns, err := run()
-			if err != nil {
-				return err
-			}
-			if warmNS == 0 || ns < warmNS {
-				warmNS = ns
-			}
-			last = rep
-		}
-
-		csrc, err := sys.Sources()
-		if err != nil {
-			return fmt.Errorf("%s: %w", sys.Name, err)
-		}
-		res, err := frontend.Compile(context.Background(), sys.Name, csrc, sys.CFiles, frontend.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sys.Name, err)
-		}
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{DisableCache: true})
-				if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
-					b.Fatalf("counts diverged")
-				}
-			}
-		})
-
-		row := benchSystem{
-			Name:                sys.Name,
-			ColdNS:              coldNS,
-			WarmNS:              warmNS,
-			WarmSpeedup:         float64(coldNS) / float64(warmNS),
-			Phases13NSPerOp:     br.NsPerOp(),
-			Phases13AllocsPerOp: br.AllocsPerOp(),
-			Phases13BytesPerOp:  br.AllocedBytesPerOp(),
-		}
-		renderBench := func(render func(io.Writer, *safeflow.Report) error) int64 {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := render(io.Discard, last); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			return r.NsPerOp()
-		}
-		row.JSONRenderNSPerOp = renderBench(safeflow.WriteReportJSON)
-		row.SARIFRenderNSPerOp = renderBench(safeflow.WriteReportSARIF)
-		if m := last.Metrics; m != nil {
-			if total := m.FrontendCacheHits + m.FrontendCacheMisses; total > 0 {
-				row.FrontendCacheHitRate = float64(m.FrontendCacheHits) / float64(total)
-			}
-			if total := m.CacheHits + m.CacheMisses; total > 0 {
-				row.SummaryCacheHitRate = float64(m.CacheHits) / float64(total)
-			}
-		}
-		rec.Systems = append(rec.Systems, row)
-	}
-	daemonRows, err := benchDaemon(cacheDir)
-	if err != nil {
-		return fmt.Errorf("daemon benchmark: %w", err)
-	}
-	rec.Daemon = daemonRows
-	incrRows, err := benchIncremental()
-	if err != nil {
-		return fmt.Errorf("incremental benchmark: %w", err)
-	}
-	rec.Incremental = incrRows
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rec)
-}
-
-// benchDaemon serves the analyzer through internal/daemon on an
-// in-process listener and times one request per cache temperature for
-// each corpus system. The memory-warm figure is the best of three
-// repeats; cold and disk-warm are single shots by construction (a second
-// request would no longer be cold). With the default empty cacheDir a
-// fresh temporary store is used and removed afterwards.
-func benchDaemon(cacheDir string) ([]daemonBench, error) {
-	if cacheDir == "" {
-		tmp, err := os.MkdirTemp("", "sfbench-daemon-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		cacheDir = tmp
-	}
-	dc, err := diskcache.Open(cacheDir, 0)
-	if err != nil {
-		return nil, err
-	}
-	srv := httptest.NewServer(daemon.New(daemon.Config{Cache: dc}).Handler())
-	defer srv.Close()
-
-	resetCaches := func() {
-		frontend.ResetParseCache()
-		vfg.ResetStateStore()
-	}
-	request := func(body []byte) (int64, error) {
-		t0 := time.Now()
-		resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		elapsed := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return 0, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("status %d: %s", resp.StatusCode, data)
-		}
-		return elapsed, nil
-	}
-
-	var rows []daemonBench
-	for _, sys := range corpus.All() {
-		src, err := sys.SourceMap()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sys.Name, err)
-		}
-		body, err := json.Marshal(daemon.AnalyzeRequest{
-			Name: sys.Name, Sources: src, CFiles: sys.CFiles,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := daemonBench{Name: sys.Name}
-		resetCaches()
-		if row.ColdRequestNS, err = request(body); err != nil {
-			return nil, fmt.Errorf("%s cold: %w", sys.Name, err)
-		}
-		resetCaches() // only the disk tier survives this "restart"
-		if row.DiskWarmRequestNS, err = request(body); err != nil {
-			return nil, fmt.Errorf("%s disk-warm: %w", sys.Name, err)
-		}
-		for i := 0; i < 3; i++ {
-			ns, err := request(body)
-			if err != nil {
-				return nil, fmt.Errorf("%s memory-warm: %w", sys.Name, err)
-			}
-			if row.MemoryWarmRequestNS == 0 || ns < row.MemoryWarmRequestNS {
-				row.MemoryWarmRequestNS = ns
-			}
-		}
-		rows = append(rows, row)
-	}
-	// The request loop above warmed the process-wide caches with daemon
-	// traffic; reset so nothing later in a combined run sees them warm.
-	resetCaches()
-	return rows, nil
-}
-
 func runFigure1(w io.Writer) bool {
 	fmt.Fprintln(w, "Figure 1: inverted-pendulum Simplex architecture, closed loop")
 	fmt.Fprintln(w, strings.Repeat("=", 78))
@@ -483,10 +214,10 @@ func runAblation(w io.Writer) bool {
 	fmt.Fprintln(w, strings.Repeat("=", 78))
 	ok := true
 	for _, sys := range corpus.All() {
-		// Cache off: the ablation compares the two algorithms' unit
+		// No cache: the ablation compares the two algorithms' unit
 		// solves; a stored state (e.g. after -table1 in the same
 		// process) would replay units and understate the summary-mode count.
-		fast, err := sys.Analyze(core.Options{DisableCache: true})
+		fast, err := sys.Analyze(core.Options{})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)
 			ok = false

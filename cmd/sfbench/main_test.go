@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -66,47 +65,6 @@ func TestSfbenchProfilePathErrors(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%s unwritable: benchmark ran anyway:\n%s", flagName, out.String())
 		}
-	}
-}
-
-func TestSfbenchJSONIncludesDaemonSection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full benchmark run")
-	}
-	var out, errOut strings.Builder
-	code := run([]string{"-json", "-cachedir", t.TempDir()}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit = %d (stderr: %s)", code, errOut.String())
-	}
-	var rec benchRecord
-	if err := json.Unmarshal([]byte(out.String()), &rec); err != nil {
-		t.Fatalf("output is not a benchRecord: %v", err)
-	}
-	if rec.SchemaVersion != 4 {
-		t.Errorf("schema_version = %d, want 4", rec.SchemaVersion)
-	}
-	if len(rec.Systems) != 3 || len(rec.Daemon) != 3 {
-		t.Fatalf("systems = %d, daemon rows = %d, want 3 each", len(rec.Systems), len(rec.Daemon))
-	}
-	for _, d := range rec.Daemon {
-		if d.ColdRequestNS <= 0 || d.DiskWarmRequestNS <= 0 || d.MemoryWarmRequestNS <= 0 {
-			t.Errorf("%s: non-positive latency row %+v", d.Name, d)
-		}
-	}
-	if len(rec.Incremental) != 4 {
-		t.Fatalf("incremental rows = %d, want 4 (Table 1 corpus + 50-TU system)", len(rec.Incremental))
-	}
-	for _, r := range rec.Incremental {
-		if r.OpenNS <= 0 || r.ColdNS <= 0 || r.UpdateP50NS <= 0 || r.UpdateP95NS <= 0 {
-			t.Errorf("%s: non-positive latency row %+v", r.Name, r)
-		}
-		if r.Fallbacks > 0 {
-			t.Errorf("%s: %d updates fell back to from-scratch analysis", r.Name, r.Fallbacks)
-		}
-	}
-	last := rec.Incremental[len(rec.Incremental)-1]
-	if last.TranslationUnits != 50 {
-		t.Errorf("last incremental row has %d translation units, want the 50-TU system", last.TranslationUnits)
 	}
 }
 

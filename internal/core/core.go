@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"safeflow/internal/cache"
 	"safeflow/internal/callgraph"
 	"safeflow/internal/cpp"
 	"safeflow/internal/ctoken"
@@ -87,18 +88,17 @@ type Options struct {
 	// and of phase 3 (callgraph SCCs). 0 means runtime.GOMAXPROCS(0);
 	// 1 runs sequentially. Reports are byte-identical at every setting.
 	Workers int
-	// DisableCache makes the run cold: phase 3 neither loads nor stores
-	// the last converged state of the system (cold-run benchmarks,
-	// memory-constrained batch runs). Otherwise, when the last converged
-	// analysis of the same system name and options ran over the same
-	// sources, phase 3 replays its stored state instead of solving.
-	DisableCache bool
-	// DisableParseCache turns the frontend's content-keyed parse cache
-	// off, forcing every translation unit through lex + parse even when
-	// its preprocessed contents are unchanged from a prior run.
-	DisableParseCache bool
+	// Cache holds the in-memory tiers the run reads and fills: parsed
+	// translation units, and the last converged phase-3 state of each
+	// system. When the last converged analysis of the same system name
+	// and options through this Cache ran over the same sources, phase 3
+	// replays its stored state instead of solving. Nil runs cold: no
+	// parse tier, no persistent tier (DiskCache is ignored) and an
+	// untracked phase 3. pkg/safeflow fills a nil Cache with its
+	// process-wide one.
+	Cache *Cache
 	// DiskCache, when non-nil, adds a persistent content-addressed tier
-	// below the in-memory parse cache: parsed ASTs are written to the
+	// below Cache's in-memory parse tier: parsed ASTs are written to the
 	// store and read back across process restarts, so CLI warm starts and
 	// daemon workers skip work a previous process already did. Every
 	// entry is integrity-checked on read; a damaged entry is evicted and
@@ -280,11 +280,11 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		missing map[string]bool
 	)
 	fopts := frontend.Options{
-		Defines:           opts.Defines,
-		Workers:           opts.Workers,
-		DisableParseCache: opts.DisableParseCache,
-		DiskCache:         opts.DiskCache,
-		Metrics:           col,
+		Defines:   opts.Defines,
+		Workers:   opts.Workers,
+		Cache:     opts.Cache.parseTier(),
+		DiskCache: opts.DiskCache,
+		Metrics:   col,
 	}
 	done := col.Phase("frontend")
 	err := guard.Run("frontend", name, func() error {
@@ -321,7 +321,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		// A degraded module is never analyzed incrementally, nor stored:
 		// skipped-def summaries are conservative placeholders and are
 		// never reused.
-		opts.DisableCache = true
+		opts.Cache = nil
 		opts.incrOpts = nil
 	}
 	loc, annots, digest := scanSources(sources, cFiles)
@@ -439,7 +439,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	incr, storeKey := opts.incrOpts, ""
 	if usesStore(opts) && len(missing) == 0 {
 		storeKey = stateKey(name, opts)
-		prev, corrupt := vfg.LoadState(storeKey, digest)
+		prev, _, corrupt := opts.Cache.State.Get(storeKey, digest)
 		if corrupt {
 			col.AddCacheCorruptEvictions(1)
 		}
@@ -483,7 +483,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			// Only a converged run with no recovered panic in any phase is
 			// stored: a partial state would poison every later run.
 			if v.NextIncr != nil && len(rep.Internal) == 0 {
-				vfg.StoreState(storeKey, digest, v.NextIncr)
+				opts.Cache.State.Put(storeKey, digest, v.NextIncr)
 			}
 			hits, misses = v.Incr.UnitsReplayed, v.Incr.UnitsSolved
 		} else {
@@ -547,14 +547,45 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
-// usesStore reports whether a run loads and stores the last converged
-// phase-3 state: every run outside a session that is not cold or
-// exponential (a degraded run is made cold before it gets here).
-func usesStore(opts Options) bool {
-	return opts.incrOpts == nil && !opts.DisableCache && !opts.Exponential
+// Cache bundles the two in-memory tiers an analysis reads and fills,
+// both instances of the generic LRU of internal/cache. Create it with
+// NewCache; it is safe for concurrent use.
+type Cache struct {
+	// Parse holds parsed translation units (256 entries).
+	Parse *frontend.ParseCache
+	// State holds each system's last converged phase-3 state (64
+	// entries), keyed by stateKey and tagged with the digest of its
+	// sources; its integrity sum is the state's structural checksum.
+	State *cache.LRU[string, *vfg.IncrState]
 }
 
-// stateKey names a system's slot in the store of last converged states:
+// maxStates bounds a Cache's state tier.
+const maxStates = 64
+
+// NewCache returns an empty Cache.
+func NewCache() *Cache {
+	return &Cache{
+		Parse: frontend.NewParseCache(),
+		State: cache.NewLRU[string](maxStates, (*vfg.IncrState).Checksum),
+	}
+}
+
+// parseTier is c's parse tier, nil when c is.
+func (c *Cache) parseTier() *frontend.ParseCache {
+	if c == nil {
+		return nil
+	}
+	return c.Parse
+}
+
+// usesStore reports whether a run loads and stores the last converged
+// phase-3 state: every run outside a session that has a Cache and is not
+// exponential (a degraded run is made cold before it gets here).
+func usesStore(opts Options) bool {
+	return opts.incrOpts == nil && opts.Cache != nil && !opts.Exponential
+}
+
+// stateKey names a system's slot in the state tier of a Cache:
 // the system name plus every option that the per-function fingerprints
 // do not cover. It holds no source text, so a system keeps one slot as
 // its sources change; the slot's entry is tagged with the digest of its
@@ -580,7 +611,7 @@ func stateKey(name string, opts Options) string {
 	return b.String()
 }
 
-// digestSeed seeds the source digest: the store it tags lives in one
+// digestSeed seeds the source digest: the state tier it tags lives in one
 // process.
 var digestSeed = maphash.MakeSeed()
 

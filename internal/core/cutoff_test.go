@@ -33,7 +33,7 @@ func TestSessionEarlyCutoff(t *testing.T) {
 		t.Fatalf("%s: return statement not found", unit)
 	}
 	for _, w := range sessionWorkerCounts() {
-		opts := core.Options{Workers: w, Stats: true, DisableCache: true}
+		opts := core.Options{Workers: w, Stats: true}
 		s, _, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 		if err != nil {
 			t.Fatalf("open: %v", err)

@@ -32,17 +32,19 @@ func TestDeterministicReports(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, sys := range corpus.All() {
 		t.Run(sys.Name, func(t *testing.T) {
+			c := core.NewCache()
 			var wantText, wantJSON string
 			run := 0
 			for _, workers := range workerCounts {
 				for i := 0; i < determinismRuns; i++ {
-					// Odd runs disable the stored state so both the cold
-					// and the replaying phase-3 paths are exercised; either way
+					// Odd runs have no cache so both the cold and the
+					// replaying phase-3 paths are exercised; either way
 					// the bytes must not move.
-					rep, err := sys.Analyze(core.Options{
-						Workers:      workers,
-						DisableCache: i%2 == 1,
-					})
+					opts := core.Options{Workers: workers}
+					if i%2 == 0 {
+						opts.Cache = c
+					}
+					rep, err := sys.Analyze(opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,15 +79,16 @@ func TestDeterministicReportsWithMetrics(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, sys := range corpus.All() {
 		t.Run(sys.Name, func(t *testing.T) {
+			c := core.NewCache()
 			var wantText, wantJSON string
 			run := 0
 			for _, workers := range workerCounts {
 				for i := 0; i < determinismRuns/2; i++ {
-					rep, err := sys.Analyze(core.Options{
-						Workers:      workers,
-						Stats:        true,
-						DisableCache: i%2 == 1,
-					})
+					opts := core.Options{Workers: workers, Stats: true}
+					if i%2 == 0 {
+						opts.Cache = c
+					}
+					rep, err := sys.Analyze(opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -64,7 +64,7 @@ func TestSessionLinkGates(t *testing.T) {
 		{"second definition", linkProto, "double linkHelper(double v)\n{\n    return v;\n}\n"},
 	}
 
-	opts := core.Options{Workers: 2, Stats: true, DisableCache: true}
+	opts := core.Options{Workers: 2, Stats: true}
 	s, rep, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -79,7 +79,7 @@ func TestSessionLinkGates(t *testing.T) {
 			t.Fatalf("%s: edit does not anchor", e.name)
 		}
 		alone := cpp.MapSource{"gen.h": g.Sources["gen.h"], declUnit: edited}
-		if _, err := frontend.Compile(context.Background(), "alone", alone, []string{declUnit}, frontend.Options{DisableParseCache: true}); err != nil {
+		if _, err := frontend.Compile(context.Background(), "alone", alone, []string{declUnit}, frontend.Options{}); err != nil {
 			t.Fatalf("%s: the edited unit does not compile on its own: %v", e.name, err)
 		}
 

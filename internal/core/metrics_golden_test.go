@@ -37,7 +37,7 @@ func analyzeIPWithStats(t *testing.T, opts core.Options) *core.Report {
 
 func TestMetricsGolden(t *testing.T) {
 	// Cold, so phase 3 solves: UnitsSolved below checks a live collector.
-	rep := analyzeIPWithStats(t, core.Options{Workers: 2, DisableCache: true})
+	rep := analyzeIPWithStats(t, core.Options{Workers: 2})
 	m := rep.Metrics
 
 	// Volatile fields must be live before canonicalization — a golden
@@ -88,10 +88,11 @@ func TestMetricsGolden(t *testing.T) {
 // cache temperatures canonicalize to identical bytes.
 func TestMetricsCanonicalStable(t *testing.T) {
 	var first []byte
+	c := core.NewCache()
 	for i, opts := range []core.Options{
-		{Workers: 1, DisableCache: true},
-		{Workers: 2},
-		{Workers: runtime.GOMAXPROCS(0)}, // warm cache by now
+		{Workers: 1},
+		{Workers: 2, Cache: c},
+		{Workers: runtime.GOMAXPROCS(0), Cache: c}, // warm cache by now
 	} {
 		m := analyzeIPWithStats(t, opts).Metrics
 		m.Canonicalize()
@@ -105,7 +106,7 @@ func TestMetricsCanonicalStable(t *testing.T) {
 		}
 		if !bytes.Equal(got, first) {
 			t.Errorf("run %d (workers=%d cache=%v): canonical metrics diverged:\n got %s\nwant %s",
-				i, opts.Workers, !opts.DisableCache, got, first)
+				i, opts.Workers, opts.Cache != nil, got, first)
 		}
 	}
 }

@@ -7,17 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 	"safeflow/internal/policy"
 	"safeflow/internal/remotecache"
-	"safeflow/internal/vfg"
 )
 
 // credSrc carries a credential from getpass straight into the log — one
@@ -67,13 +64,12 @@ func TestPolicyFingerprintDistinct(t *testing.T) {
 }
 
 // TestPolicyCacheIsolationMemory runs the same system under two
-// policies and asserts the store of last converged states holds two
-// separate entries — neither run replayed the other's state.
+// policies and asserts the state tier holds two separate entries —
+// neither run replayed the other's state.
 func TestPolicyCacheIsolationMemory(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
-	cred := Options{Policy: mustBuiltin(t, "credential-leak")}
-	pii := Options{Policy: mustBuiltin(t, "pii-to-log")}
+	c := NewCache()
+	cred := Options{Policy: mustBuiltin(t, "credential-leak"), Cache: c}
+	pii := Options{Policy: mustBuiltin(t, "pii-to-log"), Cache: c}
 	rep := analyzeCred(t, credSrc, cred)
 	if len(rep.ErrorsData) != 1 {
 		t.Fatalf("credential-leak: got %d errors, want 1", len(rep.ErrorsData))
@@ -82,11 +78,14 @@ func TestPolicyCacheIsolationMemory(t *testing.T) {
 	if len(rep.ErrorsData) != 0 {
 		t.Fatalf("pii-to-log: got %d errors, want 0", len(rep.ErrorsData))
 	}
-	keys := vfg.StateStoreKeys()
-	want := []string{stateKey("credsys", cred), stateKey("credsys", pii)}
-	sort.Strings(want)
-	if !reflect.DeepEqual(keys, want) {
-		t.Fatalf("store holds keys %q, want one per policy %q", keys, want)
+	if n := c.State.Len(); n != 2 {
+		t.Fatalf("cache holds %d states, want one per policy", n)
+	}
+	_, _, digest := scanSources(cpp.MapSource{"main.c": credSrc}, []string{"main.c"})
+	for _, opts := range []Options{cred, pii} {
+		if _, ok, _ := c.State.Get(stateKey("credsys", opts), digest); !ok {
+			t.Errorf("no state under %q", stateKey("credsys", opts))
+		}
 	}
 }
 
@@ -123,14 +122,11 @@ func (r *recordingCache) namespaces() map[string]int {
 // units only: phase-3 state never leaves the process, so runs under two
 // policies write parse entries and nothing in a summary namespace.
 func TestPolicyCacheIsolationDisk(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
 	var _ diskcache.CacheBackend = (*recordingCache)(nil)
 
 	for _, name := range []string{"credential-leak", "pii-to-log"} {
-		frontend.ResetParseCache()
 		rc := &recordingCache{}
-		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), DiskCache: rc})
+		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), Cache: NewCache(), DiskCache: rc})
 		ns := rc.namespaces()
 		if ns["parse"] == 0 || len(ns) != 1 {
 			t.Fatalf("%s: disk tier writes %v, want parse entries only", name, ns)
@@ -142,8 +138,6 @@ func TestPolicyCacheIsolationDisk(t *testing.T) {
 // recording HTTP server and asserts that runs under two policies write
 // parse entries and nothing in a summary namespace.
 func TestPolicyCacheIsolationRemote(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
 
 	var mu sync.Mutex
 	var paths []string
@@ -164,11 +158,10 @@ func TestPolicyCacheIsolationRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"credential-leak", "pii-to-log"} {
-		frontend.ResetParseCache()
 		mu.Lock()
 		paths = nil
 		mu.Unlock()
-		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), DiskCache: client})
+		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), Cache: NewCache(), DiskCache: client})
 		mu.Lock()
 		if len(paths) == 0 {
 			t.Fatalf("%s: remote tier saw no writes", name)

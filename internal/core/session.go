@@ -89,10 +89,10 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 		s.sources[k] = v
 	}
 	fopts := frontend.Options{
-		Defines:           s.opts.Defines,
-		Workers:           s.opts.Workers,
-		DisableParseCache: s.opts.DisableParseCache,
-		DiskCache:         s.opts.DiskCache,
+		Defines:   s.opts.Defines,
+		Workers:   s.opts.Workers,
+		Cache:     s.opts.Cache.parseTier(),
+		DiskCache: s.opts.DiskCache,
 	}
 	s.fc = frontend.NewFragmentCompiler(name, fopts, vfg.HashFunctionBody)
 	rep, _, err := s.update(ctx)

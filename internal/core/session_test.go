@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
@@ -58,7 +57,7 @@ func TestSessionGeneratedLifecycle(t *testing.T) {
 	}
 	for _, w := range sessionWorkerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			opts := core.Options{Workers: w, Stats: true, DisableCache: true}
+			opts := core.Options{Workers: w, Stats: true}
 			s, rep, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -115,7 +114,7 @@ func TestSessionCorpusSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.Options{Workers: 2, Stats: true, DisableCache: true}
+			opts := core.Options{Workers: 2, Stats: true}
 			s, _, err := core.OpenSession(context.Background(), sys.Name, sources, sys.CFiles, opts)
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -164,7 +163,7 @@ func TestSessionCorpusSystems(t *testing.T) {
 // from-scratch report at every step and recovers its fast path.
 func TestSessionDegradedThenFixed(t *testing.T) {
 	g := corpus.Generate(3, corpus.GenConfig{})
-	opts := core.Options{Workers: 2, Stats: true, Recover: true, DisableCache: true}
+	opts := core.Options{Workers: 2, Stats: true, Recover: true}
 	s, _, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -210,7 +209,7 @@ func TestSessionDegradedThenFixed(t *testing.T) {
 // comparing against from-scratch runs with the same unit list.
 func TestSessionAddRemoveFile(t *testing.T) {
 	g := corpus.Generate(5, corpus.GenConfig{})
-	opts := core.Options{Workers: 2, Stats: true, DisableCache: true}
+	opts := core.Options{Workers: 2, Stats: true}
 	s, _, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -243,15 +242,12 @@ func TestSessionAddRemoveFile(t *testing.T) {
 	}
 }
 
-// Opening a session compiles the system once: on a cold parse cache the
-// open report counts one parse-cache miss per unit and no hits (a second
+// Opening a session compiles the system once: on a new cache the open
+// report counts one parse-cache miss per unit and no hits (a second
 // compile of the same units would be all hits).
 func TestSessionOpenCompilesOnce(t *testing.T) {
 	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
-	// Fresh content: a comment unique to this run changes every unit's
-	// preprocessed text, so no earlier compile can have cached it.
-	g.Sources["gen.h"] += fmt.Sprintf("/* %s %d */\n", t.Name(), time.Now().UnixNano())
-	opts := core.Options{Workers: 1, Stats: true}
+	opts := core.Options{Workers: 1, Stats: true, Cache: core.NewCache()}
 	s, rep, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

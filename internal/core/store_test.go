@@ -9,15 +9,15 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/pointsto"
 	"safeflow/internal/policy"
-	"safeflow/internal/vfg"
 )
 
 // A plain analysis replays the last converged phase-3 state of the same
 // system name and options when that state was computed from the same
 // sources. These oracles check that the state never changes a report:
-// whatever the store holds, the report is the one a cold (DisableCache)
-// analysis of the same sources renders. Where a test needs a run to
-// replay another program's state, core.PlantState re-tags it.
+// whatever a Cache holds, the report is the one a cold (nil Cache)
+// analysis of the same sources renders. Each test owns the Cache it
+// uses. Where a test needs a run to replay another program's state,
+// core.PlantState re-tags it.
 
 func split130(seed int64) corpus.Generated {
 	return corpus.Split(corpus.Generate(seed, corpus.MaxShape))
@@ -36,10 +36,10 @@ func editedSplit130(t *testing.T, seed int64) corpus.Generated {
 	return corpus.Split(g)
 }
 
-// coldRender is the reference: the rendered report of a DisableCache run.
+// coldRender is the reference: the rendered report of a run with no Cache.
 func coldRender(t *testing.T, name string, g corpus.Generated, opts core.Options) string {
 	t.Helper()
-	opts.DisableCache = true
+	opts.Cache = nil
 	return renderAll(t, fresh(t, name, g.Sources, g.CFiles, opts))
 }
 
@@ -51,8 +51,7 @@ func coldRender(t *testing.T, name string, g corpus.Generated, opts core.Options
 // verification alone carry correctness. B is another split seed, or A
 // after a seeded edit script.
 func TestStoreDifferentProgramSameKey(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	for _, tc := range []struct {
 		name string
 		a, b corpus.Generated
@@ -63,7 +62,7 @@ func TestStoreDifferentProgramSameKey(t *testing.T) {
 		{"split1-then-edited", split130(1), editedSplit130(t, 1)},
 		{"split2-then-edited", split130(2), editedSplit130(t, 2)},
 	} {
-		opts := core.Options{Stats: true}
+		opts := core.Options{Stats: true, Cache: c}
 		want := coldRender(t, "N", tc.b, opts)
 		fresh(t, "N", tc.a.Sources, tc.a.CFiles, opts)
 		rep := fresh(t, "N", tc.b.Sources, tc.b.CFiles, opts)
@@ -96,10 +95,9 @@ func TestStoreDifferentProgramSameKey(t *testing.T) {
 // replays every unit, and the original sources, whose state it
 // replaced, solve cold again.
 func TestStoreChangedSourcesSolveCold(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	g := split130(1)
-	opts := core.Options{Stats: true}
+	opts := core.Options{Stats: true, Cache: c}
 	want := renderAll(t, fresh(t, g.Name, g.Sources, g.CFiles, opts))
 
 	commented := corpus.Generated{Name: g.Name, CFiles: g.CFiles, Sources: make(map[string]string, len(g.Sources))}
@@ -127,7 +125,7 @@ func TestStoreChangedSourcesSolveCold(t *testing.T) {
 			t.Errorf("run %d: report differs from the first run's", i)
 		}
 	}
-	if n := len(vfg.StateStoreKeys()); n != 1 {
+	if n := c.State.Len(); n != 1 {
 		t.Errorf("store holds %d states, want one slot for the system", n)
 	}
 }
@@ -136,8 +134,7 @@ func TestStoreChangedSourcesSolveCold(t *testing.T) {
 // under the same system name: no run may replay a state another option
 // set left, and each report equals its cold reference.
 func TestStoreNoSharingAcrossOptions(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	cs := corpus.IP()
 	src, err := cs.SourceMap()
 	if err != nil {
@@ -149,10 +146,10 @@ func TestStoreNoSharingAcrossOptions(t *testing.T) {
 		t.Fatal("credential-leak policy missing")
 	}
 	variants := []core.Options{
-		{Stats: true},
-		{Stats: true, Policy: cred},
-		{Stats: true, Roots: []string{"main"}},
-		{Stats: true, PointsTo: pointsto.ModeUnify},
+		{Stats: true, Cache: c},
+		{Stats: true, Cache: c, Policy: cred},
+		{Stats: true, Cache: c, Roots: []string{"main"}},
+		{Stats: true, Cache: c, PointsTo: pointsto.ModeUnify},
 	}
 	for i, opts := range variants {
 		rep := fresh(t, g.Name, g.Sources, g.CFiles, opts)
@@ -163,7 +160,7 @@ func TestStoreNoSharingAcrossOptions(t *testing.T) {
 			t.Errorf("variant %d: report differs from a cold run", i)
 		}
 	}
-	if n := len(vfg.StateStoreKeys()); n != len(variants) {
+	if n := c.State.Len(); n != len(variants) {
 		t.Errorf("store holds %d states, want one per option set (%d)", n, len(variants))
 	}
 	// Each option set finds its own state again.
@@ -178,10 +175,9 @@ func TestStoreNoSharingAcrossOptions(t *testing.T) {
 // shared-memory region and plants the unchanged program's state under
 // the changed sources: nothing of it may be replayed.
 func TestStoreRegionChangeSolvesFromEmpty(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	g := split130(1)
-	opts := core.Options{Stats: true}
+	opts := core.Options{Stats: true, Cache: c}
 	fresh(t, g.Name, g.Sources, g.CFiles, opts)
 
 	const field = "int flag; int pad; }"
@@ -209,13 +205,12 @@ func TestStoreRegionChangeSolvesFromEmpty(t *testing.T) {
 // must evict it, count the eviction, solve from empty state with an
 // unchanged report, and store a good state again.
 func TestStoreCorruptionSelfHeals(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	g := split130(2)
-	opts := core.Options{Stats: true}
+	opts := core.Options{Stats: true, Cache: c}
 	want := coldRender(t, g.Name, g, opts)
 	fresh(t, g.Name, g.Sources, g.CFiles, opts)
-	if n := vfg.CorruptStateStore(1); n != 1 {
+	if n := c.State.Corrupt(1); n != 1 {
 		t.Fatalf("corrupted %d states, want 1", n)
 	}
 	rep := fresh(t, g.Name, g.Sources, g.CFiles, opts)
@@ -240,11 +235,10 @@ func TestStoreCorruptionSelfHeals(t *testing.T) {
 // the same shared state (run it under -race): a stored state is read-only
 // once captured, and every report equals the cold reference.
 func TestStoreConcurrentReplay(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	g := split130(1)
 	want := coldRender(t, g.Name, g, core.Options{})
-	fresh(t, g.Name, g.Sources, g.CFiles, core.Options{})
+	fresh(t, g.Name, g.Sources, g.CFiles, core.Options{Cache: c})
 
 	const goroutines = 4
 	got := make([]string, goroutines)
@@ -253,7 +247,7 @@ func TestStoreConcurrentReplay(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep := fresh(t, g.Name, g.Sources, g.CFiles, core.Options{Workers: 1 + i%2})
+			rep := fresh(t, g.Name, g.Sources, g.CFiles, core.Options{Workers: 1 + i%2, Cache: c})
 			got[i] = renderAll(t, rep)
 		}(i)
 	}
@@ -269,10 +263,9 @@ func TestStoreConcurrentReplay(t *testing.T) {
 // of split 130-TU seed 1 solves all 129 units from empty state, and a
 // memory-warm repeat solves none, replays all 129 and restarts 0 times.
 func TestStoreReplayCounts(t *testing.T) {
-	vfg.ResetStateStore()
-	t.Cleanup(vfg.ResetStateStore)
+	c := core.NewCache()
 	g := split130(1)
-	opts := core.Options{Workers: 1, Stats: true}
+	opts := core.Options{Workers: 1, Stats: true, Cache: c}
 	first := fresh(t, g.Name, g.Sources, g.CFiles, opts).Metrics
 	if first.CacheHits != 0 || first.CacheMisses != 129 || first.UnitsSolved != 129 {
 		t.Errorf("first run: replayed %d, solved %d (%d solves); want 0, 129 (129)",
@@ -282,5 +275,47 @@ func TestStoreReplayCounts(t *testing.T) {
 	if repeat.CacheHits != 129 || repeat.CacheMisses != 0 || repeat.UnitsSolved != 0 || repeat.IncrRestarts != 0 {
 		t.Errorf("repeat: replayed %d, solved %d (%d solves), %d restarts; want 129, 0 (0), 0",
 			repeat.CacheHits, repeat.CacheMisses, repeat.UnitsSolved, repeat.IncrRestarts)
+	}
+}
+
+// TestCacheIsolation checks that caches are values: a second Cache
+// shares nothing with the first, so its first run parses every unit and
+// replays nothing; a nil Cache is cold and untracked; and the first
+// Cache is still memory-warm afterwards: a repeat of split 130-TU seed 1
+// on it solves no unit and replays all 129.
+func TestCacheIsolation(t *testing.T) {
+	g := split130(1)
+	first := core.NewCache()
+	opts := core.Options{Workers: 1, Stats: true, Cache: first}
+	want := renderAll(t, fresh(t, g.Name, g.Sources, g.CFiles, opts))
+
+	opts.Cache = core.NewCache()
+	second := fresh(t, g.Name, g.Sources, g.CFiles, opts)
+	if m := second.Metrics; m.FrontendCacheHits != 0 || m.FrontendCacheMisses != len(g.CFiles) || m.CacheHits != 0 || m.CacheMisses != 129 {
+		t.Errorf("second cache: frontend hits/misses %d/%d, units replayed/solved %d/%d; want 0/%d, 0/129",
+			m.FrontendCacheHits, m.FrontendCacheMisses, m.CacheHits, m.CacheMisses, len(g.CFiles))
+	}
+	if renderAll(t, second) != want {
+		t.Error("second cache: report differs")
+	}
+
+	opts.Cache = nil
+	cold := fresh(t, g.Name, g.Sources, g.CFiles, opts)
+	if m := cold.Metrics; m.FrontendCacheHits+m.FrontendCacheMisses != 0 || m.CacheHits+m.CacheMisses != 0 || m.IncrUnitsReplayed != 0 || m.UnitsSolved != 129 {
+		t.Errorf("nil cache: frontend hits/misses %d/%d, units replayed/solved %d/%d, %d solves; want an untracked cold run (0/0, 0/0, 129)",
+			m.FrontendCacheHits, m.FrontendCacheMisses, m.CacheHits, m.CacheMisses, m.UnitsSolved)
+	}
+	if renderAll(t, cold) != want {
+		t.Error("nil cache: report differs")
+	}
+
+	opts.Cache = first
+	warm := fresh(t, g.Name, g.Sources, g.CFiles, opts)
+	if m := warm.Metrics; m.FrontendCacheHits != len(g.CFiles) || m.CacheHits != 129 || m.CacheMisses != 0 || m.UnitsSolved != 0 {
+		t.Errorf("first cache again: frontend hits %d, units replayed/solved %d/%d, %d solves; want %d, 129/0, 0",
+			m.FrontendCacheHits, m.CacheHits, m.CacheMisses, m.UnitsSolved, len(g.CFiles))
+	}
+	if renderAll(t, warm) != want {
+		t.Error("first cache again: report differs")
 	}
 }

@@ -30,7 +30,7 @@ func TestVFGTransfersPerInstr(t *testing.T) {
 		maxRatio float64
 	}{{1, 1.6}, {3, 2.0}} {
 		g := corpus.Split(corpus.Generate(tc.seed, corpus.MaxShape))
-		res, err := frontend.Compile(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, frontend.Options{DisableParseCache: true})
+		res, err := frontend.Compile(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, frontend.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestVFGTransfersPerInstr(t *testing.T) {
 			t.Errorf("seed 1: %d solves in %d rounds, want 129 in 1", v.UnitsAnalyzed, v.Rounds)
 		}
 
-		opts := core.Options{Workers: 1, Stats: true, DisableCache: true, DisableParseCache: true}
+		opts := core.Options{Workers: 1, Stats: true}
 		rep := fresh(t, g.Name, g.Sources, g.CFiles, opts)
 		if rep.Metrics == nil || rep.Metrics.VFGTransfers != v.Transfers {
 			t.Errorf("seed %d: vfg_transfers metric = %+v, want %d", tc.seed, rep.Metrics, v.Transfers)

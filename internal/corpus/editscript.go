@@ -95,8 +95,15 @@ func (s EditScript) ApplyAll(sources map[string]string) (map[string]string, bool
 // GenerateEdits produces a deterministic n-edit script for a generated
 // system: identical (g, seed, n) inputs yield identical scripts. Each
 // edit is generated against the sources as left by the previous one, so
-// the script applies cleanly in sequence.
+// the script applies cleanly in sequence. g must be an unsplit system:
+// the edits target monitors.c and stages.c, which Split removes, so it
+// panics on a split one (edit the unsplit system, then Split it).
 func GenerateEdits(g Generated, seed int64, n int) EditScript {
+	for _, f := range []string{"monitors.c", "stages.c"} {
+		if _, ok := g.Sources[f]; !ok {
+			panic(fmt.Sprintf("corpus.GenerateEdits: %s has no %s (a Split system?): edit the unsplit system, then Split it", g.Name, f))
+		}
+	}
 	r := rand.New(rand.NewSource(seed))
 	cfg := GenConfig{}.Normalize() // the generator's shape defaults
 	// Recover the real shape from the header (counts are derivable from

@@ -222,6 +222,11 @@ type Server struct {
 
 	sessMu   sync.Mutex
 	sessions map[string]*sessEntry
+
+	// cache holds the server's in-memory tiers; nil (the default) shares
+	// the process cache of pkg/safeflow with every other analysis in the
+	// process. Tests give each server a cache of its own.
+	cache *safeflow.Cache
 }
 
 // New builds a server; call Handler to mount it.
@@ -528,8 +533,8 @@ func (s *Server) resolveOptions(ro AnalyzeOptions) (safeflow.Options, time.Durat
 		Recover:     !ro.Strict,
 		// Stats are always collected so /metricsz can aggregate; the
 		// handler strips the snapshot unless the request asked for it.
-		Stats:     true,
-		DiskCache: nil,
+		Stats: true,
+		Cache: s.cache,
 	}
 	switch {
 	case s.cfg.Remote != nil:

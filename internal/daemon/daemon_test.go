@@ -23,15 +23,8 @@ import (
 
 	"safeflow/internal/corpus"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
-
-func resetMemoryCaches() {
-	frontend.ResetParseCache()
-	vfg.ResetStateStore()
-}
 
 func figure2(t *testing.T) string {
 	t.Helper()
@@ -42,9 +35,13 @@ func figure2(t *testing.T) string {
 	return string(src)
 }
 
+// newTestServer starts a server with an in-memory cache of its own, so
+// each test server starts cold; a second server over the same Config is
+// a restart that keeps only the disk and remote tiers.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	s.cache = safeflow.NewCache()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -68,9 +65,11 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*http.Response, 
 	return resp, data
 }
 
-// cliJSON renders the report exactly as `safeflow -json` would.
+// cliJSON renders the report exactly as `safeflow -json` would, with a
+// fresh cache as each CLI run has.
 func cliJSON(t *testing.T, name string, sources map[string]string, cFiles []string, opts safeflow.Options) []byte {
 	t.Helper()
+	opts.Cache = safeflow.NewCache()
 	rep, err := safeflow.AnalyzeContext(context.Background(), name, sources, cFiles, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +82,6 @@ func cliJSON(t *testing.T, name string, sources map[string]string, cFiles []stri
 }
 
 func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 
@@ -96,12 +92,11 @@ func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Cache: dc})
-
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
+	var ts *httptest.Server
 	for _, temp := range []string{"cold", "disk-warm", "memory-warm"} {
 		if temp != "memory-warm" {
-			resetMemoryCaches()
+			_, ts = newTestServer(t, Config{Cache: dc}) // a restart empties memory
 		}
 		resp, got := postAnalyze(t, ts.URL, req)
 		if resp.StatusCode != http.StatusOK {
@@ -117,9 +112,6 @@ func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
 }
 
 func TestAnalyzeConcurrentRequestsDeterministic(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 	want := cliJSON(t, "figure2", sources, []string{"figure2.c"}, safeflow.Options{})
@@ -168,15 +160,10 @@ func TestAnalyzeConcurrentRequestsDeterministic(t *testing.T) {
 // The acceptance bar, per corpus system: the daemon's bytes equal the
 // CLI writer's with the disk cache cold and warm.
 func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Cache: dc})
-
 	for _, sys := range corpus.All() {
 		src, err := sys.SourceMap()
 		if err != nil {
@@ -185,7 +172,7 @@ func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
 		want := cliJSON(t, sys.Name, src, sys.CFiles, safeflow.Options{})
 		req := AnalyzeRequest{Name: sys.Name, Sources: src, CFiles: sys.CFiles}
 		for _, temp := range []string{"cold", "disk-warm"} {
-			resetMemoryCaches()
+			_, ts := newTestServer(t, Config{Cache: dc}) // a restart empties memory
 			resp, got := postAnalyze(t, ts.URL, req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s %s: status %d: %s", sys.Name, temp, resp.StatusCode, got)
@@ -198,9 +185,6 @@ func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
 }
 
 func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 
@@ -218,7 +202,8 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	if n := dc.Corrupt("parse", 100); n == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
-	resetMemoryCaches() // force the daemon back onto the (damaged) disk tier
+	// Restart: the new server can only start from the (damaged) disk tier.
+	_, ts = newTestServer(t, Config{Cache: dc})
 
 	resp, got := postAnalyze(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -228,7 +213,8 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 		t.Error("report changed after disk-cache corruption")
 	}
 
-	// The evictions must surface in the daemon's aggregated metrics.
+	// The evictions must surface in the restarted daemon's aggregated
+	// metrics.
 	mresp, err := http.Get(ts.URL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +227,8 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	if m.CacheCorruptEvictions == 0 {
 		t.Error("corrupted entries not surfaced in /metricsz cache_corrupt_evictions")
 	}
-	if m.RequestsOK != 2 {
-		t.Errorf("requests_ok = %d, want 2", m.RequestsOK)
+	if m.RequestsOK != 1 {
+		t.Errorf("requests_ok = %d, want 1", m.RequestsOK)
 	}
 }
 
@@ -384,9 +370,6 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestLocalPathsForm(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dir := t.TempDir()
 	src := figure2(t)
 	path := dir + "/figure2.c"
@@ -411,9 +394,6 @@ func TestLocalPathsForm(t *testing.T) {
 }
 
 func TestStatsOptionControlsMetricsInBody(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	_, ts := newTestServer(t, Config{})
 	sources := map[string]string{"figure2.c": figure2(t)}
 

@@ -43,8 +43,6 @@ func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 }
 
 func TestAnalyzeSARIFFormat(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	sources := map[string]string{"figure2.c": figure2(t)}
@@ -99,8 +97,6 @@ func TestAnalyzeSARIFFormat(t *testing.T) {
 }
 
 func TestAnalyzeFormatAndPolicyValidation(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	req := AnalyzeRequest{Name: "x", Sources: map[string]string{"x.c": "int x;"}}
@@ -119,8 +115,6 @@ func TestAnalyzeFormatAndPolicyValidation(t *testing.T) {
 }
 
 func TestAnalyzePolicyOption(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	src := map[string]string{"main.c": `

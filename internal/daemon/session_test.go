@@ -35,9 +35,6 @@ func postUpdate(t *testing.T, url string, req UpdateRequest) (*http.Response, []
 }
 
 func TestUpdateMatchesAnalyze(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	g := corpus.Generate(21, corpus.GenConfig{Regions: 2, Monitors: 3, Stages: 4})
 	script := corpus.GenerateEdits(g, 4, 5)
 	if len(script) == 0 {
@@ -107,9 +104,6 @@ func postAnalyzeBody(t *testing.T, url, name string, sources map[string]string, 
 }
 
 func TestSessionEvictionBound(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	s, ts := newTestServer(t, Config{MaxSessions: 2})
 	for i := 0; i < 5; i++ {
 		g := corpus.Generate(int64(100+i), corpus.GenConfig{Regions: 1, Monitors: 1, Stages: 1})
@@ -146,9 +140,6 @@ func TestSessionEvictionBound(t *testing.T) {
 }
 
 func TestMetricszIncrementalCounters(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	g := corpus.Generate(33, corpus.GenConfig{})
 	_, ts := newTestServer(t, Config{})
 	resp, body := postUpdate(t, ts.URL, UpdateRequest{

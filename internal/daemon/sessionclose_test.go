@@ -15,9 +15,6 @@ import (
 )
 
 func TestCloseSessionsDrainsAllSessions(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	s, ts := newTestServer(t, Config{})
 	for i, seed := range []int64{31, 32} {
 		g := corpus.Generate(seed, corpus.GenConfig{Regions: 1, Monitors: 1, Stages: 2})
@@ -63,9 +60,6 @@ func TestCloseSessionsDrainsAllSessions(t *testing.T) {
 // session was closed — must fail with 503 and a reopen hint, not tear
 // state or hang.
 func TestUpdateOnClosedSessionRejectsCleanly(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	s, ts := newTestServer(t, Config{})
 	g := corpus.Generate(33, corpus.GenConfig{Regions: 1, Monitors: 1, Stages: 2})
 	resp, body := postUpdate(t, ts.URL, UpdateRequest{

@@ -51,7 +51,7 @@ func TestDifferentialDegradedInclusion(t *testing.T) {
 
 			// Degraded static verdicts on the faulted program.
 			sc := Scenario{Seed: seed, Faults: 1}
-			fr, err := Run(context.Background(), sc)
+			fr, err := Run(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, sc.Repro())
 			}

@@ -19,9 +19,7 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 	"safeflow/internal/report"
-	"safeflow/internal/vfg"
 )
 
 // DiskScenario is one seeded disk-corruption run over a generated
@@ -45,9 +43,9 @@ type DiskResult struct {
 }
 
 // RunDisk generates the scenario's system, analyzes it cold through
-// store, corrupts the requested number of entries per namespace, resets
-// the in-memory cache tiers (simulating a process restart, so the next
-// run can only start from disk), and re-analyzes. The JSON strings are
+// store, corrupts the requested number of entries per namespace, and
+// re-analyzes with a fresh in-memory Cache (simulating a process restart,
+// so the next run can only start from disk). The JSON strings are
 // rendered with metrics canonicalized so callers can compare bytes
 // directly; the live counters — including the healed run's
 // cache_corrupt_evictions — stay intact on Cold.Metrics and
@@ -61,8 +59,7 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 		DiskCache: store,
 	}
 
-	frontend.ResetParseCache()
-	vfg.ResetStateStore()
+	opts.Cache = core.NewCache()
 	cold, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cold run: %w", err)
@@ -74,8 +71,7 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 	corrupted := store.Corrupt("parse", sc.Parse)
 
 	// "Restart": only the (damaged) disk tier survives.
-	frontend.ResetParseCache()
-	vfg.ResetStateStore()
+	opts.Cache = core.NewCache()
 	healed, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("healed run: %w", err)

@@ -5,17 +5,12 @@ import (
 	"testing"
 
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // The self-healing invariant, end to end: damaging persistent entries
 // between runs must surface in cache_corrupt_evictions and must not
 // change one byte of the report.
 func TestDiskCorruptionInvariants(t *testing.T) {
-	defer frontend.ResetParseCache()
-	defer vfg.ResetStateStore()
-
 	for _, seed := range []int64{1, 7, 42} {
 		store, err := diskcache.Open(t.TempDir(), 0)
 		if err != nil {
@@ -49,9 +44,6 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 // After the healed run re-stored every damaged entry, a further restart
 // must be fully warm: disk hits, no corrupt evictions.
 func TestDiskCorruptionHealsStore(t *testing.T) {
-	defer frontend.ResetParseCache()
-	defer vfg.ResetStateStore()
-
 	store, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)

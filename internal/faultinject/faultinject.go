@@ -11,9 +11,9 @@
 // — lexer error accumulation, parser resynchronization, the type
 // checker's drop-and-retry loop, conservative missing-definition taint —
 // is exercised end to end. Cache corruption, worker panics, and
-// cancellation are injected through the pipeline's existing test seams
-// (frontend.CorruptParseCache, vfg.CorruptStateStore,
-// core.SetPhaseHook) by the invariant tests in this package.
+// cancellation are injected through the pipeline's existing seams (the
+// Corrupt method of a cache tier the test owns, core.SetPhaseHook) by the
+// invariant tests in this package.
 package faultinject
 
 import (

@@ -11,8 +11,6 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diag"
-	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // harnessSeeds is the fixed seed set the CI smoke job runs; every
@@ -104,7 +102,7 @@ func TestDegradedRunsAreDeterministic(t *testing.T) {
 			var first *Result
 			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				sc := Scenario{Seed: seed, Faults: 1, Workers: workers}
-				res, err := Run(context.Background(), sc)
+				res, err := Run(context.Background(), sc, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v\n%s", workers, err, sc.Repro())
 				}
@@ -144,18 +142,14 @@ func TestDegradedRunsAreDeterministic(t *testing.T) {
 // its skipped-def summaries are conservative placeholders, so a later
 // healthy run must not replay them.
 func TestNoSummaryCacheWritesOnFaultedRuns(t *testing.T) {
-	vfg.ResetStateStore()
-	frontend.ResetParseCache()
-	defer vfg.ResetStateStore()
-	defer frontend.ResetParseCache()
+	c := core.NewCache()
 	for _, seed := range harnessSeeds {
 		sc := Scenario{Seed: seed, Faults: 1}
-		if _, err := Run(context.Background(), sc); err != nil {
+		if _, err := Run(context.Background(), sc, c); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Repro())
 		}
-		if n := len(vfg.StateStoreKeys()); n != 0 {
-			t.Fatalf("seed %d: faulted run stored %d phase-3 states (keys %q)\n%s",
-				seed, n, vfg.StateStoreKeys(), sc.Repro())
+		if n := c.State.Len(); n != 0 {
+			t.Fatalf("seed %d: faulted run stored %d phase-3 states\n%s", seed, n, sc.Repro())
 		}
 	}
 }
@@ -164,9 +158,9 @@ func TestNoSummaryCacheWritesOnFaultedRuns(t *testing.T) {
 // entry; units that parsed cleanly may (a typecheck fault fails later).
 func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 	for _, seed := range harnessSeeds {
-		frontend.ResetParseCache()
+		c := core.NewCache()
 		sc := Scenario{Seed: seed, Faults: 1}
-		res, err := Run(context.Background(), sc)
+		res, err := Run(context.Background(), sc, c)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Repro())
 		}
@@ -176,12 +170,11 @@ func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 				want--
 			}
 		}
-		if n := frontend.ParseCacheLen(); n != want {
+		if n := c.Parse.Len(); n != want {
 			t.Errorf("seed %d (faults %v): parse cache has %d entries, want %d\n%s",
 				seed, res.Faults, n, want, sc.Repro())
 		}
 	}
-	frontend.ResetParseCache()
 }
 
 // Corrupted cache entries self-heal: a damaged parse entry or stored
@@ -189,14 +182,10 @@ func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 // eviction shows up in run metrics, and the report is unchanged from the
 // healthy warm run.
 func TestCacheCorruptionSelfHeals(t *testing.T) {
-	vfg.ResetStateStore()
-	frontend.ResetParseCache()
-	defer vfg.ResetStateStore()
-	defer frontend.ResetParseCache()
-
+	c := core.NewCache()
 	scen := Scenario{Seed: 42, Stats: true}
 	run := func() (*Result, error) {
-		return Run(context.Background(), scen)
+		return Run(context.Background(), scen, c)
 	}
 	warm, err := run()
 	if err != nil {
@@ -208,13 +197,13 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if _, err := run(); err != nil { // replay from the stored state
 		t.Fatal(err)
 	}
-	if len(vfg.StateStoreKeys()) == 0 || frontend.ParseCacheLen() == 0 {
+	if c.State.Len() == 0 || c.Parse.Len() == 0 {
 		t.Fatalf("healthy run did not populate caches (states=%d parse=%d)",
-			len(vfg.StateStoreKeys()), frontend.ParseCacheLen())
+			c.State.Len(), c.Parse.Len())
 	}
 
-	pc := frontend.CorruptParseCache(2)
-	sc := vfg.CorruptStateStore(1)
+	pc := c.Parse.Corrupt(2)
+	sc := c.State.Corrupt(1)
 	if pc == 0 || sc == 0 {
 		t.Fatalf("corruption hooks touched nothing (parse=%d states=%d)", pc, sc)
 	}
@@ -247,7 +236,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	})
 	defer core.SetPhaseHook(nil)
 
-	res, err := Run(context.Background(), Scenario{Seed: 5, Faults: 1})
+	res, err := Run(context.Background(), Scenario{Seed: 5, Faults: 1}, nil)
 	if err != nil {
 		t.Fatalf("panic escaped isolation: %v", err)
 	}
@@ -271,8 +260,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 // phase-3 state for the aborted module.
 func TestSeededCancellation(t *testing.T) {
 	phases := []string{"frontend", "shmflow", "restrict", "pointsto", "vfg"}
-	vfg.ResetStateStore()
-	defer vfg.ResetStateStore()
+	c := core.NewCache()
 	baseline := runtime.NumGoroutine()
 	for i, seed := range harnessSeeds {
 		phase := phases[(int(seed)+i)%len(phases)]
@@ -283,13 +271,13 @@ func TestSeededCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		_, err := Run(ctx, sc)
+		_, err := Run(ctx, sc, c)
 		core.SetPhaseHook(nil)
 		cancel()
 		if err != context.Canceled {
 			t.Errorf("seed %d cancel@%s: err = %v, want context.Canceled\n%s", seed, phase, err, sc.Repro())
 		}
-		if n := len(vfg.StateStoreKeys()); n != 0 {
+		if n := c.State.Len(); n != 0 {
 			t.Errorf("seed %d cancel@%s: cancelled run stored %d phase-3 states\n%s", seed, phase, n, sc.Repro())
 		}
 	}

@@ -103,15 +103,16 @@ type Result struct {
 }
 
 // Run generates the scenario's system, plants its faults, and analyzes
-// the mutated sources in recovering mode. The analysis itself failing
-// (not just degrading) is returned as an error.
-func Run(ctx context.Context, sc Scenario) (*Result, error) {
+// the mutated sources in recovering mode through c (nil runs cold). The
+// analysis itself failing (not just degrading) is returned as an error.
+func Run(ctx context.Context, sc Scenario, c *core.Cache) (*Result, error) {
 	gen := corpus.Generate(sc.Seed, sc.Gen)
 	mutated, faults := Mutate(sc.Seed, gen.Sources, EligibleUnits, sc.Faults)
 	rep, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(mutated), gen.CFiles, core.Options{
 		Recover: true,
 		Workers: sc.Workers,
 		Stats:   sc.Stats,
+		Cache:   c,
 	})
 	if err != nil {
 		return nil, err

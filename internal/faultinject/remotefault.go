@@ -24,8 +24,6 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // FaultTransport wraps an http.RoundTripper with seeded, per-request
@@ -153,18 +151,18 @@ type RemoteResult struct {
 }
 
 // RunRemote generates the scenario's system and analyzes it three
-// times: once with no cache (the reference bytes), once cold through
-// backend (exercising the Put path under faults), and once warm after
-// an in-memory cache reset (exercising the Get path under faults). The
+// times, each with a fresh in-memory Cache: once with no cache backend
+// (the reference bytes), once cold through backend (exercising the Put
+// path under faults), and once warm from backend alone (exercising the
+// Get path under faults). The
 // JSON strings are canonicalized for direct byte comparison.
 func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBackend) (*RemoteResult, error) {
 	gen := corpus.Generate(sc.Seed, sc.Gen)
 	base := core.Options{Recover: true, Workers: sc.Workers, Stats: true}
 
 	run := func(dc diskcache.CacheBackend, what string) (*core.Report, error) {
-		frontend.ResetParseCache()
-		vfg.ResetStateStore()
 		opts := base
+		opts.Cache = core.NewCache()
 		opts.DiskCache = dc
 		rep, err := core.AnalyzeSources(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 		if err != nil {

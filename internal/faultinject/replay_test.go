@@ -7,8 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"safeflow/internal/core"
 	"safeflow/internal/diag"
-	"safeflow/internal/vfg"
 )
 
 // scenarioFlag selects one scenario for TestReplayScenario — the
@@ -47,14 +47,13 @@ func TestReplayScenario(t *testing.T) {
 // shared by the replay entry point and the seeded harness tests.
 func replayInvariants(t *testing.T, sc Scenario) {
 	t.Helper()
-	vfg.ResetStateStore()
-	defer vfg.ResetStateStore()
+	c := core.NewCache()
 
 	var first *Result
 	for _, workers := range []int{sc.Workers, 1, runtime.GOMAXPROCS(0)} {
 		wsc := sc
 		wsc.Workers = workers
-		res, err := Run(context.Background(), wsc)
+		res, err := Run(context.Background(), wsc, c)
 		if err != nil {
 			t.Fatalf("workers=%d: %v\n%s", workers, err, sc.Repro())
 		}
@@ -82,7 +81,7 @@ func replayInvariants(t *testing.T, sc Scenario) {
 		}
 	}
 	if sc.Faults > 0 {
-		if n := len(vfg.StateStoreKeys()); n != 0 {
+		if n := c.State.Len(); n != 0 {
 			t.Errorf("faulted replay stored %d phase-3 states\n%s", n, sc.Repro())
 		}
 	}

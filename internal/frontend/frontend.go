@@ -54,12 +54,13 @@ type Options struct {
 	// Workers bounds the number of translation units compiled concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 compiles sequentially.
 	Workers int
-	// DisableParseCache turns off the content-keyed parse cache, forcing
-	// every translation unit through lex + parse (cold-run benchmarks,
-	// memory-constrained batch runs).
-	DisableParseCache bool
+	// Cache, when non-nil, is the in-memory parse tier: a unit whose
+	// preprocessed text is unchanged from a prior compile through the
+	// same Cache reuses its parsed AST. Nil compiles every unit through
+	// lex + parse and ignores DiskCache.
+	Cache *ParseCache
 	// DiskCache, when non-nil, adds a persistent tier below the in-memory
-	// parse cache: on a memory miss the unit's AST is loaded from the
+	// parse tier: on a memory miss the unit's AST is loaded from the
 	// content-addressed store, and freshly parsed units are written back,
 	// so unchanged units survive process restarts. Integrity-checked on
 	// read; a damaged entry degrades to a miss (cache_corrupt_evictions).
@@ -113,7 +114,7 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 			return nil
 		}
 		var key [sha256.Size]byte
-		if !opts.DisableParseCache {
+		if opts.Cache != nil {
 			key = parseCacheKey(cf, text)
 		}
 		out = parseUnit(cf, text, pp.Segments(), key, opts, ic)
@@ -128,27 +129,31 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 }
 
 // parseUnit is the per-unit parse step of every compile path: memory
-// parse cache, then the disk tier, then a piecewise parse that shares the
+// parse tier, then the disk tier, then a piecewise parse that shares the
 // compile's parsed headers (includes.go), else a whole-buffer lex and
 // parse, storing a fully parsed unit in both tiers. key is
-// parseCacheKey(cf, text); it is unused when the parse cache is off.
+// parseCacheKey(cf, text); it is unused when opts.Cache is nil.
 // Every failure is recorded as a structured diagnostic — all lexer
 // errors, all parser errors after resynchronization — never just the
 // first one.
 func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts Options, ic *includeCache) unitOutcome {
-	if !opts.DisableParseCache {
-		if f := parseCacheGet(key, opts.Metrics); f != nil {
+	pc := opts.Cache
+	if pc != nil {
+		f, ok, corrupt := pc.Get(key, 0)
+		if corrupt {
+			opts.Metrics.AddCacheCorruptEvictions(1)
+		}
+		if !ok && opts.DiskCache != nil {
+			if f = parseDiskGet(opts.DiskCache, key, cf, opts.Metrics); f != nil {
+				// Promote to the in-memory tier so siblings in this run
+				// (and later runs through this Cache) share the decoded AST.
+				pc.Put(key, 0, f)
+				ok = true
+			}
+		}
+		if ok {
 			opts.Metrics.AddFrontendCache(1, 0)
 			return unitOutcome{file: f}
-		}
-		if opts.DiskCache != nil {
-			if f := parseDiskGet(opts.DiskCache, key, cf, opts.Metrics); f != nil {
-				// Promote to the in-memory tier so siblings in this run
-				// (and later runs in this process) share the decoded AST.
-				parseCachePut(key, f)
-				opts.Metrics.AddFrontendCache(1, 0)
-				return unitOutcome{file: f}
-			}
 		}
 	}
 	f, ok := ic.parsePieces(cf, text, segs)
@@ -159,10 +164,10 @@ func parseUnit(cf, text string, segs []cpp.Segment, key [sha256.Size]byte, opts 
 		}
 		f = out.file
 	}
-	if !opts.DisableParseCache {
+	if pc != nil {
 		// Only fully parsed units are stored, so a failed, cancelled or
 		// panicking compilation never publishes a partial entry.
-		parseCachePut(key, f)
+		pc.Put(key, 0, f)
 		if opts.DiskCache != nil {
 			parseDiskPut(opts.DiskCache, key, f)
 		}

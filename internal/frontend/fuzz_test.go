@@ -129,7 +129,7 @@ func FuzzParseRecovery(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		render := func() string {
-			rr, err := frontend.CompileRecover(context.Background(), "fuzz", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{DisableParseCache: true})
+			rr, err := frontend.CompileRecover(context.Background(), "fuzz", cpp.MapSource{"main.c": src}, []string{"main.c"}, frontend.Options{})
 			if err != nil {
 				return "error: " + err.Error()
 			}

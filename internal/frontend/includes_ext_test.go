@@ -52,7 +52,7 @@ func TestSegmentParseCorpus(t *testing.T) {
 // and every unit's file holds the same header declaration nodes.
 func TestSegmentSharedNodes(t *testing.T) {
 	src, cFiles := split130(1)
-	res, err := Compile(context.Background(), "split", src, cFiles, Options{Workers: 1, DisableParseCache: true})
+	res, err := Compile(context.Background(), "split", src, cFiles, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestIncludeMemoCompileCounts(t *testing.T) {
 	src, cFiles := split130(2)
 	for _, workers := range []int{1, 2, 8} {
 		col := metrics.NewCollector()
-		opts := Options{Workers: workers, Metrics: col, DisableParseCache: true}
+		opts := Options{Workers: workers, Metrics: col}
 		if _, err := Compile(context.Background(), "split", src, cFiles, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -123,17 +123,16 @@ func TestIncludeMemoCompileCounts(t *testing.T) {
 }
 
 // The parse cache evicts least recently used entries: with the cache
-// full of older entries, every unit of the last compile survives, and
-// the corrupt/reset hooks behave as before.
+// full of older entries, every unit of the last compile survives, and a
+// damaged entry is evicted and re-parsed.
 func TestParseCacheLRU(t *testing.T) {
-	ResetParseCache()
-	defer ResetParseCache()
-	FillParseCache(MaxParseEntries)
+	pc := NewParseCache()
+	FillParseCache(pc, MaxParseEntries)
 	src, cFiles := split130(3)
 	compile := func() *metrics.RunMetrics {
 		t.Helper()
 		col := metrics.NewCollector()
-		if _, err := Compile(context.Background(), "lru", src, cFiles, Options{Metrics: col}); err != nil {
+		if _, err := Compile(context.Background(), "lru", src, cFiles, Options{Cache: pc, Metrics: col}); err != nil {
 			t.Fatal(err)
 		}
 		return col.Finish()
@@ -141,7 +140,7 @@ func TestParseCacheLRU(t *testing.T) {
 	if m := compile(); m.FrontendCacheMisses != 130 {
 		t.Fatalf("cold compile: %d misses, want 130", m.FrontendCacheMisses)
 	}
-	if n := ParseCacheLen(); n != MaxParseEntries {
+	if n := pc.Len(); n != MaxParseEntries {
 		t.Fatalf("cache holds %d entries, want %d", n, MaxParseEntries)
 	}
 	if m := compile(); m.FrontendCacheHits != 130 || m.FrontendCacheMisses != 0 {
@@ -149,18 +148,16 @@ func TestParseCacheLRU(t *testing.T) {
 	}
 	// The most recently used entries are the system's own, so corrupting
 	// five of them costs the next compile five evictions and re-parses.
-	if n := CorruptParseCache(5); n != 5 {
+	if n := pc.Corrupt(5); n != 5 {
 		t.Fatalf("corrupted %d entries, want 5", n)
 	}
 	if m := compile(); m.CacheCorruptEvictions != 5 || m.FrontendCacheHits != 125 || m.FrontendCacheMisses != 5 {
 		t.Fatalf("after corruption: evictions/hits/misses = %d/%d/%d, want 5/125/5",
 			m.CacheCorruptEvictions, m.FrontendCacheHits, m.FrontendCacheMisses)
 	}
-	ResetParseCache()
-	if n := ParseCacheLen(); n != 0 {
-		t.Fatalf("reset left %d entries", n)
-	}
+	// A new cache shares nothing with the old one.
+	pc = NewParseCache()
 	if m := compile(); m.FrontendCacheMisses != 130 {
-		t.Fatalf("after reset: %d misses, want 130", m.FrontendCacheMisses)
+		t.Fatalf("new cache: %d misses, want 130", m.FrontendCacheMisses)
 	}
 }

@@ -78,7 +78,7 @@ func checkFallback(t *testing.T, src cpp.MapSource) {
 		if _, ok := ic.parsePieces("a.c", text, pp.Segments()); ok {
 			t.Fatal("parsed piecewise; want a whole-buffer fallback")
 		}
-		got := parseUnit("a.c", text, pp.Segments(), [32]byte{}, Options{DisableParseCache: true}, ic)
+		got := parseUnit("a.c", text, pp.Segments(), [32]byte{}, Options{}, ic)
 		want := parseWhole("a.c", text)
 		if !bytes.Equal(encode(t, got.file), encode(t, want.file)) || !bytes.Equal(encode(t, got.partial), encode(t, want.partial)) {
 			t.Fatal("fallback AST differs from a whole-buffer parse")
@@ -141,7 +141,7 @@ func TestSegmentParseTypedefKey(t *testing.T) {
 	ic := newIncludeCache()
 	header := make(map[string]cast.Decl)
 	for _, cf := range cFiles {
-		out := compileUnitDiags(src, cf, Options{DisableParseCache: true}, ic)
+		out := compileUnitDiags(src, cf, Options{}, ic)
 		if cf == "c.c" {
 			if out.file != nil {
 				t.Fatal("c.c compiled; want a parse error at T")
@@ -187,13 +187,13 @@ func TestIncludeMemoDegradedDiagnostics(t *testing.T) {
 		"d.c": "/* open\n#include \"h.h\"\n*/ int d;\n",
 	}
 	cFiles := []string{"a.c", "b.c", "c.c", "d.c"}
-	rr, err := CompileRecover(context.Background(), "degraded", src, cFiles, Options{DisableParseCache: true})
+	rr, err := CompileRecover(context.Background(), "degraded", src, cFiles, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
 	for _, cf := range cFiles {
-		solo, err := CompileRecover(context.Background(), "solo", src, []string{cf}, Options{DisableParseCache: true})
+		solo, err := CompileRecover(context.Background(), "solo", src, []string{cf}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestIncludeMemoDegradedDiagnostics(t *testing.T) {
 func SegmentParses(sources cpp.MapSource, cFiles []string) int {
 	ic := newIncludeCache()
 	for _, cf := range cFiles {
-		compileUnitDiags(sources, cf, Options{DisableParseCache: true}, ic)
+		compileUnitDiags(sources, cf, Options{}, ic)
 	}
 	return len(ic.segs)
 }
@@ -227,10 +227,10 @@ func SegmentParses(sources cpp.MapSource, cFiles []string) int {
 // MaxParseEntries is the parse cache's capacity.
 const MaxParseEntries = maxParseEntries
 
-// FillParseCache stores n placeholder entries under keys no compile
-// produces.
-func FillParseCache(n int) {
+// FillParseCache stores n placeholder entries in pc under keys no
+// compile produces.
+func FillParseCache(pc *ParseCache, n int) {
 	for i := 0; i < n; i++ {
-		parseCachePut(parseCacheKey("placeholder.c", fmt.Sprint(i)), nil)
+		pc.Put(parseCacheKey("placeholder.c", fmt.Sprint(i)), 0, &cast.File{Name: "placeholder.c"})
 	}
 }

@@ -26,13 +26,13 @@ func compileCounting(t *testing.T, sources map[string]string, opts Options) (hit
 }
 
 func TestParseCacheReuse(t *testing.T) {
-	ResetParseCache()
 	sources := map[string]string{"main.c": cacheTestSrc}
+	opts := Options{Cache: NewParseCache()}
 
-	if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 1 {
+	if hits, misses := compileCounting(t, sources, opts); hits != 0 || misses != 1 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", hits, misses)
 	}
-	if hits, misses := compileCounting(t, sources, Options{}); hits != 1 || misses != 0 {
+	if hits, misses := compileCounting(t, sources, opts); hits != 1 || misses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 1/0", hits, misses)
 	}
 }
@@ -40,23 +40,23 @@ func TestParseCacheReuse(t *testing.T) {
 // Editing a file (or a header it includes) must change the content key and
 // force a fresh parse — the path alone is never the key.
 func TestParseCacheContentKey(t *testing.T) {
-	ResetParseCache()
+	opts := Options{Cache: NewParseCache()}
 	sources := map[string]string{
 		"defs.h": "#define ANSWER 1\n",
 		"main.c": "#include \"defs.h\"\nint main() { return ANSWER; }\n",
 	}
-	if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 1 {
+	if hits, misses := compileCounting(t, sources, opts); hits != 0 || misses != 1 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
 	// Same path, edited header: the preprocessed text differs → miss.
 	sources["defs.h"] = "#define ANSWER 2\n"
-	if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 1 {
+	if hits, misses := compileCounting(t, sources, opts); hits != 0 || misses != 1 {
 		t.Fatalf("edited run: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
 	// The edited parse must reflect the new contents, not the cached AST.
-	res, err := Compile(context.Background(), "edited", toSource(sources), []string{"main.c"}, Options{})
+	res, err := Compile(context.Background(), "edited", toSource(sources), []string{"main.c"}, opts)
 	if err != nil {
 		t.Fatalf("compile after edit: %v", err)
 	}
@@ -65,36 +65,34 @@ func TestParseCacheContentKey(t *testing.T) {
 	}
 
 	// Defines change the expanded text the same way an edit does.
-	ResetParseCache()
+	pc := NewParseCache()
 	base := map[string]string{"main.c": "int main() { return X; }\n"}
-	if _, misses := compileCounting(t, base, Options{Defines: map[string]string{"X": "1"}}); misses != 1 {
+	if _, misses := compileCounting(t, base, Options{Cache: pc, Defines: map[string]string{"X": "1"}}); misses != 1 {
 		t.Fatal("first define run should miss")
 	}
-	if hits, _ := compileCounting(t, base, Options{Defines: map[string]string{"X": "2"}}); hits != 0 {
+	if hits, _ := compileCounting(t, base, Options{Cache: pc, Defines: map[string]string{"X": "2"}}); hits != 0 {
 		t.Fatal("changed define must not hit the cache")
 	}
 }
 
+// A nil cache compiles cold and counts no cache traffic.
 func TestParseCacheDisable(t *testing.T) {
-	ResetParseCache()
 	sources := map[string]string{"main.c": cacheTestSrc}
-	if hits, misses := compileCounting(t, sources, Options{DisableParseCache: true}); hits != 0 || misses != 0 {
-		t.Fatalf("disabled run counted hits=%d misses=%d, want 0/0", hits, misses)
-	}
-	// A disabled run must not have populated the cache either.
-	if hits, _ := compileCounting(t, sources, Options{}); hits != 0 {
-		t.Fatal("disabled run leaked an entry into the cache")
+	for i := 0; i < 2; i++ {
+		if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 0 {
+			t.Fatalf("run %d without a cache counted hits=%d misses=%d, want 0/0", i, hits, misses)
+		}
 	}
 }
 
 // A failed parse must never publish an entry: the next compile of the same
 // contents has to re-parse and fail again, not hit a poisoned cache.
 func TestParseCacheNoPoisonOnError(t *testing.T) {
-	ResetParseCache()
+	pc := NewParseCache()
 	bad := map[string]string{"main.c": "int main( { return 0; }\n"}
 	for i := 0; i < 2; i++ {
 		col := metrics.NewCollector()
-		if _, err := Compile(context.Background(), "bad", toSource(bad), []string{"main.c"}, Options{Metrics: col}); err == nil {
+		if _, err := Compile(context.Background(), "bad", toSource(bad), []string{"main.c"}, Options{Cache: pc, Metrics: col}); err == nil {
 			t.Fatalf("run %d: expected parse error", i)
 		}
 		snap := col.Finish()
@@ -108,14 +106,14 @@ func TestParseCacheNoPoisonOnError(t *testing.T) {
 // parsed must not appear in the cache, so a later un-cancelled run still
 // parses (and counts) every unit.
 func TestParseCacheNoPoisonOnCancel(t *testing.T) {
-	ResetParseCache()
+	opts := Options{Cache: NewParseCache()}
 	sources := map[string]string{"main.c": cacheTestSrc}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Compile(ctx, "cancelled", toSource(sources), []string{"main.c"}, Options{}); err != context.Canceled {
+	if _, err := Compile(ctx, "cancelled", toSource(sources), []string{"main.c"}, opts); err != context.Canceled {
 		t.Fatalf("cancelled compile err = %v, want context.Canceled", err)
 	}
-	if hits, misses := compileCounting(t, sources, Options{}); hits != 0 || misses != 1 {
+	if hits, misses := compileCounting(t, sources, opts); hits != 0 || misses != 1 {
 		t.Fatalf("post-cancel run: hits=%d misses=%d, want 0/1 (cache must be empty)", hits, misses)
 	}
 }
@@ -123,16 +121,9 @@ func TestParseCacheNoPoisonOnCancel(t *testing.T) {
 // The cache stays bounded: inserting more than maxParseEntries distinct
 // units evicts rather than grows.
 func TestParseCacheBounded(t *testing.T) {
-	ResetParseCache()
-	defer ResetParseCache()
-	for i := 0; i < maxParseEntries+16; i++ {
-		key := parseCacheKey("main.c", string(rune('a'+i%26))+string(rune(i)))
-		parseCachePut(key, nil)
-	}
-	parseCache.Lock()
-	n := len(parseCache.files)
-	parseCache.Unlock()
-	if n > maxParseEntries {
-		t.Fatalf("cache grew to %d entries, bound is %d", n, maxParseEntries)
+	pc := NewParseCache()
+	FillParseCache(pc, maxParseEntries+16)
+	if n := pc.Len(); n != maxParseEntries {
+		t.Fatalf("cache holds %d entries, bound is %d", n, maxParseEntries)
 	}
 }

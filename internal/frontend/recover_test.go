@@ -15,7 +15,7 @@ import (
 // reached the caller. The fail-stop error carries every message.
 func TestLexReportsAllErrors(t *testing.T) {
 	src := "int a = @;\nchar *s = \"unterminated;\n"
-	_, err := Compile(context.Background(), "lexerrs", cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{DisableParseCache: true})
+	_, err := Compile(context.Background(), "lexerrs", cpp.MapSource{"main.c": src}, []string{"main.c"}, Options{})
 	if err == nil {
 		t.Fatal("expected lex errors")
 	}
@@ -28,7 +28,7 @@ func TestLexReportsAllErrors(t *testing.T) {
 
 func recoverCompile(t *testing.T, sources map[string]string, cFiles []string) *RecoverResult {
 	t.Helper()
-	rr, err := CompileRecover(context.Background(), "recover", cpp.MapSource(sources), cFiles, Options{DisableParseCache: true})
+	rr, err := CompileRecover(context.Background(), "recover", cpp.MapSource(sources), cFiles, Options{})
 	if err != nil {
 		t.Fatalf("CompileRecover: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestUnitPanicIsolated(t *testing.T) {
 	}, boom: "boom.c"}
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
-		opts := Options{Workers: workers, DisableParseCache: true}
+		opts := Options{Workers: workers}
 		_, err := Compile(ctx, "panic", src, []string{"ok.c", "boom.c", "bad.c"}, opts)
 		var ie *guard.InternalError
 		if !errors.As(err, &ie) || ie.Phase != "frontend" || ie.Unit != "boom.c" {

@@ -71,7 +71,7 @@ func TestSharedDeclDiagnostics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var sb strings.Builder
-			opts := Options{Workers: 1, DisableParseCache: true}
+			opts := Options{Workers: 1}
 			if _, err := Compile(context.Background(), "shared", tc.src, cFiles, opts); err != nil {
 				fmt.Fprintf(&sb, "fail-stop: %v\n", err)
 			} else {

@@ -126,11 +126,9 @@ func (e *Executor) maxSteps() int64 {
 // analyze runs one recovering, cache-free analysis of the sources.
 func analyze(ctx context.Context, in Input, sources map[string]string, workers int, stats bool) (*core.Report, error) {
 	return core.AnalyzeSources(ctx, in.Name, cpp.MapSource(sources), in.CFiles, core.Options{
-		Recover:           true,
-		Workers:           workers,
-		Stats:             stats,
-		DisableCache:      true,
-		DisableParseCache: true,
+		Recover: true,
+		Workers: workers,
+		Stats:   stats,
 	})
 }
 
@@ -212,7 +210,7 @@ func (e *Executor) Execute(ctx context.Context, in Input) (*ExecResult, error) {
 	// Dynamic taint on strictly-compiling inputs (the interpreter needs
 	// a complete module).
 	var hot map[ctoken.Pos]bool
-	if cres, cerr := frontend.Compile(context.Background(), in.Name, cpp.MapSource(in.Sources), in.CFiles, frontend.Options{DisableParseCache: true}); cerr == nil {
+	if cres, cerr := frontend.Compile(context.Background(), in.Name, cpp.MapSource(in.Sources), in.CFiles, frontend.Options{}); cerr == nil {
 		m := interp.New(cres.Module, execWorld{})
 		m.MaxSteps = e.maxSteps()
 		tr := m.EnableTaint(shmflow.Analyze(cres.Module, callgraph.New(cres.Module)))
@@ -289,10 +287,8 @@ func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, 
 		return nil, nil
 	}
 	opts := core.Options{
-		Recover:           true,
-		Workers:           e.workers()[0],
-		DisableCache:      true,
-		DisableParseCache: true,
+		Recover: true,
+		Workers: e.workers()[0],
 	}
 	sess, _, err := core.OpenSession(ctx, in.Name, in.Sources, in.CFiles, opts)
 	if err != nil {

@@ -9,14 +9,13 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/report"
 	"safeflow/internal/sarifschema"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
 // TestSARIFDeterminism pins the CI-facing invariant for the new format:
 // the SARIF bytes are identical at every worker count and at every
-// cache temperature. Each worker count is rendered cold (stored states
-// reset) and warm (second run replaying the stored state) and every
+// cache temperature. Each worker count is rendered cold (a new cache)
+// and warm (second run replaying the stored state) and every
 // rendering must equal the first.
 func TestSARIFDeterminism(t *testing.T) {
 	sys := corpus.All()[0]
@@ -25,8 +24,8 @@ func TestSARIFDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	render := func(workers int) []byte {
-		rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers})
+	render := func(workers int, c *safeflow.Cache) []byte {
+		rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers, Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +38,9 @@ func TestSARIFDeterminism(t *testing.T) {
 
 	var want []byte
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		vfg.ResetStateStore()
-		cold := render(workers)
-		warm := render(workers)
+		c := safeflow.NewCache()
+		cold := render(workers, c)
+		warm := render(workers, c)
 		if want == nil {
 			want = cold
 			if errs := sarifschema.ValidateSARIF(want); len(errs) != 0 {
@@ -55,7 +54,6 @@ func TestSARIFDeterminism(t *testing.T) {
 			t.Errorf("workers=%d warm: SARIF bytes diverged", workers)
 		}
 	}
-	vfg.ResetStateStore()
 }
 
 // TestSARIFSuppressionsAndPolicy locks the SARIF surface for a policy

@@ -52,10 +52,10 @@ func hashSystems(t *testing.T) []hashSystem {
 	return out
 }
 
-func compile(t *testing.T, s hashSystem, disableParseCache bool) *irgen.Result {
+func compile(t *testing.T, s hashSystem, pc *frontend.ParseCache) *irgen.Result {
 	t.Helper()
 	res, err := frontend.Compile(context.Background(), s.name, cpp.MapSource(s.sources), s.cFiles,
-		frontend.Options{DisableParseCache: disableParseCache})
+		frontend.Options{Cache: pc})
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
@@ -79,14 +79,17 @@ func positions(fn *ir.Function) string {
 // identically and hash identically. The hash is taken before the first
 // print and again after it, since printing assigns SSA names.
 func TestCompileDeterministicIR(t *testing.T) {
-	frontend.ResetParseCache()
-	t.Cleanup(frontend.ResetParseCache)
+	pc := frontend.NewParseCache()
 	g := split130(1)
 	s := hashSystem{g.Name, g.Sources, g.CFiles}
 	printed := make(map[string]string)
 	hashes := make(map[string]uint64)
 	for i := 0; i < 4; i++ {
-		res := compile(t, s, i%2 == 1)
+		cache := pc
+		if i%2 == 1 {
+			cache = nil
+		}
+		res := compile(t, s, cache)
 		for _, fn := range res.Module.Funcs {
 			if fn.IsDecl {
 				continue
@@ -126,7 +129,7 @@ func TestHashFunctionBodyExact(t *testing.T) {
 		seen[h] = content
 	}
 	for _, s := range hashSystems(t) {
-		whole := compile(t, s, true)
+		whole := compile(t, s, nil)
 		want := make(map[string]uint64)
 		for _, fn := range whole.Module.Funcs {
 			if fn.IsDecl {
@@ -134,7 +137,7 @@ func TestHashFunctionBodyExact(t *testing.T) {
 			}
 			want[fn.Name] = vfg.HashFunctionBody(fn, whole.AssertVars)
 		}
-		again := compile(t, s, true)
+		again := compile(t, s, nil)
 		for _, fn := range again.Module.Funcs {
 			if fn.IsDecl {
 				continue
@@ -146,7 +149,7 @@ func TestHashFunctionBodyExact(t *testing.T) {
 			check(s.name, fn, h)
 		}
 
-		fc := frontend.NewFragmentCompiler(s.name, frontend.Options{DisableParseCache: true}, vfg.HashFunctionBody)
+		fc := frontend.NewFragmentCompiler(s.name, frontend.Options{}, vfg.HashFunctionBody)
 		res, frag, ok := fc.Compile(context.Background(), cpp.MapSource(s.sources), s.cFiles, nil)
 		if !ok {
 			t.Fatalf("%s: fragment compile declined", s.name)

@@ -11,7 +11,8 @@
 // callee identities its transfer functions consult).
 //
 // Every tracked run — a session update, or a plain analysis that loaded
-// the last converged state of its system from the store (store.go) — goes
+// the last converged state of its system from a cache's state tier
+// (internal/cache) — goes
 // through runIncremental; a run with no previous state is an update from
 // empty state.
 //
@@ -85,9 +86,6 @@ type IncrState struct {
 	regionFP uint64
 	units    map[string]*unitRecord
 	cells    map[pRef]pTaint
-	// check is the structural checksum StoreState takes; LoadState
-	// verifies it.
-	check uint64
 }
 
 // fnFingerprint identifies one function's analysis-relevant content.
@@ -1229,4 +1227,49 @@ func runIncremental(cfg Config) *Result {
 		res.NextIncr = a.captureState(fps, regionFP)
 		return res
 	}
+}
+
+// Checksum derives the state's structural checksum: FNV-1a over each unit
+// record's key and shape, each function fingerprint and each memory
+// cell, combined by addition so no key needs sorting. It is an integrity
+// check against truncation and stray mutation of shared state, not a
+// cryptographic one; the state tier of internal/cache verifies it on every
+// load.
+func (st *IncrState) Checksum() uint64 {
+	var units, fns, cells uint64
+	for key, rec := range st.units {
+		h := newFNV()
+		h.str(key)
+		if rec != nil {
+			h.str(rec.fn)
+			for _, n := range []int{len(rec.sum.ret.srcs), len(rec.sum.ret.params), len(rec.sum.effects),
+				len(rec.sum.asserts), len(rec.writes), len(rec.reads), len(rec.sources), len(rec.errors)} {
+				h.int(int64(n))
+			}
+		}
+		units += h.h
+	}
+	for name, fp := range st.fnFP {
+		h := newFNV()
+		h.str(name)
+		h.int(int64(fp.body))
+		h.int(int64(fp.env))
+		fns += h.h
+	}
+	for ref, t := range st.cells {
+		h := newFNV()
+		h.str(ref.obj.name)
+		h.int(ref.off)
+		h.int(int64(len(t.srcs)))
+		cells += h.h
+	}
+	h := newFNV()
+	h.int(int64(st.regionFP))
+	for _, n := range []int{len(st.units), len(st.fnFP), len(st.cells)} {
+		h.int(int64(n))
+	}
+	h.int(int64(units))
+	h.int(int64(fns))
+	h.int(int64(cells))
+	return h.h
 }

@@ -126,3 +126,56 @@ int main()
 		})
 	}
 }
+
+// TestChecksumDetectsDamage: the state tier of a cache verifies a
+// stored state by its Checksum, so truncating the state's memory cells
+// or dropping a unit record must change it, while a state left alone
+// keeps it.
+func TestChecksumDetectsDamage(t *testing.T) {
+	src := preamble + `
+double acc;
+
+void accumulate()
+{
+	acc = acc + nc->a;
+}
+
+int main()
+{
+	double u;
+	initComm();
+	accumulate();
+	u = acc;
+	/***SafeFlow Annotation assert(safe(u)) /***/
+	writeDA(0, u);
+	return 0;
+}
+`
+	capture := func() *IncrState {
+		st := runConfig(t, src, Config{Workers: 1, Incr: &IncrOptions{}}).NextIncr
+		if st == nil || len(st.cells) == 0 || len(st.units) == 0 {
+			t.Fatal("tracked run captured no cells or units")
+		}
+		return st
+	}
+	st := capture()
+	sum := st.Checksum()
+	if again := st.Checksum(); again != sum {
+		t.Fatalf("checksum of an untouched state moved: %x vs %x", sum, again)
+	}
+	if other := capture().Checksum(); other != sum {
+		t.Fatalf("checksums of two captures of one program differ: %x vs %x", sum, other)
+	}
+	st.cells = nil
+	if st.Checksum() == sum {
+		t.Error("dropping the memory cells left the checksum unchanged")
+	}
+	st = capture()
+	for k := range st.units {
+		delete(st.units, k)
+		break
+	}
+	if st.Checksum() == sum {
+		t.Error("dropping a unit record left the checksum unchanged")
+	}
+}

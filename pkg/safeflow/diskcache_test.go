@@ -1,8 +1,8 @@
 package safeflow_test
 
 // Persistent-cache behavior through the public pipeline: a "process
-// restart" is simulated by resetting both in-memory caches between runs
-// that share one disk cache directory. The restarted run must start warm
+// restart" is simulated by giving the next run a new in-memory Cache
+// while runs share one disk cache directory. The restarted run must start warm
 // from disk alone, a corrupted disk entry must be evicted and recomputed
 // (surfacing in cache_corrupt_evictions), and every report — cold, warm,
 // corrupt-healed — must stay byte-identical.
@@ -14,17 +14,12 @@ import (
 	"testing"
 
 	"safeflow/internal/corpus"
-	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
-// resetMemoryCaches simulates a process restart: both in-memory tiers
-// are emptied so only the disk tier can make the next run warm.
-func resetMemoryCaches() {
-	frontend.ResetParseCache()
-	vfg.ResetStateStore()
-}
+// restart simulates a process restart: opts gets a new, empty Cache, so
+// only the disk tier can make the next run warm.
+func restart(opts *safeflow.Options) { opts.Cache = safeflow.NewCache() }
 
 func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
 	t.Helper()
@@ -36,9 +31,6 @@ func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
 }
 
 func TestDiskCacheWarmAcrossRestart(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +39,7 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statsOpts := safeflow.Options{Stats: true, DiskCache: dc}
+	statsOpts := safeflow.Options{Stats: true, DiskCache: dc, Cache: safeflow.NewCache()}
 
 	cold, err := safeflow.AnalyzeString("figure2", string(src), statsOpts)
 	if err != nil {
@@ -59,7 +51,7 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 	}
 
 	// "Restart the process": only the disk tier survives.
-	resetMemoryCaches()
+	restart(&statsOpts)
 	warm, err := safeflow.AnalyzeString("figure2", string(src), statsOpts)
 	if err != nil {
 		t.Fatalf("warm analyze: %v", err)
@@ -80,12 +72,12 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := safeflow.Options{DiskCache: dc2}
-	resetMemoryCaches()
+	restart(&plain)
 	coldPlain, err := safeflow.AnalyzeString("figure2", string(src), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resetMemoryCaches()
+	restart(&plain)
 	warmPlain, err := safeflow.AnalyzeString("figure2", string(src), plain)
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +88,6 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 }
 
 func TestDiskCacheCorruptionHeals(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +96,7 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := safeflow.Options{Stats: true, DiskCache: dc}
+	opts := safeflow.Options{Stats: true, DiskCache: dc, Cache: safeflow.NewCache()}
 
 	base, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {
@@ -123,7 +112,7 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 	if nCorrupt == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
-	resetMemoryCaches()
+	restart(&opts)
 	healed, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +133,7 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 
 	// The recomputed run re-stored the entries: the next restart is warm
 	// again and the entries verify.
-	resetMemoryCaches()
+	restart(&opts)
 	again, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +150,6 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 // corpus system: with the disk cache cold and warm, at workers 1 and 8,
 // the JSON report bytes never change.
 func TestDiskCacheCorpusDeterminism(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -175,16 +161,16 @@ func TestDiskCacheCorpusDeterminism(t *testing.T) {
 		}
 		var want []byte
 		for _, workers := range []int{1, 8} {
+			opts := safeflow.Options{Workers: workers, DiskCache: dc}
 			for _, temp := range []string{"cold", "disk-warm"} {
 				if temp == "cold" {
 					// Cold: empty memory tiers AND a run that has never
 					// seen this system's keys... the disk tier fills on
 					// the first cold run, so later "cold" runs are
 					// disk-warm; that is exactly the matrix we want.
-					resetMemoryCaches()
+					restart(&opts)
 				}
-				rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles,
-					safeflow.Options{Workers: workers, DiskCache: dc})
+				rep, err := safeflow.AnalyzeContext(context.Background(), sys.Name, src, sys.CFiles, opts)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", sys.Name, workers, temp, err)
 				}

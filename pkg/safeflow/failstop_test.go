@@ -100,7 +100,7 @@ func TestFailStopErrorText(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				rep, err := safeflow.AnalyzeContext(context.Background(), "failstop", tc.sources, tc.cFiles,
-					safeflow.Options{Workers: workers, DisableParseCache: true})
+					safeflow.Options{Workers: workers, Cache: safeflow.NewCache()})
 				if err == nil {
 					t.Fatalf("workers=%d: no error (report %+v)", workers, rep)
 				}

@@ -59,6 +59,29 @@ type Report = core.Report
 // Options tune the analysis.
 type Options = core.Options
 
+// Cache holds the in-memory caches an analysis reads and fills: parsed
+// translation units and the last converged phase-3 state of each system,
+// each a bounded LRU that verifies an entry's integrity on every hit.
+// Set Options.Cache to a Cache from NewCache to give a group of analyses
+// caches of their own; with a nil Options.Cache, AnalyzeContext and
+// OpenContext share one process-wide Cache. Reports never depend on what
+// a Cache holds.
+type Cache = core.Cache
+
+// NewCache returns an empty Cache.
+func NewCache() *Cache { return core.NewCache() }
+
+// processCache serves every analysis whose Options.Cache is nil.
+var processCache = core.NewCache()
+
+// withProcessCache fills a nil Options.Cache with the process cache.
+func withProcessCache(opts Options) Options {
+	if opts.Cache == nil {
+		opts.Cache = processCache
+	}
+	return opts
+}
+
 // Region is one declared shared-memory variable.
 type Region = shmflow.Region
 
@@ -170,7 +193,7 @@ func Analyze(name string, sources map[string]string, cFiles []string, opts Optio
 // units in the frontend, SCC waves in phase 3 — and returns ctx.Err()
 // promptly with no goroutines left behind.
 func AnalyzeContext(ctx context.Context, name string, sources map[string]string, cFiles []string, opts Options) (*Report, error) {
-	return core.AnalyzeSources(ctx, name, cpp.MapSource(sources), cFiles, opts)
+	return core.AnalyzeSources(ctx, name, cpp.MapSource(sources), cFiles, withProcessCache(opts))
 }
 
 // AnalyzeString analyzes a single self-contained program.

@@ -38,7 +38,7 @@ func Open(name string, sources map[string]string, cFiles []string, opts Options)
 
 // OpenContext is Open with deadline/cancellation support.
 func OpenContext(ctx context.Context, name string, sources map[string]string, cFiles []string, opts Options) (*Session, *Report, error) {
-	s, rep, err := core.OpenSession(ctx, name, sources, cFiles, opts)
+	s, rep, err := core.OpenSession(ctx, name, sources, cFiles, withProcessCache(opts))
 	if err != nil {
 		return nil, nil, err
 	}

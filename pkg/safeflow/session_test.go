@@ -42,7 +42,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 		t.Fatalf("edit script has no call-graph-changing rewrite; reseed the script")
 	}
 
-	opts := safeflow.Options{Workers: 2, Stats: true, DisableCache: true}
+	opts := safeflow.Options{Workers: 2, Stats: true, Cache: safeflow.NewCache()}
 	sess, rep, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -98,7 +98,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 // safe-for-concurrent-use contract, meant to run under -race.
 func TestSessionConcurrentReaders(t *testing.T) {
 	g := corpus.Generate(17, corpus.GenConfig{Regions: 2, Monitors: 2, Stages: 4})
-	opts := safeflow.Options{Workers: 2, DisableCache: true}
+	opts := safeflow.Options{Workers: 2, Cache: safeflow.NewCache()}
 	sess, _, err := safeflow.OpenContext(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

@@ -27,14 +27,18 @@ func stressJobs(tb testing.TB, n int) []safeflow.Job {
 			Stages:   2 + i%5,
 			Depth:    1 + i%3,
 		})
+		var own *safeflow.Cache
+		if i%4 == 3 {
+			own = safeflow.NewCache() // a quarter run with a cache of their own
+		}
 		jobs[i] = safeflow.Job{
 			Name:    g.Name,
 			Sources: g.Sources,
 			CFiles:  g.CFiles,
 			Options: safeflow.Options{
-				Workers:      1 + i%3,  // mix sequential and parallel pipelines
-				Stats:        i%2 == 0, // half the jobs collect metrics
-				DisableCache: i%4 == 3, // and a quarter run cache-less
+				Workers: 1 + i%3,  // mix sequential and parallel pipelines
+				Stats:   i%2 == 0, // half the jobs collect metrics
+				Cache:   own,
 			},
 		}
 	}
