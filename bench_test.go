@@ -405,8 +405,9 @@ func (benchWorld) Wait(float64)           {}
 
 // BenchmarkSessionUpdate_Split130 measures Session.Update on the split
 // 130-unit system: each iteration applies one seeded single-function edit
-// and then reverts it, two updates per op. Every update relinks all 130
-// fragments and re-solves the edit's invalidated cone.
+// and then reverts it, two updates per op. Every update recompiles the
+// edited unit, relinks through the session's slot table and re-solves
+// the edit's invalidated cone.
 func BenchmarkSessionUpdate_Split130(b *testing.B) {
 	raw := corpus.Generate(1, corpus.MaxShape)
 	g := corpus.Split(raw)

@@ -11,6 +11,7 @@ import (
 	"safeflow/internal/frontend"
 	"safeflow/internal/irgen"
 	"safeflow/internal/metrics"
+	"safeflow/internal/policy"
 	"safeflow/internal/vfg"
 )
 
@@ -172,12 +173,13 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 				col.SetIncremental(0, reused, 0, 0)
 			}
 			rep := *s.last
-			rep.LinesOfCode, rep.AnnotationLines = s.countStats()
+			var sups []policy.Suppression
+			rep.LinesOfCode, rep.AnnotationLines, sups = s.countStats()
 			// Comment-only edits can move safeflow:ignore directives
 			// without changing the module: re-apply suppression from the
 			// raw findings so the patched report stays byte-identical to a
 			// from-scratch run.
-			rep.finishReport(activePolicy(s.opts), scanSourceSuppressions(src, s.cFiles))
+			rep.finishReport(activePolicy(s.opts), sups)
 			rep.Metrics = col.Finish()
 			return &rep, UpdateStats{Incremental: true, FuncsReused: reused}, nil
 		}
@@ -189,8 +191,9 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			if err != nil {
 				return nil, UpdateStats{}, err
 			}
-			rep.LinesOfCode, rep.AnnotationLines = s.countStats()
-			rep.finishReport(activePolicy(s.opts), scanSourceSuppressions(src, s.cFiles))
+			var sups []policy.Suppression
+			rep.LinesOfCode, rep.AnnotationLines, sups = s.countStats()
+			rep.finishReport(activePolicy(s.opts), sups)
 			rep.Metrics = col.Finish()
 			if rep.incrState != nil {
 				// A run that crashed or was cancelled captures no state;
@@ -272,18 +275,21 @@ func (s *Session) CFiles() []string {
 	return append([]string(nil), s.cFiles...)
 }
 
-// locEntry memoizes one file's contribution to scanSources' counts: its
-// line counts and the quoted includes it pulls in, keyed by content.
+// locEntry memoizes one file's contribution to the whole-program source
+// scans, keyed by content: its line counts, its safeflow:ignore
+// directives and the quoted includes it pulls in.
 type locEntry struct {
 	content  string
 	loc      int
 	annots   int
+	sups     []policy.Suppression
 	includes []string
 }
 
-// countStats reproduces scanSources' counts over the session's sources,
-// recounting only files whose contents changed since the last update.
-func (s *Session) countStats() (loc, annots int) {
+// countStats reproduces scanSources' counts and scanSourceSuppressions'
+// directives over the session's sources, rescanning only files whose
+// contents changed since the last update.
+func (s *Session) countStats() (loc, annots int, sups []policy.Suppression) {
 	walkSources(s.cFiles, func(name string) []string {
 		text, ok := s.sources[name]
 		if !ok {
@@ -291,13 +297,14 @@ func (s *Session) countStats() (loc, annots int) {
 		}
 		e := s.locMemo[name]
 		if e == nil || e.content != text {
-			e = &locEntry{content: text, includes: quotedIncludes(text)}
+			e = &locEntry{content: text, sups: policy.ScanSuppressions(name, text), includes: quotedIncludes(text)}
 			e.loc, e.annots = lineStats(text)
 			s.locMemo[name] = e
 		}
 		loc += e.loc
 		annots += e.annots
+		sups = append(sups, e.sups...)
 		return e.includes
 	})
-	return loc, annots
+	return loc, annots, sups
 }

@@ -5,6 +5,7 @@ package csema
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"safeflow/internal/cast"
@@ -370,8 +371,14 @@ func (c *checker) declareBuiltins() {
 		// SafeFlow runtime.
 		"InitCheck": vsig(intT, voidp, longT),
 	}
-	for name, t := range builtins {
-		fn := &Function{Name: name, Type: t, IsBuiltin: true}
+	// Sorted, so the module's function order is the same on every compile.
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fn := &Function{Name: name, Type: builtins[name], IsBuiltin: true}
 		c.prog.Funcs = append(c.prog.Funcs, fn)
 		c.prog.FuncByName[name] = fn
 	}

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash/fnv"
+	"unsafe"
 
 	"safeflow/internal/cache"
 	"safeflow/internal/cast"
@@ -52,14 +53,22 @@ func parseEcho(f *cast.File) uint64 {
 	return h.Sum64()
 }
 
+// parseCacheKey hashes the unit name and its expanded text without
+// copying either: the hash reads the strings' bytes in place.
 func parseCacheKey(filename, expanded string) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte(filename))
-	h.Write([]byte{0})
-	h.Write([]byte(expanded))
+	h.Write(readOnlyBytes(filename))
+	h.Write(readOnlyBytes("\x00"))
+	h.Write(readOnlyBytes(expanded))
 	var key [sha256.Size]byte
 	h.Sum(key[:0])
 	return key
+}
+
+// readOnlyBytes views s as a byte slice without copying it. The slice
+// aliases immutable string memory: callers must only read it.
+func readOnlyBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ package frontend
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 
 	"safeflow/internal/metrics"
@@ -125,5 +127,29 @@ func TestParseCacheBounded(t *testing.T) {
 	FillParseCache(pc, maxParseEntries+16)
 	if n := pc.Len(); n != maxParseEntries {
 		t.Fatalf("cache holds %d entries, bound is %d", n, maxParseEntries)
+	}
+}
+
+// parseCacheKey reads the expanded text in place: a key over a 448 KB
+// text allocates exactly as often as a key over a one-line text, and no
+// allocation it makes grows with the text.
+func TestParseCacheKeyNoCopy(t *testing.T) {
+	short := "int x;\n"
+	long := strings.Repeat(short, 1<<16)
+	allocs := func(text string) float64 {
+		return testing.AllocsPerRun(50, func() { parseCacheKey("unit.c", text) })
+	}
+	if s, l := allocs(short), allocs(long); l != s || l > 1 {
+		t.Errorf("parseCacheKey allocations: %v on a short text, %v on a long one; want at most 1 on both", s, l)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parseCacheKey("unit.c", long)
+	}
+	runtime.ReadMemStats(&after)
+	if perKey := (after.TotalAlloc - before.TotalAlloc) / runs; perKey > 1024 {
+		t.Errorf("parseCacheKey allocates %d bytes per key over a %d-byte text", perKey, len(long))
 	}
 }

@@ -100,6 +100,15 @@ func (r *Result) Objects() []*Object { return r.objects }
 // PointsTo returns the refs a pointer value may reference.
 func (r *Result) PointsTo(v ir.Value) []Ref { return sortRefs(r.valPts[v]) }
 
+// EachPointsTo calls visit for every ref a pointer value may reference,
+// in no particular order, without copying the set. PointsTo returns the
+// same refs sorted.
+func (r *Result) EachPointsTo(v ir.Value, visit func(Ref)) {
+	for ref := range r.valPts[v] {
+		visit(ref)
+	}
+}
+
 // CellPointsTo returns what the memory cell at ref may contain.
 func (r *Result) CellPointsTo(ref Ref) []Ref { return sortRefs(r.cellPts[ref]) }
 

@@ -464,8 +464,13 @@ func mixFact(h *fnvHash, f shmflow.Fact) {
 	}
 }
 
-func mixRef(h *fnvHash, r pointsto.Ref) {
+// refHash hashes one points-to ref by its object's stable description
+// (kind, name, owning function, allocation site) and offset, never by
+// object id, then finalizes it (splitmix64) so that a sum of ref hashes
+// is a sound set hash.
+func refHash(r pointsto.Ref) uint64 {
 	d := descOf(r.Obj)
+	h := newFNV()
 	h.int(int64(d.kind))
 	h.str(d.name)
 	h.str(d.fn)
@@ -473,6 +478,10 @@ func mixRef(h *fnvHash, r pointsto.Ref) {
 	h.int(int64(d.pos.Line))
 	h.int(int64(d.pos.Col))
 	h.int(r.Off)
+	x := h.h
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // envHashOf fingerprints everything outside the function body that its
@@ -484,12 +493,17 @@ func mixRef(h *fnvHash, r pointsto.Ref) {
 func envHashOf(cfg *Config, fn *ir.Function) uint64 {
 	h := newFNV()
 	h.bool(cfg.SF.InitFuncs[fn])
+	// A points-to set hashes as its size and the sum of its refs' hashes:
+	// order-independent, so the set is read in place, unsorted.
 	mixRefs := func(v ir.Value) {
-		refs := cfg.PTS.PointsTo(v)
-		h.int(int64(len(refs)))
-		for _, r := range refs {
-			mixRef(h, r)
-		}
+		var n int64
+		var sum uint64
+		cfg.PTS.EachPointsTo(v, func(r pointsto.Ref) {
+			n++
+			sum += refHash(r)
+		})
+		h.int(n)
+		h.int(int64(sum))
 	}
 	for _, p := range fn.Params {
 		mixFact(h, cfg.SF.FactOf(fn, p))
