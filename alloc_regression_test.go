@@ -8,6 +8,7 @@ package safeflow_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,4 +106,55 @@ func TestAllocRegression_FrontendSplit130(t *testing.T) {
 		t.Errorf("%d allocs/op, want ≤ %d", allocs, frontendSplit130MaxAllocs)
 	}
 	t.Logf("%d allocs/op, %d B/op, %v/op", allocs, bytes, time.Duration(r.NsPerOp()))
+}
+
+// Update pin for the split 130-unit system (seed 1): allocations per
+// Session.Update at one worker, averaged over seeded single-function
+// edits each followed by its revert. Sharing each function's def-use
+// index between phases 1 and 3 and across updates, immutable shm facts
+// and shape checks that render no type took an update from about 30k
+// allocations to about 15k (go1.24, linux/amd64); the bound sits well
+// below the former.
+const sessionUpdateSplit130MaxAllocs = 21_000
+
+func TestAllocRegression_SessionUpdateSplit130(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	raw := corpus.Generate(1, corpus.MaxShape)
+	g := corpus.Split(raw)
+	type change struct{ unit, edited, base string }
+	var changes []change
+	for seed := int64(1); len(changes) < 8; seed++ {
+		for _, e := range corpus.GenerateEdits(raw, seed, 1) {
+			for _, cf := range g.CFiles {
+				if e.Kind != corpus.EditNoop && strings.Contains(g.Sources[cf], e.Old) {
+					changes = append(changes, change{cf, strings.Replace(g.Sources[cf], e.Old, e.New, 1), g.Sources[cf]})
+					break
+				}
+			}
+		}
+	}
+	ctx := context.Background()
+	sess, _, err := core.OpenSession(ctx, g.Name, g.Sources, g.CFiles, core.Options{Workers: 1, Cache: core.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := changes[i%len(changes)]
+			for _, text := range []string{c.edited, c.base} {
+				if _, st, err := sess.Update(ctx, map[string]string{c.unit: text}); err != nil || !st.Incremental {
+					b.Fatalf("update of %s: incremental=%v err=%v", c.unit, st.Incremental, err)
+				}
+			}
+		}
+	})
+	perUpdate := r.AllocsPerOp() / 2
+	if perUpdate > sessionUpdateSplit130MaxAllocs {
+		t.Errorf("%d allocs per update, want ≤ %d", perUpdate, sessionUpdateSplit130MaxAllocs)
+	}
+	t.Logf("%d allocs, %d B per update", perUpdate, r.AllocedBytesPerOp()/2)
 }

@@ -46,18 +46,20 @@ func (s *SCC) Recursive(g *Graph) bool {
 
 // New builds the call graph of m.
 func New(m *ir.Module) *Graph {
+	n := len(m.Funcs)
 	g := &Graph{
 		Module:  m,
-		Callees: make(map[*ir.Function][]*ir.Function),
-		Callers: make(map[*ir.Function][]*ir.Function),
-		Sites:   make(map[*ir.Function][]*ir.Call),
-		sccOf:   make(map[*ir.Function]*SCC),
+		Callees: make(map[*ir.Function][]*ir.Function, n),
+		Callers: make(map[*ir.Function][]*ir.Function, n),
+		Sites:   make(map[*ir.Function][]*ir.Call, n),
+		sccOf:   make(map[*ir.Function]*SCC, n),
 	}
+	seen := make(map[*ir.Function]bool)
 	for _, f := range m.Funcs {
 		if f.IsDecl {
 			continue
 		}
-		seen := make(map[*ir.Function]bool)
+		clear(seen)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				call, ok := in.(*ir.Call)
@@ -84,9 +86,10 @@ func New(m *ir.Module) *Graph {
 // exactly the bottom-up order.
 func (g *Graph) tarjan() {
 	index := 0
-	indices := make(map[*ir.Function]int)
-	low := make(map[*ir.Function]int)
-	onStack := make(map[*ir.Function]bool)
+	n := len(g.Module.Funcs)
+	indices := make(map[*ir.Function]int, n)
+	low := make(map[*ir.Function]int, n)
+	onStack := make(map[*ir.Function]bool, n)
 	var stack []*ir.Function
 
 	var strong func(f *ir.Function)

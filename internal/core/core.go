@@ -26,6 +26,7 @@ import (
 	"safeflow/internal/callgraph"
 	"safeflow/internal/cpp"
 	"safeflow/internal/ctoken"
+	"safeflow/internal/dataflow"
 	"safeflow/internal/diag"
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
@@ -325,7 +326,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		opts.incrOpts = nil
 	}
 	loc, annots, digest := scanSources(sources, cFiles)
-	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing, digest)
+	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing, digest, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -342,17 +343,30 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 // units. A module comes without source text, so its stored phase-3 state
 // is matched by system name and options alone.
 func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
-	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0)
+	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0, nil)
 }
 
 // analyzeModuleWith drives phases 1–3, each wrapped in panic isolation
 // and separated by cancellation checks; col (may be nil) collects
 // metrics, missing (may be nil) names the functions whose defining
-// units the recovering front end skipped, and digest names the sources
-// the module was compiled from (scanSources) for the state store.
-func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64) (*Report, error) {
-	mode := pointsToMode(opts)
+// units the recovering front end skipped, digest names the sources
+// the module was compiled from (scanSources) for the state store, and
+// idx (nil: a table for this run) holds the functions' def-use indexes,
+// which phases 1 and 3 share.
+//
+// The phases form a small DAG: callgraph → shmflow → restrict on one
+// branch and pointsto, which needs no region facts, on the other, both
+// joined before vfg. With more than one worker the points-to branch runs
+// in its own goroutine; every return below joins it first. Its phase
+// metric is then the time vfg waited for it, and its hook and its
+// isolated failure are reported in the sequential order.
+func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64, idx *dataflow.Index) (*Report, error) {
 	m := res.Module
+	if idx == nil {
+		idx = dataflow.NewIndex()
+	}
+	pt := startPointsTo(name, m, pointsToMode(opts), opts.Workers != 1)
+	defer pt.join()
 	rep := &Report{Name: name, Module: m}
 	pol := activePolicy(opts)
 	rep.PolicyName = pol.Name
@@ -367,7 +381,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	err := guard.Run("shmflow", name, func() error {
 		firePhaseHook("shmflow", name)
 		cg = callgraph.New(m)
-		sf = shmflow.Analyze(m, cg)
+		sf = shmflow.AnalyzeIndexed(m, cg, idx)
 		return nil
 	})
 	done()
@@ -401,13 +415,8 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	}
 
 	// Phase 3: alias analysis, then the value-flow fixpoint.
-	var pts *pointsto.Result
 	done = col.Phase("pointsto")
-	err = guard.Run("pointsto", name, func() error {
-		firePhaseHook("pointsto", name)
-		pts = pointsto.Analyze(m, mode)
-		return nil
-	})
+	pts, err := pt.wait()
 	done()
 	if err != nil {
 		rep.Internal = append(rep.Internal, err)
@@ -463,6 +472,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			MissingDefs: missing,
 			Incr:        incr,
 			Policy:      opts.Policy,
+			Index:       idx,
 		})
 		return nil
 	})
@@ -533,6 +543,56 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		}
 	}
 	return rep, nil
+}
+
+// pointsToRun is one run's alias analysis. Started concurrently it
+// runs in its own goroutine from the start; otherwise wait runs it in
+// place, after phases 1 and 2, as a sequential pipeline would.
+type pointsToRun struct {
+	name string
+	m    *ir.Module
+	mode pointsto.Mode
+	done chan struct{} // nil when wait runs it in place
+	pts  *pointsto.Result
+	err  error
+}
+
+func startPointsTo(name string, m *ir.Module, mode pointsto.Mode, concurrent bool) *pointsToRun {
+	p := &pointsToRun{name: name, m: m, mode: mode}
+	if concurrent {
+		p.done = make(chan struct{})
+		go func() {
+			defer close(p.done)
+			p.run()
+		}()
+	}
+	return p
+}
+
+func (p *pointsToRun) run() {
+	p.err = guard.Run("pointsto", p.name, func() error {
+		firePhaseHook("pointsto", p.name)
+		p.pts = pointsto.Analyze(p.m, p.mode)
+		return nil
+	})
+}
+
+// wait returns the analysis result, or its isolated failure.
+func (p *pointsToRun) wait() (*pointsto.Result, error) {
+	if p.done == nil {
+		p.run()
+	} else {
+		<-p.done
+	}
+	return p.pts, p.err
+}
+
+// join waits for a concurrent run to finish, so none outlives the
+// analysis that started it; an unstarted in-place run never starts.
+func (p *pointsToRun) join() {
+	if p.done != nil {
+		<-p.done
+	}
 }
 
 // callsInitCheck reports whether the function (directly) calls InitCheck.
@@ -659,21 +719,14 @@ func lineStats(text string) (loc, annots int) {
 }
 
 // quotedIncludes returns the files text pulls in with #include "…", in
-// line order.
+// line order, each directive read as the preprocessor reads it.
 func quotedIncludes(text string) []string {
 	var out []string
 	for text != "" {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
-		trimmed := strings.TrimSpace(line)
-		if !strings.HasPrefix(trimmed, "#include") {
-			continue
-		}
-		if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-			rest := trimmed[i+1:]
-			if j := strings.IndexByte(rest, '"'); j > 0 {
-				out = append(out, rest[:j])
-			}
+		if target, ok := cpp.QuotedInclude(line); ok && target != "" {
+			out = append(out, target)
 		}
 	}
 	return out

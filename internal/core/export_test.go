@@ -1,6 +1,9 @@
 package core
 
-import "safeflow/internal/cpp"
+import (
+	"safeflow/internal/cpp"
+	"safeflow/internal/dataflow"
+)
 
 // PlantState re-tags the state the last analysis of name under opts
 // over the sources from stored in opts.Cache, as if it had been computed
@@ -17,3 +20,6 @@ func PlantState(name string, opts Options, from, to map[string]string, fromFiles
 	opts.Cache.State.Put(key, toDigest, st)
 	return true
 }
+
+// SessionIndex returns the def-use index table s keeps across updates.
+func SessionIndex(s *Session) *dataflow.Index { return s.idx }

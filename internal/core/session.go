@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"safeflow/internal/cpp"
+	"safeflow/internal/dataflow"
 	"safeflow/internal/frontend"
 	"safeflow/internal/irgen"
 	"safeflow/internal/metrics"
@@ -46,7 +47,11 @@ type Session struct {
 	// every fragment reused or adopted — the previous report is still
 	// exact and the downstream phases are skipped.
 	lastRes *irgen.Result
-	stats   UpdateStats
+	// idx holds the def-use index of every function of the last linked
+	// module: an update reuses the indexes of the functions its link
+	// kept and prunes the rest.
+	idx   *dataflow.Index
+	stats UpdateStats
 }
 
 // UpdateStats describes how one Update was executed.
@@ -83,6 +88,7 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 		sources: make(map[string]string, len(sources)),
 		cFiles:  append([]string(nil), cFiles...),
 		locMemo: make(map[string]*locEntry),
+		idx:     dataflow.NewIndex(),
 		// No fragment compile has failed yet: the first update tries them.
 		fragOK: true,
 	}
@@ -187,7 +193,8 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			s.fragOK = true
 			opts := s.opts
 			opts.incrOpts = &vfg.IncrOptions{Prev: s.incr, BodyHashes: hashes}
-			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil, 0)
+			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil, 0, s.idx)
+			s.idx.Prune(res.Module)
 			if err != nil {
 				return nil, UpdateStats{}, err
 			}
@@ -226,6 +233,8 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 	// allows it (non-degraded); a degraded run keeps the old checkpoint.
 	s.fragOK = false
 	s.lastRes = nil
+	// The whole-module compile shares no function with the fragments.
+	s.idx.Prune(nil)
 	fullOpts := s.opts
 	fullOpts.incrOpts = &vfg.IncrOptions{}
 	rep, err := AnalyzeSources(ctx, s.name, src, s.cFiles, fullOpts)
@@ -258,6 +267,7 @@ func (s *Session) Close() {
 	s.incr = nil
 	s.lastRes = nil
 	s.locMemo = nil
+	s.idx = nil
 }
 
 // Last returns the most recent report (the open report until the first

@@ -148,9 +148,7 @@ func (p *Preprocessor) processFile(name, text string) {
 			}
 		}
 
-		if strings.HasPrefix(trimmed, "#") {
-			directive := strings.TrimSpace(trimmed[1:])
-			word, rest := splitWord(directive)
+		if word, rest, ok := directive(trimmed); ok {
 			switch word {
 			case "include":
 				if !active {
@@ -312,6 +310,31 @@ func splitWord(s string) (word, rest string) {
 		}
 	}
 	return s, ""
+}
+
+// directive splits a preprocessor directive line — optional blanks, '#',
+// optional blanks, the directive word — into the word and the rest of
+// the line; ok is false for a line that is no directive.
+func directive(line string) (word, rest string, ok bool) {
+	line = strings.TrimSpace(line)
+	if !strings.HasPrefix(line, "#") {
+		return "", "", false
+	}
+	word, rest = splitWord(line[1:])
+	return word, rest, true
+}
+
+// QuotedInclude returns the file a line includes with #include "file",
+// read as the preprocessor reads the directive (so "# include" counts
+// too). Angle-bracket includes, malformed ones and every other line
+// return false. Whole-program source scans use it to follow the files
+// the preprocessor reads.
+func QuotedInclude(line string) (string, bool) {
+	word, rest, ok := directive(line)
+	if !ok || word != "include" || !strings.HasPrefix(rest, `"`) {
+		return "", false
+	}
+	return parseIncludeTarget(rest)
 }
 
 func parseIncludeTarget(rest string) (string, bool) {

@@ -21,59 +21,149 @@
 package dataflow
 
 import (
+	"sync"
+
 	"safeflow/internal/ir"
 )
 
 // FnInfo is the per-function dense solver index: the instruction list in
 // block order and the def-use chains mapping each numbered value to the
-// indices of the instructions that use it as an operand. Built once per
-// function and shared by every solve over it.
+// indices of the instructions that use it as an operand, in compressed
+// sparse row form. It depends only on the function's own instructions and
+// numbering, so it is built once per function and shared by every solve
+// over it, across phases and, in a session, across updates (see Index).
 type FnInfo struct {
 	Fn        *ir.Function
 	Instrs    []ir.Instr // index = ir.InstrIndex
 	NumValues int
-	users     [][]int32 // value number → instruction indices
+	// The users of value n are uses[off[n]:off[n+1]], in ascending
+	// instruction order, once per operand slot.
+	off  []int32
+	uses []int32
 }
 
 // NewInfo builds the dense index for one function, numbering the function
 // first if it has never been numbered (hand-built test functions; the
-// production pipeline numbers at lowering time).
+// production pipeline numbers at lowering time). It walks the operands
+// twice through one reused buffer — a count, then a fill — and allocates
+// only that buffer and the index itself.
 func NewInfo(f *ir.Function) *FnInfo {
 	if f.NumInstrs() == 0 {
 		f.NumberValues()
 	}
+	nv := f.NumValues()
 	fi := &FnInfo{
 		Fn:        f,
 		Instrs:    make([]ir.Instr, 0, f.NumInstrs()),
-		NumValues: f.NumValues(),
-		users:     make([][]int32, f.NumValues()),
+		NumValues: nv,
+		off:       make([]int32, nv+1),
 	}
+	ops := make([]ir.Value, 0, 8)
+	// off[n] counts value n's uses, then becomes the end of its row.
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			idx := int32(len(fi.Instrs))
 			fi.Instrs = append(fi.Instrs, in)
-			for _, op := range in.Operands() {
-				if n := ir.ValueNum(op); n >= 0 && n < fi.NumValues {
-					fi.users[n] = append(fi.users[n], idx)
+			ops = in.AppendOperands(ops[:0])
+			for _, op := range ops {
+				if n := ir.ValueNum(op); n >= 0 && n < nv {
+					fi.off[n]++
 				}
+			}
+		}
+	}
+	for n := 1; n <= nv; n++ {
+		fi.off[n] += fi.off[n-1]
+	}
+	// Filling back to front leaves each row ascending and off[n] at the
+	// row's start; off[nv] stays the total.
+	fi.uses = make([]int32, fi.off[nv])
+	for idx := len(fi.Instrs) - 1; idx >= 0; idx-- {
+		ops = fi.Instrs[idx].AppendOperands(ops[:0])
+		for _, op := range ops {
+			if n := ir.ValueNum(op); n >= 0 && n < nv {
+				fi.off[n]--
+				fi.uses[fi.off[n]] = int32(idx)
 			}
 		}
 	}
 	return fi
 }
 
+// users returns the indices of the instructions using value n.
+func (fi *FnInfo) users(n int) []int32 { return fi.uses[fi.off[n]:fi.off[n+1]] }
+
 // UsersOf returns the instructions using v as an operand (test/debug
 // helper; the solver walks the index directly).
 func (fi *FnInfo) UsersOf(v ir.Value) []ir.Instr {
 	n := ir.ValueNum(v)
-	if n < 0 || n >= len(fi.users) {
+	if n < 0 || n >= fi.NumValues {
 		return nil
 	}
-	out := make([]ir.Instr, len(fi.users[n]))
-	for i, idx := range fi.users[n] {
-		out[i] = fi.Instrs[idx]
+	out := make([]ir.Instr, 0, fi.off[n+1]-fi.off[n])
+	for _, idx := range fi.users(n) {
+		out = append(out, fi.Instrs[idx])
 	}
 	return out
+}
+
+// Index is a table of per-function def-use indexes, each built on first
+// request. An analysis owns one, so its phases share every index; a
+// session keeps its table across updates, since a function object the
+// link reuses keeps its instructions and numbering (relinking rewires
+// only operands that name functions and globals, which are unnumbered),
+// and prunes it to the current module so no entry pins a dead one. The
+// nil *Index builds a fresh index on every request. Safe for concurrent
+// use.
+type Index struct {
+	mu    sync.Mutex
+	infos map[*ir.Function]*FnInfo
+}
+
+// NewIndex returns an empty table.
+func NewIndex() *Index {
+	return &Index{infos: make(map[*ir.Function]*FnInfo)}
+}
+
+// Of returns f's index, building and keeping it on first request.
+func (x *Index) Of(f *ir.Function) *FnInfo {
+	if x == nil {
+		return NewInfo(f)
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	fi := x.infos[f]
+	if fi == nil {
+		fi = NewInfo(f)
+		x.infos[f] = fi
+	}
+	return fi
+}
+
+// Lookup returns f's index if the table holds one, without building it.
+func (x *Index) Lookup(f *ir.Function) (*FnInfo, bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	fi, ok := x.infos[f]
+	return fi, ok
+}
+
+// Len returns the number of indexes held.
+func (x *Index) Len() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.infos)
+}
+
+// Prune drops the index of every function that is not m's function of
+// its name; a nil m empties the table.
+func (x *Index) Prune(m *ir.Module) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for f := range x.infos {
+		if m == nil || m.FuncByName(f.Name) != f {
+			delete(x.infos, f)
+		}
+	}
 }
 
 // Lattice describes the fact domain for the value solver. Join(Bottom, x)
@@ -211,7 +301,7 @@ func (s *ValueSolver[T]) Solve(seeds []Seed[T]) Facts[T] {
 				continue
 			}
 			s.facts[vn] = merged
-			lo = s.markDirty(fi.users[vn], idx, lo)
+			lo = s.markDirty(fi.users(vn), idx, lo)
 			if vn < len(s.ExtraUses) {
 				lo = s.markDirty(s.ExtraUses[vn], idx, lo)
 			}

@@ -217,7 +217,7 @@ func lifoSolve[T any](s *ValueSolver[T], seeds []Seed[T]) []T {
 			continue
 		}
 		facts[n] = s.Lattice.Join(facts[n], sd.Fact)
-		for _, use := range fi.users[n] {
+		for _, use := range fi.users(n) {
 			push(use)
 		}
 		if in, ok := sd.Val.(ir.Instr); ok {
@@ -251,7 +251,7 @@ func lifoSolve[T any](s *ValueSolver[T], seeds []Seed[T]) []T {
 			continue
 		}
 		facts[n] = merged
-		for _, use := range fi.users[n] {
+		for _, use := range fi.users(n) {
 			push(use)
 		}
 		if n < len(s.ExtraUses) {

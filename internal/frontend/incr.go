@@ -28,7 +28,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
-	"strings"
 
 	"safeflow/internal/cast"
 	"safeflow/internal/cpp"
@@ -45,18 +44,16 @@ import (
 type HashFunc func(fn *ir.Function, assertVars map[*ir.Call]string) uint64
 
 // fragment is one translation unit's lowered, promoted module plus the
-// content hashes of the functions it defines and the structural
-// fingerprints of its declarations. Both are computed once when the
-// fragment is built, so a reused fragment's hints are intrinsically
-// consistent with its IR, and comparing a rebuilt fragment's declaration
-// shape with its predecessor's costs string compares.
+// content hashes of the functions it defines, computed once when the
+// fragment is built (so a reused fragment's hints are intrinsically
+// consistent with its IR), and the struct types its unit defined. A
+// declaration's shape is compared structurally (sameType) against the
+// types in place, so building a fragment renders no type.
 type fragment struct {
 	key        [sha256.Size]byte
 	res        *irgen.Result
 	bodyHashes map[string]uint64
-	structFPs  map[string]string // struct tag → layout fingerprint
-	globalFPs  []string          // element-type fingerprints, aligned with res.Module.Globals
-	funcFPs    []string          // signature fingerprints, aligned with res.Module.Funcs
+	structs    map[string]*ctypes.Struct // the unit's struct types by tag
 }
 
 // FragmentCompiler compiles translation units independently and links
@@ -207,30 +204,30 @@ func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFi
 }
 
 // sameShape reports whether two fragments have the same declaration
-// shape: the same globals (name, type fingerprint, HasInit) and functions
-// (name, signature fingerprint, IsDecl) in the same order, and the same
-// struct layouts. A link's slot table is a function of its fragments'
-// shapes alone.
+// shape: the same globals (name, element type, HasInit) and functions
+// (name, signature, IsDecl) in the same order, and the same struct
+// layouts, types compared structurally. A link's slot table is a
+// function of its fragments' shapes alone.
 func sameShape(a, b *fragment) bool {
 	am, bm := a.res.Module, b.res.Module
 	if len(am.Funcs) != len(bm.Funcs) || len(am.Globals) != len(bm.Globals) ||
-		len(a.structFPs) != len(b.structFPs) {
+		len(a.structs) != len(b.structs) {
 		return false
 	}
 	for i, g := range am.Globals {
 		o := bm.Globals[i]
-		if g.Name != o.Name || g.HasInit != o.HasInit || a.globalFPs[i] != b.globalFPs[i] {
+		if g.Name != o.Name || g.HasInit != o.HasInit || !sameType(g.Elem, o.Elem) {
 			return false
 		}
 	}
 	for i, fn := range am.Funcs {
 		o := bm.Funcs[i]
-		if fn.Name != o.Name || fn.IsDecl != o.IsDecl || a.funcFPs[i] != b.funcFPs[i] {
+		if fn.Name != o.Name || fn.IsDecl != o.IsDecl || !sameType(fn.Sig, o.Sig) {
 			return false
 		}
 	}
-	for tag, fp := range a.structFPs {
-		if ofp, ok := b.structFPs[tag]; !ok || fp != ofp {
+	for tag, st := range a.structs {
+		if ost, ok := b.structs[tag]; !ok || !sameType(st, ost) {
 			return false
 		}
 	}
@@ -306,22 +303,7 @@ func (fc *FragmentCompiler) build(cf, text string, segs []cpp.Segment, key [sha2
 		return nil, false
 	}
 	irgen.Promote(res.Module)
-	frag := &fragment{
-		key:       key,
-		res:       res,
-		structFPs: make(map[string]string, len(prog.Structs)),
-		globalFPs: make([]string, len(res.Module.Globals)),
-		funcFPs:   make([]string, len(res.Module.Funcs)),
-	}
-	for tag, st := range prog.Structs {
-		frag.structFPs[tag] = typeFP(st, nil)
-	}
-	for i, g := range res.Module.Globals {
-		frag.globalFPs[i] = typeFP(g.Elem, nil)
-	}
-	for i, fn := range res.Module.Funcs {
-		frag.funcFPs[i] = typeFP(fn.Sig, nil)
-	}
+	frag := &fragment{key: key, res: res, structs: prog.Structs}
 	if fc.hashFn != nil {
 		frag.bodyHashes = make(map[string]uint64)
 		for _, fn := range res.Module.Funcs {
@@ -360,13 +342,14 @@ func newLinkTable(frags []*fragment) *linkTable {
 	// Struct layouts must agree across fragments: the whole-module check
 	// would have merged (or rejected) them, and the analysis depends on
 	// field offsets and sizes baked in during per-fragment lowering.
-	structFPs := make(map[string]string)
+	structs := make(map[string]*ctypes.Struct)
 	for _, f := range frags {
-		for tag, fp := range f.structFPs {
-			if prev, ok := structFPs[tag]; ok && prev != fp {
+		for tag, st := range f.structs {
+			if prev, ok := structs[tag]; !ok {
+				structs[tag] = st
+			} else if !sameType(prev, st) {
 				return t
 			}
-			structFPs[tag] = fp
 		}
 	}
 
@@ -377,13 +360,13 @@ func newLinkTable(frags []*fragment) *linkTable {
 		nFuncs = max(nFuncs, len(f.res.Module.Funcs))
 		nGlobals = max(nGlobals, len(f.res.Module.Globals))
 	}
-	// Each slot keeps the fingerprint of its first declaration; later
+	// Each slot keeps the type of its first declaration; later
 	// declarations must match it.
 	var (
 		fnSlot = make(map[string]int, nFuncs)
-		fnFPs  = make([]string, 0, nFuncs)
+		fnSigs = make([]ctypes.Type, 0, nFuncs)
 		gSlot  = make(map[string]int, nGlobals)
-		gFPs   = make([]string, 0, nGlobals)
+		gTypes = make([]ctypes.Type, 0, nGlobals)
 	)
 	t.funcs = make([]slot, 0, nFuncs)
 	t.globals = make([]slot, 0, nGlobals)
@@ -393,10 +376,10 @@ func newLinkTable(frags []*fragment) *linkTable {
 			if !seen {
 				gSlot[g.Name] = len(t.globals)
 				t.globals = append(t.globals, slot{fi, j})
-				gFPs = append(gFPs, f.globalFPs[j])
+				gTypes = append(gTypes, g.Elem)
 				continue
 			}
-			if gFPs[i] != f.globalFPs[j] {
+			if !sameType(gTypes[i], g.Elem) {
 				return t
 			}
 			if g.HasInit {
@@ -411,10 +394,10 @@ func newLinkTable(frags []*fragment) *linkTable {
 			if !seen {
 				fnSlot[fn.Name] = len(t.funcs)
 				t.funcs = append(t.funcs, slot{fi, j})
-				fnFPs = append(fnFPs, f.funcFPs[j])
+				fnSigs = append(fnSigs, fn.Sig)
 				continue
 			}
-			if fnFPs[i] != f.funcFPs[j] {
+			if !sameType(fnSigs[i], fn.Sig) {
 				return t
 			}
 			if !fn.IsDecl {
@@ -513,57 +496,61 @@ func (t *linkTable) link(name string, frags []*fragment) (*irgen.Result, map[str
 	return merged, bodyHashes
 }
 
-// typeFP renders a type to a structural fingerprint. ctypes structs are
-// nominal (pointer equality), but fragments re-create identical struct
-// types per TU, so cross-fragment comparisons must be structural. A
-// struct already being expanded renders as its tag (cycle cut).
-func typeFP(t ctypes.Type, expanding map[*ctypes.Struct]bool) string {
-	switch x := t.(type) {
+// sameType reports whether two types are structurally identical.
+// ctypes structs are nominal (pointer equality), but fragments re-create
+// identical struct types per unit, so cross-fragment comparisons must be
+// structural: structs match by keyword, tag and fields (name, offset,
+// type). A struct met again inside its own expansion matches by keyword
+// and tag alone (the cycle cut), and only one met again at the same
+// point on the other side.
+func sameType(a, b ctypes.Type) bool { return sameTypeIn(a, b, nil, nil) }
+
+// sameTypeIn compares a and b below the structs pa and pb being expanded.
+func sameTypeIn(a, b ctypes.Type, pa, pb []*ctypes.Struct) bool {
+	switch x := a.(type) {
 	case nil:
-		return "<nil>"
+		return b == nil
 	case *ctypes.Basic:
-		return x.String()
+		y, ok := b.(*ctypes.Basic)
+		return ok && x.Kind == y.Kind
 	case *ctypes.Pointer:
-		return "*" + typeFP(x.Elem, expanding)
+		y, ok := b.(*ctypes.Pointer)
+		return ok && sameTypeIn(x.Elem, y.Elem, pa, pb)
 	case *ctypes.Array:
-		return fmt.Sprintf("[%d]%s", x.Len, typeFP(x.Elem, expanding))
+		y, ok := b.(*ctypes.Array)
+		return ok && x.Len == y.Len && sameTypeIn(x.Elem, y.Elem, pa, pb)
 	case *ctypes.Struct:
-		kw := "struct"
-		if x.IsUnion {
-			kw = "union"
+		y, ok := b.(*ctypes.Struct)
+		if !ok || x.IsUnion != y.IsUnion || x.Tag != y.Tag {
+			return false
 		}
-		if expanding[x] {
-			return kw + " " + x.Tag
+		inA, inB := slices.Contains(pa, x), slices.Contains(pb, y)
+		if inA || inB {
+			return inA == inB
 		}
-		if expanding == nil {
-			expanding = make(map[*ctypes.Struct]bool)
+		if len(x.Fields) != len(y.Fields) {
+			return false
 		}
-		expanding[x] = true
-		var b strings.Builder
-		b.WriteString(kw)
-		b.WriteByte(' ')
-		b.WriteString(x.Tag)
-		b.WriteByte('{')
-		for _, fld := range x.Fields {
-			fmt.Fprintf(&b, "%s@%d:%s;", fld.Name, fld.Offset, typeFP(fld.Type, expanding))
+		pa, pb = append(pa, x), append(pb, y)
+		for i, f := range x.Fields {
+			g := y.Fields[i]
+			if f.Name != g.Name || f.Offset != g.Offset || !sameTypeIn(f.Type, g.Type, pa, pb) {
+				return false
+			}
 		}
-		b.WriteByte('}')
-		delete(expanding, x)
-		return b.String()
+		return true
 	case *ctypes.Func:
-		var b strings.Builder
-		b.WriteString("func(")
-		for _, p := range x.Params {
-			b.WriteString(typeFP(p, expanding))
-			b.WriteByte(',')
+		y, ok := b.(*ctypes.Func)
+		if !ok || x.Variadic != y.Variadic || len(x.Params) != len(y.Params) {
+			return false
 		}
-		if x.Variadic {
-			b.WriteString("...")
+		for i, p := range x.Params {
+			if !sameTypeIn(p, y.Params[i], pa, pb) {
+				return false
+			}
 		}
-		b.WriteByte(')')
-		b.WriteString(typeFP(x.Result, expanding))
-		return b.String()
+		return sameTypeIn(x.Result, y.Result, pa, pb)
 	default:
-		return fmt.Sprintf("%T", t)
+		panic(fmt.Sprintf("frontend: sameType of unknown type %T", a))
 	}
 }

@@ -46,10 +46,11 @@ func CheckLastLink(fc *FragmentCompiler) error {
 	for _, fn := range m.Funcs {
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
-				ops := in.Operands()
+				var ops []ir.Value
 				if c, ok := in.(*ir.Call); ok {
-					ops = append([]ir.Value{c.Callee}, ops...)
+					ops = append(ops, c.Callee)
 				}
+				ops = in.AppendOperands(ops)
 				for _, v := range ops {
 					switch x := v.(type) {
 					case *ir.Function:

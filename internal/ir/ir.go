@@ -241,8 +241,10 @@ func addEdge(from, to *Block) {
 type Instr interface {
 	// Parent returns the containing block.
 	Parent() *Block
-	// Operands returns the instruction's value operands (for def-use scans).
-	Operands() []Value
+	// AppendOperands appends the instruction's value operands to ops and
+	// returns the extended slice (for def-use scans). Callers that reuse
+	// one buffer walk operands without allocating.
+	AppendOperands(ops []Value) []Value
 	// Pos returns the originating source position.
 	Pos() ctoken.Pos
 	// String renders the instruction in LLVM-ish syntax.
@@ -308,8 +310,8 @@ func (a *Alloca) Ident() string {
 	return a.identIn(fnOf(a.parent))
 }
 
-// Operands implements Instr.
-func (a *Alloca) Operands() []Value { return nil }
+// AppendOperands implements Instr.
+func (a *Alloca) AppendOperands(ops []Value) []Value { return ops }
 
 // String implements Instr.
 func (a *Alloca) String() string {
@@ -333,8 +335,8 @@ func (l *Load) Type() ctypes.Type {
 // Ident implements Value.
 func (l *Load) Ident() string { return l.identIn(fnOf(l.parent)) }
 
-// Operands implements Instr.
-func (l *Load) Operands() []Value { return []Value{l.Addr} }
+// AppendOperands implements Instr.
+func (l *Load) AppendOperands(ops []Value) []Value { return append(ops, l.Addr) }
 
 // String implements Instr.
 func (l *Load) String() string {
@@ -348,8 +350,8 @@ type Store struct {
 	Addr Value
 }
 
-// Operands implements Instr.
-func (s *Store) Operands() []Value { return []Value{s.Val, s.Addr} }
+// AppendOperands implements Instr.
+func (s *Store) AppendOperands(ops []Value) []Value { return append(ops, s.Val, s.Addr) }
 
 // String implements Instr.
 func (s *Store) String() string {
@@ -379,9 +381,9 @@ func (g *GEP) Type() ctypes.Type { return g.ResultT }
 // Ident implements Value.
 func (g *GEP) Ident() string { return g.identIn(fnOf(g.parent)) }
 
-// Operands implements Instr.
-func (g *GEP) Operands() []Value {
-	ops := []Value{g.Base}
+// AppendOperands implements Instr.
+func (g *GEP) AppendOperands(ops []Value) []Value {
+	ops = append(ops, g.Base)
 	for _, ix := range g.Indices {
 		if ix.Index != nil {
 			ops = append(ops, ix.Index)
@@ -442,8 +444,8 @@ func (b *BinOp) Type() ctypes.Type { return b.Ty }
 // Ident implements Value.
 func (b *BinOp) Ident() string { return b.identIn(fnOf(b.parent)) }
 
-// Operands implements Instr.
-func (b *BinOp) Operands() []Value { return []Value{b.X, b.Y} }
+// AppendOperands implements Instr.
+func (b *BinOp) AppendOperands(ops []Value) []Value { return append(ops, b.X, b.Y) }
 
 // String implements Instr.
 func (b *BinOp) String() string {
@@ -481,8 +483,8 @@ func (c *Cmp) Type() ctypes.Type { return ctypes.IntType }
 // Ident implements Value.
 func (c *Cmp) Ident() string { return c.identIn(fnOf(c.parent)) }
 
-// Operands implements Instr.
-func (c *Cmp) Operands() []Value { return []Value{c.X, c.Y} }
+// AppendOperands implements Instr.
+func (c *Cmp) AppendOperands(ops []Value) []Value { return append(ops, c.X, c.Y) }
 
 // String implements Instr.
 func (c *Cmp) String() string {
@@ -527,8 +529,8 @@ func (c *Cast) Type() ctypes.Type { return c.To }
 // Ident implements Value.
 func (c *Cast) Ident() string { return c.identIn(fnOf(c.parent)) }
 
-// Operands implements Instr.
-func (c *Cast) Operands() []Value { return []Value{c.X} }
+// AppendOperands implements Instr.
+func (c *Cast) AppendOperands(ops []Value) []Value { return append(ops, c.X) }
 
 // String implements Instr.
 func (c *Cast) String() string {
@@ -548,8 +550,8 @@ func (c *Call) Type() ctypes.Type { return c.Callee.Sig.Result }
 // Ident implements Value.
 func (c *Call) Ident() string { return c.identIn(fnOf(c.parent)) }
 
-// Operands implements Instr.
-func (c *Call) Operands() []Value { return c.Args }
+// AppendOperands implements Instr.
+func (c *Call) AppendOperands(ops []Value) []Value { return append(ops, c.Args...) }
 
 // String implements Instr.
 func (c *Call) String() string {
@@ -584,9 +586,8 @@ func (p *Phi) Type() ctypes.Type { return p.Ty }
 // Ident implements Value.
 func (p *Phi) Ident() string { return p.identIn(fnOf(p.parent)) }
 
-// Operands implements Instr.
-func (p *Phi) Operands() []Value {
-	var ops []Value
+// AppendOperands implements Instr.
+func (p *Phi) AppendOperands(ops []Value) []Value {
 	for _, e := range p.Edges {
 		ops = append(ops, e.Val)
 	}
@@ -608,12 +609,12 @@ type Ret struct {
 	X Value
 }
 
-// Operands implements Instr.
-func (r *Ret) Operands() []Value {
+// AppendOperands implements Instr.
+func (r *Ret) AppendOperands(ops []Value) []Value {
 	if r.X == nil {
-		return nil
+		return ops
 	}
-	return []Value{r.X}
+	return append(ops, r.X)
 }
 
 // String implements Instr.
@@ -634,12 +635,12 @@ type Br struct {
 	Else *Block // nil for unconditional
 }
 
-// Operands implements Instr.
-func (b *Br) Operands() []Value {
+// AppendOperands implements Instr.
+func (b *Br) AppendOperands(ops []Value) []Value {
 	if b.Cond == nil {
-		return nil
+		return ops
 	}
-	return []Value{b.Cond}
+	return append(ops, b.Cond)
 }
 
 // String implements Instr.
@@ -657,8 +658,8 @@ type Unreachable struct {
 	instrBase
 }
 
-// Operands implements Instr.
-func (u *Unreachable) Operands() []Value { return nil }
+// AppendOperands implements Instr.
+func (u *Unreachable) AppendOperands(ops []Value) []Value { return ops }
 
 // String implements Instr.
 func (u *Unreachable) String() string { return "unreachable" }

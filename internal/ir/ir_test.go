@@ -85,7 +85,7 @@ func TestInstrTypesAndOperands(t *testing.T) {
 
 	st := &Store{Val: &ConstFloat{Val: 1, Ty: ctypes.DoubleType}, Addr: al}
 	b.Append(st)
-	if len(st.Operands()) != 2 {
+	if len(st.AppendOperands(nil)) != 2 {
 		t.Error("store operands")
 	}
 
@@ -97,7 +97,7 @@ func TestInstrTypesAndOperands(t *testing.T) {
 
 	bo := &BinOp{Op: Mul, X: ld, Y: ld, Ty: ctypes.DoubleType}
 	b.Append(bo)
-	if bo.String() == "" || len(bo.Operands()) != 2 {
+	if bo.String() == "" || len(bo.AppendOperands(nil)) != 2 {
 		t.Error("binop")
 	}
 
@@ -137,8 +137,8 @@ func TestGEPTypeWalk(t *testing.T) {
 		ResultT: &ctypes.Pointer{Elem: &ctypes.Array{Elem: ctypes.IntType, Len: 4}},
 	}
 	b.Append(gep)
-	if len(gep.Operands()) != 1 {
-		t.Errorf("field-only GEP operands = %d", len(gep.Operands()))
+	if len(gep.AppendOperands(nil)) != 1 {
+		t.Errorf("field-only GEP operands = %d", len(gep.AppendOperands(nil)))
 	}
 	idx := &ConstInt{Val: 2, Ty: ctypes.IntType}
 	gep2 := &GEP{
@@ -147,7 +147,7 @@ func TestGEPTypeWalk(t *testing.T) {
 		ResultT: &ctypes.Pointer{Elem: ctypes.IntType},
 	}
 	b.Append(gep2)
-	ops := gep2.Operands()
+	ops := gep2.AppendOperands(nil)
 	if len(ops) != 2 || ops[1] != Value(idx) {
 		t.Errorf("GEP operands = %v", ops)
 	}
@@ -174,7 +174,7 @@ func TestPhiPrinting(t *testing.T) {
 	if !strings.Contains(s, "phi int") || !strings.Contains(s, "[1, %a0]") {
 		t.Errorf("phi string = %q", s)
 	}
-	if len(phi.Operands()) != 2 {
+	if len(phi.AppendOperands(nil)) != 2 {
 		t.Error("phi operands")
 	}
 }

@@ -199,6 +199,7 @@ func promotableAllocas(f *ir.Function) []*ir.Alloca {
 			}
 		}
 	}
+	var ops []ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch x := in.(type) {
@@ -211,7 +212,8 @@ func promotableAllocas(f *ir.Function) []*ir.Alloca {
 					escaped[a] = true
 				}
 			default:
-				for _, op := range in.Operands() {
+				ops = in.AppendOperands(ops[:0])
+				for _, op := range ops {
 					if a, ok := op.(*ir.Alloca); ok {
 						escaped[a] = true
 					}

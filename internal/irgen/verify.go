@@ -182,7 +182,7 @@ func verifyFunc(f *ir.Function) []error {
 				}
 				continue
 			}
-			for _, op := range in.Operands() {
+			for _, op := range in.AppendOperands(nil) {
 				if !validOperand(b, i, op, false, nil) {
 					bad("block %s: operand %s of %q does not dominate its use",
 						b.Label, op.Ident(), in.String())

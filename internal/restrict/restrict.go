@@ -69,6 +69,7 @@ type checker struct {
 	m   *ir.Module
 	sf  *shmflow.Result
 	out []Violation
+	ops []ir.Value // operand buffer reused across instructions
 }
 
 func (c *checker) report(rule Rule, f *ir.Function, pos ctoken.Pos, format string, args ...any) {
@@ -184,7 +185,8 @@ func (c *checker) checkStore(f *ir.Function, st *ir.Store) {
 }
 
 func (c *checker) checkRegionGlobalEscape(f *ir.Function, in ir.Instr) {
-	for _, op := range in.Operands() {
+	c.ops = in.AppendOperands(c.ops[:0])
+	for _, op := range c.ops {
 		reg := c.isRegionGlobal(op)
 		if reg == nil {
 			continue

@@ -30,6 +30,8 @@ type Region struct {
 	NonCore bool   // assume(noncore(ptr)) was given
 	Global  *ir.Global
 	Init    *ir.Function // the shminit function that declared it
+
+	base Fact // the fact of a load of Global: this region at offset 0
 }
 
 // String implements fmt.Stringer.
@@ -87,6 +89,9 @@ func (iv Interval) String() string {
 
 // Fact is the shm-pointer fact of one SSA value: the regions it may point
 // into and the offset interval per region. nil/empty = not a shm pointer.
+// A Fact is an immutable value once made: joins and shifts build new
+// maps, so values, parameters and return values that carry the same
+// pointer share one map (a region's base fact is interned on the Region).
 type Fact map[*Region]Interval
 
 // Empty reports whether the value is not a shared-memory pointer.
@@ -168,19 +173,27 @@ func (r *Result) IsShmPointer(fn *ir.Function, v ir.Value) bool {
 	return !r.FactOf(fn, v).Empty()
 }
 
-// Analyze runs phase 1 over the module.
+// Analyze runs phase 1 over the module, building each function's def-use
+// index for this run alone.
 func Analyze(m *ir.Module, cg *callgraph.Graph) *Result {
+	return AnalyzeIndexed(m, cg, nil)
+}
+
+// AnalyzeIndexed runs phase 1 over the module, taking each function's
+// def-use index from idx (nil builds them for this run alone), so the
+// phases after it and later runs over the same functions reuse them.
+func AnalyzeIndexed(m *ir.Module, cg *callgraph.Graph, idx *dataflow.Index) *Result {
 	res := &Result{
 		RegionByName: make(map[string]*Region),
 		InitFuncs:    make(map[*ir.Function]bool),
-		Facts:        make(map[*ir.Function]dataflow.Facts[Fact]),
+		Facts:        make(map[*ir.Function]dataflow.Facts[Fact], len(m.Funcs)),
 		RetFacts:     make(map[*ir.Function]Fact),
 	}
 	res.discoverRegions(m)
 	if len(res.Regions) == 0 {
 		return res
 	}
-	res.propagate(m, cg)
+	res.propagate(m, cg, idx)
 	return res
 }
 
@@ -222,6 +235,7 @@ func (r *Result) discoverRegions(m *ir.Module) {
 				continue
 			}
 			reg := &Region{Name: sv.Ptr, Size: sv.Size, Global: g, Init: f}
+			reg.base = Fact{reg: Exact(0)}
 			r.Regions = append(r.Regions, reg)
 			r.RegionByName[sv.Ptr] = reg
 		}
@@ -238,11 +252,11 @@ func (r *Result) discoverRegions(m *ir.Module) {
 
 // propagate runs the sparse intraprocedural solve per function plus the
 // bottom-up/top-down interprocedural plumbing to a fixpoint.
-func (r *Result) propagate(m *ir.Module, cg *callgraph.Graph) {
+func (r *Result) propagate(m *ir.Module, cg *callgraph.Graph, idx *dataflow.Index) {
 	// Cross-function boundary facts.
 	paramFacts := make(map[*ir.Param]Fact)
 	// One solver per function, reused across the interprocedural rounds so
-	// the def-use index is built once and the fact buffers are recycled.
+	// the fact buffers are recycled; the def-use index comes from idx.
 	solvers := make(map[*ir.Function]*fnSolver)
 
 	dirty := make(map[*ir.Function]bool)
@@ -267,7 +281,7 @@ func (r *Result) propagate(m *ir.Module, cg *callgraph.Graph) {
 		queue = queue[1:]
 		dirty[f] = false
 
-		retChanged, callArgs := r.solveFunction(f, paramFacts, solvers)
+		retChanged, callArgs := r.solveFunction(f, paramFacts, solvers, idx)
 		if retChanged {
 			for _, caller := range cg.Callers[f] {
 				push(caller)
@@ -303,11 +317,11 @@ type fnSolver struct {
 // solveFunction runs the sparse solve for one function given current
 // parameter facts; it records the final fact table, returns whether the
 // function's return fact changed, and collects per-callee argument facts.
-func (r *Result) solveFunction(f *ir.Function, paramFacts map[*ir.Param]Fact, solvers map[*ir.Function]*fnSolver) (retChanged bool, callArgs map[*ir.Function][]Fact) {
+func (r *Result) solveFunction(f *ir.Function, paramFacts map[*ir.Param]Fact, solvers map[*ir.Function]*fnSolver, idx *dataflow.Index) (retChanged bool, callArgs map[*ir.Function][]Fact) {
 	st := solvers[f]
 	if st == nil {
 		st = &fnSolver{solver: &dataflow.ValueSolver[Fact]{
-			Info:    dataflow.NewInfo(f),
+			Info:    idx.Of(f),
 			Lattice: lattice{},
 			Transfer: func(in ir.Instr, get func(ir.Value) Fact) (Fact, bool) {
 				return r.transfer(f, in, get)
@@ -338,24 +352,30 @@ func (r *Result) solveFunction(f *ir.Function, paramFacts map[*ir.Param]Fact, so
 		retChanged = true
 	}
 
-	// Argument facts per callee.
-	callArgs = make(map[*ir.Function][]Fact)
+	// Argument facts per callee, for the callees passed a shm pointer.
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			call, ok := in.(*ir.Call)
 			if !ok || call.Callee.IsDecl || r.InitFuncs[call.Callee] {
 				continue
 			}
-			args := callArgs[call.Callee]
-			if args == nil {
-				args = make([]Fact, len(call.Args))
-			}
 			for i, a := range call.Args {
+				fact := final.Get(a)
+				if fact.Empty() {
+					continue
+				}
+				if callArgs == nil {
+					callArgs = make(map[*ir.Function][]Fact)
+				}
+				args := callArgs[call.Callee]
+				if args == nil {
+					args = make([]Fact, len(call.Args))
+					callArgs[call.Callee] = args
+				}
 				if i < len(args) {
-					args[i] = joinFacts(args[i], final.Get(a))
+					args[i] = joinFacts(args[i], fact)
 				}
 			}
-			callArgs[call.Callee] = args
 		}
 	}
 	return retChanged, callArgs
@@ -368,7 +388,7 @@ func (r *Result) transfer(f *ir.Function, in ir.Instr, get func(ir.Value) Fact) 
 		// Loading a region's global pointer variable yields a base pointer.
 		if g, ok := x.Addr.(*ir.Global); ok {
 			if reg, isRegion := r.RegionByName[g.Name]; isRegion {
-				return Fact{reg: Exact(0)}, true
+				return reg.base, true
 			}
 		}
 		// Loading through a shm pointer yields shm *data*; a pointer-typed
@@ -381,6 +401,9 @@ func (r *Result) transfer(f *ir.Function, in ir.Instr, get func(ir.Value) Fact) 
 			return nil, true
 		}
 		delta, unknown := gepByteDelta(x)
+		if delta == 0 && !unknown {
+			return base, true
+		}
 		out := make(Fact, len(base))
 		for reg, iv := range base {
 			out[reg] = iv.Shift(delta, unknown)
@@ -389,11 +412,11 @@ func (r *Result) transfer(f *ir.Function, in ir.Instr, get func(ir.Value) Fact) 
 	case *ir.Cast:
 		switch x.Kind {
 		case ir.Bitcast:
-			return get(x.X).clone(), true
+			return get(x.X), true
 		case ir.IntToPtr, ir.PtrToInt:
 			// P3 forbids these on shm pointers; restrict reports them. The
 			// fact is propagated anyway so the violation site is precise.
-			return get(x.X).clone(), true
+			return get(x.X), true
 		}
 		return nil, true
 	case *ir.Phi:
@@ -406,7 +429,7 @@ func (r *Result) transfer(f *ir.Function, in ir.Instr, get func(ir.Value) Fact) 
 		if x.Callee.IsDecl || r.InitFuncs[x.Callee] {
 			return nil, true
 		}
-		return r.RetFacts[x.Callee].clone(), true
+		return r.RetFacts[x.Callee], true
 	default:
 		return nil, false
 	}

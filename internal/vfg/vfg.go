@@ -86,6 +86,10 @@ type Config struct {
 	// simplex-shm policy. A stored state must only be passed back to a run
 	// under the same policy — summaries encode rule attribution.
 	Policy *policy.Compiled
+	// Index supplies each function's def-use index; the run's phases
+	// share it (core hands phase 1's table on), and a session keeps it
+	// across updates. Nil builds the indexes for this run alone.
+	Index *dataflow.Index
 }
 
 // ErrorDep is one reported error: critical data depends on unmonitored
@@ -463,7 +467,7 @@ func (a *analysis) fnDataOf(fn *ir.Function) *fnData {
 		return d
 	}
 	d := &fnData{deps: cfgraph.ControlDeps(fn)}
-	info := dataflow.NewInfo(fn)
+	info := a.cfg.Index.Of(fn)
 
 	// Control-dependence edges are not operands, so the solver needs them
 	// declared explicitly: a phi (or a call result) must be re-evaluated
