@@ -21,16 +21,10 @@
 //	-workers n       per-analysis pipeline workers (0 = GOMAXPROCS)
 //	-local-paths     allow requests to name files on this host
 //	-drain-timeout d grace period for in-flight requests on shutdown
-//	-remote-cache u  base URL of a shared sfcached tier; the disk cache
-//	                 becomes the local fallback tier behind it
-//	-remote-timeout d per-op timeout against the remote tier
 //
-// With -remote-cache, every analysis reads and writes the shared
-// sfcached store through a fault-isolated client: per-op timeouts,
-// bounded retry with exponential backoff and jitter, and a circuit
-// breaker that trips to the local disk tier on sustained failure.
-// Remote-cache outage, slowness, or corruption never fails a request
-// and never changes a byte of any response — it only costs cache hits.
+// Identical requests that arrive while one is running share its
+// analysis (single-flight dedup); requests beyond -concurrency running
+// and -queue waiting are shed with 429 instead of queuing without bound.
 //
 // Endpoints:
 //
@@ -62,8 +56,6 @@ import (
 	"time"
 
 	"safeflow/internal/daemon"
-	"safeflow/internal/diskcache"
-	"safeflow/internal/remotecache"
 	"safeflow/pkg/safeflow"
 )
 
@@ -78,18 +70,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	fs := flag.NewFlagSet("safeflowd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr          = fs.String("addr", "127.0.0.1:8787", "listen address")
-		cacheDir      = fs.String("cachedir", "", "persistent cache directory (default: per-user cache dir; \"off\" disables)")
-		cacheSize     = fs.Int64("cache-size", 0, "disk-cache size budget in bytes (0 = default)")
-		concurrency   = fs.Int("concurrency", 0, "max analyses running at once (0 = GOMAXPROCS)")
-		queue         = fs.Int("queue", 0, "max requests waiting for a slot (0 = 2×concurrency)")
-		timeout       = fs.Duration("timeout", 60*time.Second, "default per-request analysis timeout")
-		maxTimeout    = fs.Duration("max-timeout", 5*time.Minute, "cap on request-supplied timeouts")
-		workers       = fs.Int("workers", 0, "per-analysis pipeline workers (0 = GOMAXPROCS)")
-		localPaths    = fs.Bool("local-paths", false, "allow requests to name files on this host")
-		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
-		remoteCache   = fs.String("remote-cache", "", "base URL of a shared sfcached tier (e.g. http://10.0.0.7:8788)")
-		remoteTimeout = fs.Duration("remote-timeout", 2*time.Second, "per-op timeout against the remote cache tier")
+		addr         = fs.String("addr", "127.0.0.1:8787", "listen address")
+		cacheDir     = fs.String("cachedir", "", "persistent cache directory (default: per-user cache dir; \"off\" disables)")
+		cacheSize    = fs.Int64("cache-size", 0, "disk-cache size budget in bytes (0 = default)")
+		concurrency  = fs.Int("concurrency", 0, "max analyses running at once (0 = GOMAXPROCS)")
+		queue        = fs.Int("queue", 0, "max requests waiting for a slot (0 = 2×concurrency)")
+		timeout      = fs.Duration("timeout", 60*time.Second, "default per-request analysis timeout")
+		maxTimeout   = fs.Duration("max-timeout", 5*time.Minute, "cap on request-supplied timeouts")
+		workers      = fs.Int("workers", 0, "per-analysis pipeline workers (0 = GOMAXPROCS)")
+		localPaths   = fs.Bool("local-paths", false, "allow requests to name files on this host")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,22 +115,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		}
 		cfg.Cache = dc
 		cacheDesc = dc.Dir()
-	}
-	if *remoteCache != "" {
-		client, err := remotecache.New(remotecache.Config{
-			BaseURL:   *remoteCache,
-			OpTimeout: *remoteTimeout,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "safeflowd: -remote-cache: %v\n", err)
-			return 2
-		}
-		var local diskcache.CacheBackend
-		if cfg.Cache != nil {
-			local = cfg.Cache
-		}
-		cfg.Remote = remotecache.NewTiered(client, local)
-		cacheDesc += " + remote " + *remoteCache
 	}
 
 	srv := daemon.New(cfg)

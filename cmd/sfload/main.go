@@ -1,6 +1,6 @@
 // Command sfload drives load against a running safeflowd and reports
 // latency, throughput, and dedup behavior as JSON. It exists to answer
-// the fleet questions a unit test cannot: what does the daemon do under
+// the load questions a unit test cannot: what does the daemon do under
 // a cache stampede (many clients demanding the same cold analysis at
 // once), and what does steady mixed traffic cost end to end?
 //
@@ -186,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // systems so a short run still sees many requests; stampede uses a
 // heavier system so the cold analysis window — the thing the wave must
 // land inside for dedup to engage — is tens of milliseconds, as a real
-// fleet-shared analysis would be, rather than sub-millisecond.
+// analysis shared by many CI jobs would be, rather than sub-millisecond.
 var (
 	mixedShape    = corpus.GenConfig{Regions: 2, Monitors: 2, Stages: 3}
 	stampedeShape = corpus.GenConfig{Regions: 8, Monitors: 16, Stages: 48, Depth: 5}

@@ -1,6 +1,11 @@
-// AST pretty-printer: renders cast trees back to C-like source. Used for
-// front-end debugging, error reporting, and round-trip testing of the
-// parser (parse → print → parse must converge).
+// AST pretty-printer: renders cast trees back to C-like source. No
+// production code calls it; it stays because the tests read ASTs through
+// it. It is the reference of the codec round-trip test (a decoded file
+// must print as the encoded one did), the failure dump of the
+// segment-parse tests (a piecewise parse that differs from the
+// whole-buffer parse prints both files), and the parser's own
+// round-trip test (parse → print → parse must converge). PrintExpr and
+// PrintStmt render one node for the same use while debugging.
 
 package cast
 

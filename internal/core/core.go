@@ -698,7 +698,7 @@ func scanSources(sources cpp.Source, cFiles []string) (loc, annots int, digest u
 		l, a := lineStats(text)
 		loc += l
 		annots += a
-		return quotedIncludes(text)
+		return cpp.QuotedIncludes(text)
 	})
 	return loc, annots, h.Sum64()
 }
@@ -716,20 +716,6 @@ func lineStats(text string) (loc, annots int) {
 		}
 	}
 	return loc, annots
-}
-
-// quotedIncludes returns the files text pulls in with #include "…", in
-// line order, each directive read as the preprocessor reads it.
-func quotedIncludes(text string) []string {
-	var out []string
-	for text != "" {
-		var line string
-		line, text, _ = strings.Cut(text, "\n")
-		if target, ok := cpp.QuotedInclude(line); ok && target != "" {
-			out = append(out, target)
-		}
-	}
-	return out
 }
 
 // walkSources visits every file reachable from cFiles through quoted
@@ -784,7 +770,7 @@ func scanSourceSuppressions(sources cpp.Source, cFiles []string) []policy.Suppre
 			return nil
 		}
 		out = append(out, policy.ScanSuppressions(name, text)...)
-		return quotedIncludes(text)
+		return cpp.QuotedIncludes(text)
 	})
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"safeflow/internal/cpp"
@@ -77,10 +78,68 @@ func TestIncludeSpellingsScanned(t *testing.T) {
 }
 
 // A line the preprocessor does not read as a quoted include is not
-// followed.
+// followed, nor is one in the group of a literal "#if 0" (nested
+// conditionals included). Its #else, #ifdef and #ifndef groups and
+// "#if 1" are read under some defines, so their includes are followed.
 func TestQuotedIncludesSkipsOtherDirectives(t *testing.T) {
-	text := "#include <stdio.h>\n#define X \"h.h\"\n#includes \"h.h\"\nint x; // #include \"h.h\"\n#include \"\"\n#include \"a.h\"\n"
-	if got := quotedIncludes(text); len(got) != 1 || got[0] != "a.h" {
-		t.Errorf("quotedIncludes = %q, want [a.h]", got)
+	for _, c := range []struct {
+		text string
+		want []string
+	}{
+		{"#include <stdio.h>\n#define X \"h.h\"\n#includes \"h.h\"\nint x; // #include \"h.h\"\n#include \"\"\n#include \"a.h\"\n", []string{"a.h"}},
+		{"#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n", []string{"b.h"}},
+		{"# if  0\n#ifdef X\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n#endif\n", nil},
+		{"#if 0\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n", []string{"b.h"}},
+		{"#ifdef X\n#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n#else\n#include \"c.h\"\n#endif\n", []string{"b.h", "c.h"}},
+		{"#ifndef G\n#include \"a.h\"\n#endif\n#if 1\n#include \"b.h\"\n#endif\n", []string{"a.h", "b.h"}},
+		{"#endif\n#else\n#include \"a.h\"\n", []string{"a.h"}},
+	} {
+		if got := cpp.QuotedIncludes(c.text); !slices.Equal(got, c.want) {
+			t.Errorf("QuotedIncludes(%q) = %q, want %q", c.text, got, c.want)
+		}
+	}
+}
+
+// An include inside "#if 0" adds nothing to the program: the line counts,
+// the suppression scan and the source digest see main.c alone, in a whole
+// analysis and in a session.
+func TestIncludeInIfZeroNotScanned(t *testing.T) {
+	ctx := context.Background()
+	cFiles := []string{"main.c"}
+	src := includeSystem("#if 0\n#include \"h.h\"\n#endif", includeHeader)
+	const wantLOC = 7 // main.c's lines; h.h is never read
+
+	loc, _, digest := scanSources(cpp.MapSource(src), cFiles)
+	if loc != wantLOC {
+		t.Errorf("%d counted lines, want %d", loc, wantLOC)
+	}
+	edited := includeSystem("#if 0\n#include \"h.h\"\n#endif", includeHeader+"int other(void);\n")
+	if _, _, d2 := scanSources(cpp.MapSource(edited), cFiles); d2 != digest {
+		t.Error("the source digest covers a header the program never reads")
+	}
+	if sups := scanSourceSuppressions(cpp.MapSource(src), cFiles); len(sups) != 0 {
+		t.Errorf("suppression directives %+v, want none", sups)
+	}
+
+	rep, err := AnalyzeSources(ctx, "inc", cpp.MapSource(src), cFiles, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LinesOfCode != wantLOC || len(rep.SuppressionIssues) != 0 {
+		t.Errorf("analysis counts %d lines and %d suppression issues, want %d and 0",
+			rep.LinesOfCode, len(rep.SuppressionIssues), wantLOC)
+	}
+	s, open, err := OpenSession(ctx, "inc", src, cFiles, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	up, _, err := s.Update(ctx, map[string]string{"h.h": includeHeader + "int other(void);\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open.LinesOfCode != wantLOC || up.LinesOfCode != wantLOC || len(open.SuppressionIssues) != 0 {
+		t.Errorf("session counts %d then %d lines, %d suppression issues; want %d, %d, 0",
+			open.LinesOfCode, up.LinesOfCode, len(open.SuppressionIssues), wantLOC, wantLOC)
 	}
 }

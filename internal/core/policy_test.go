@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,7 +12,6 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
 	"safeflow/internal/policy"
-	"safeflow/internal/remotecache"
 )
 
 // credSrc carries a credential from getpass straight into the log — one
@@ -131,47 +128,6 @@ func TestPolicyCacheIsolationDisk(t *testing.T) {
 		if ns["parse"] == 0 || len(ns) != 1 {
 			t.Fatalf("%s: disk tier writes %v, want parse entries only", name, ns)
 		}
-	}
-}
-
-// TestPolicyCacheIsolationRemote drives the remote tier against a
-// recording HTTP server and asserts that runs under two policies write
-// parse entries and nothing in a summary namespace.
-func TestPolicyCacheIsolationRemote(t *testing.T) {
-
-	var mu sync.Mutex
-	var paths []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			http.NotFound(w, r)
-			return
-		}
-		mu.Lock()
-		paths = append(paths, r.URL.Path)
-		mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	client, err := remotecache.New(remotecache.Config{BaseURL: srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"credential-leak", "pii-to-log"} {
-		mu.Lock()
-		paths = nil
-		mu.Unlock()
-		analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, name), Cache: NewCache(), DiskCache: client})
-		mu.Lock()
-		if len(paths) == 0 {
-			t.Fatalf("%s: remote tier saw no writes", name)
-		}
-		for _, p := range paths {
-			if !strings.HasPrefix(p, "/v1/e/parse/") {
-				t.Fatalf("%s: remote write to %q, want the parse namespace only", name, p)
-			}
-		}
-		mu.Unlock()
 	}
 }
 

@@ -307,7 +307,7 @@ func (s *Session) countStats() (loc, annots int, sups []policy.Suppression) {
 		}
 		e := s.locMemo[name]
 		if e == nil || e.content != text {
-			e = &locEntry{content: text, sups: policy.ScanSuppressions(name, text), includes: quotedIncludes(text)}
+			e = &locEntry{content: text, sups: policy.ScanSuppressions(name, text), includes: cpp.QuotedIncludes(text)}
 			e.loc, e.annots = lineStats(text)
 			s.locMemo[name] = e
 		}

@@ -324,17 +324,52 @@ func directive(line string) (word, rest string, ok bool) {
 	return word, rest, true
 }
 
-// QuotedInclude returns the file a line includes with #include "file",
-// read as the preprocessor reads the directive (so "# include" counts
-// too). Angle-bracket includes, malformed ones and every other line
-// return false. Whole-program source scans use it to follow the files
-// the preprocessor reads.
-func QuotedInclude(line string) (string, bool) {
-	word, rest, ok := directive(line)
-	if !ok || word != "include" || !strings.HasPrefix(rest, `"`) {
-		return "", false
+// QuotedIncludes returns the files text pulls in with #include "file",
+// in line order, each directive read as the preprocessor reads it (so
+// "# include" counts too). Angle-bracket and malformed includes are left
+// out, and so is every include in the group of an "#if 0": the
+// preprocessor treats only a literal 0 as false, so that group is never
+// read whatever the defines are. Groups whose branch depends on the
+// defines (#ifdef, #ifndef) and the #else of an "#if 0" are followed, so
+// a scan sees every file some configuration reads. Whole-program source
+// scans use it to follow the files the preprocessor reads.
+func QuotedIncludes(text string) []string {
+	var out []string
+	// depth counts open conditionals; deadAt is the depth of the "#if 0"
+	// whose group the scan is in, 0 while lines are read.
+	depth, deadAt := 0, 0
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		word, rest, ok := directive(line)
+		if !ok {
+			continue
+		}
+		switch word {
+		case "if", "ifdef", "ifndef":
+			depth++
+			if deadAt == 0 && word == "if" && rest == "0" {
+				deadAt = depth
+			}
+		case "else":
+			if depth == deadAt {
+				deadAt = 0
+			}
+		case "endif":
+			if depth == deadAt {
+				deadAt = 0
+			}
+			depth = max(depth-1, 0)
+		case "include":
+			if deadAt != 0 || !strings.HasPrefix(rest, `"`) {
+				continue
+			}
+			if target, ok := parseIncludeTarget(rest); ok && target != "" {
+				out = append(out, target)
+			}
+		}
 	}
-	return parseIncludeTarget(rest)
+	return out
 }
 
 func parseIncludeTarget(rest string) (string, bool) {

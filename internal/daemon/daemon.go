@@ -39,7 +39,6 @@ import (
 
 	"safeflow/internal/diskcache"
 	"safeflow/internal/metrics"
-	"safeflow/internal/remotecache"
 	"safeflow/pkg/safeflow"
 )
 
@@ -48,12 +47,6 @@ type Config struct {
 	// Cache, when non-nil, is the persistent cache every analysis reads
 	// and writes (shared with CLI processes pointed at the same dir).
 	Cache *diskcache.Store
-	// Remote, when non-nil, is the tiered remote+local cache backend
-	// analyses use instead of Cache alone (Cache is normally the tier's
-	// local side and still feeds the /metricsz disk statistics). A
-	// failing remote tier degrades to Cache behavior — never to an
-	// error — and its breaker/retry counters appear in /metricsz.
-	Remote *remotecache.Tiered
 	// Concurrency bounds simultaneously running analyses. 0 means
 	// runtime.GOMAXPROCS(0).
 	Concurrency int
@@ -200,8 +193,7 @@ type Metrics struct {
 	IncrFallbacks        int64 `json:"incr_fallbacks"`
 	IncrUpdateNS         int64 `json:"incr_update_ns"`
 
-	DiskStore   *diskcache.Stats          `json:"disk_store,omitempty"`
-	RemoteCache *metrics.RemoteCacheStats `json:"remote_cache,omitempty"`
+	DiskStore *diskcache.Stats `json:"disk_store,omitempty"`
 }
 
 // Server is one safeflowd instance.
@@ -288,10 +280,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Cache != nil {
 		st := s.cfg.Cache.Snapshot()
 		m.DiskStore = &st
-	}
-	if s.cfg.Remote != nil {
-		rc := s.cfg.Remote.Snapshot()
-		m.RemoteCache = &rc
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -536,10 +524,7 @@ func (s *Server) resolveOptions(ro AnalyzeOptions) (safeflow.Options, time.Durat
 		Stats: true,
 		Cache: s.cache,
 	}
-	switch {
-	case s.cfg.Remote != nil:
-		opts.DiskCache = s.cfg.Remote
-	case s.cfg.Cache != nil:
+	if s.cfg.Cache != nil {
 		opts.DiskCache = s.cfg.Cache
 	}
 	if opts.Workers == 0 {

@@ -37,7 +37,7 @@ func figure2(t *testing.T) string {
 
 // newTestServer starts a server with an in-memory cache of its own, so
 // each test server starts cold; a second server over the same Config is
-// a restart that keeps only the disk and remote tiers.
+// a restart that keeps only the disk tier.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -63,6 +63,21 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*http.Response, 
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// getMetrics decodes the server's /metricsz payload.
+func getMetrics(t *testing.T, url string) Metrics {
+	t.Helper()
+	resp, err := http.Get(url + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // cliJSON renders the report exactly as `safeflow -json` would, with a
@@ -107,6 +122,18 @@ func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
 		}
 		if exit := resp.Header.Get("X-Safeflow-Exit"); exit != "1" {
 			t.Errorf("%s: X-Safeflow-Exit = %q, want 1 (figure2 has findings)", temp, exit)
+		}
+		// Config.Cache carries the analysis traffic: the cold request
+		// writes parsed units to it and the restarted daemon reads them.
+		m := getMetrics(t, ts.URL)
+		if m.DiskStore == nil {
+			t.Fatalf("%s: /metricsz missing disk_store", temp)
+		}
+		if m.DiskStore.Puts == 0 {
+			t.Errorf("%s: disk_store.puts = 0, want the cold request's writes", temp)
+		}
+		if temp == "disk-warm" && m.DiskCacheHits == 0 {
+			t.Errorf("disk-warm: disk_cache_hits = 0, want > 0")
 		}
 	}
 }
@@ -215,15 +242,7 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 
 	// The evictions must surface in the restarted daemon's aggregated
 	// metrics.
-	mresp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts.URL)
 	if m.CacheCorruptEvictions == 0 {
 		t.Error("corrupted entries not surfaced in /metricsz cache_corrupt_evictions")
 	}
@@ -252,15 +271,7 @@ func TestBackpressureRejectsWith429(t *testing.T) {
 		t.Error("429 response missing Retry-After")
 	}
 
-	mresp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts.URL)
 	if m.RequestsRejected != 1 {
 		t.Errorf("requests_rejected = %d, want 1", m.RequestsRejected)
 	}

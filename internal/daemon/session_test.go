@@ -156,15 +156,7 @@ func TestMetricszIncrementalCounters(t *testing.T) {
 		t.Fatalf("update: status %d: %s", resp.StatusCode, body)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts.URL)
 	if m.IncrSessions != 1 {
 		t.Errorf("incr_sessions = %d, want 1", m.IncrSessions)
 	}

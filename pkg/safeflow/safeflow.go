@@ -44,7 +44,6 @@ import (
 	"safeflow/internal/metrics"
 	"safeflow/internal/pointsto"
 	"safeflow/internal/policy"
-	"safeflow/internal/remotecache"
 	"safeflow/internal/report"
 	"safeflow/internal/restrict"
 	"safeflow/internal/shmflow"
@@ -121,36 +120,6 @@ type DiskCache = diskcache.Store
 
 // DiskCacheStats is a snapshot of a DiskCache's counters.
 type DiskCacheStats = diskcache.Stats
-
-// RemoteCache is a fault-isolated two-tier cache backend: a local
-// CacheBackend (normally a DiskCache) fronting a shared sfcached HTTP
-// tier, so a fleet of analyzer processes shares one content-addressed
-// store. Reads try the local tier first and back-fill it on a remote
-// hit; writes go to both. The remote client runs every op under its
-// own timeout with bounded exponential-backoff retries, and a circuit
-// breaker trips to the local tier alone on sustained failure — a
-// remote outage, slowdown, or corrupted payload never fails an
-// analysis and never changes a byte of any report.
-type RemoteCache = remotecache.Tiered
-
-// RemoteCacheOptions tunes the remote tier client; only BaseURL is
-// required.
-type RemoteCacheOptions = remotecache.Config
-
-// RemoteCacheStats is a snapshot of a RemoteCache's counters, breaker
-// state and transitions included.
-type RemoteCacheStats = metrics.RemoteCacheStats
-
-// OpenRemoteCache composes a RemoteCache over an sfcached server and a
-// local fallback tier (nil for remote-only). Pass the result as
-// Options.DiskCache.
-func OpenRemoteCache(cfg RemoteCacheOptions, local CacheBackend) (*RemoteCache, error) {
-	client, err := remotecache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return remotecache.NewTiered(client, local), nil
-}
 
 // OpenDiskCache opens (creating if needed) the persistent cache rooted
 // at dir. maxBytes bounds the store's total size; 0 applies the default
