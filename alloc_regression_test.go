@@ -158,3 +158,44 @@ func TestAllocRegression_SessionUpdateSplit130(t *testing.T) {
 	}
 	t.Logf("%d allocs, %d B per update", perUpdate, r.AllocedBytesPerOp()/2)
 }
+
+// Warm-repeat pin for the split 130-unit system (seed 1): allocations of
+// a memory-warm repeat analysis at one worker, after a first run filled
+// the Cache. The repeat parses nothing, reuses the compiled module and
+// replays phase 3. Reusing the module instead of type checking, lowering
+// and promoting again took the repeat from 66.6k allocations and 7.8 MB
+// to 14.1k and 3.6 MB (go1.24, linux/amd64); the bounds sit 1.5× above
+// the latter, well below a repeat that compiles the module.
+const (
+	warmRepeatSplit130MaxAllocs = 21_000
+	warmRepeatSplit130MaxBytes  = 5_400_000
+)
+
+func TestAllocRegression_WarmRepeatSplit130(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	g := corpus.Split(corpus.Generate(1, corpus.MaxShape))
+	src := cpp.MapSource(g.Sources)
+	ctx := context.Background()
+	opts := core.Options{Workers: 1, Cache: core.NewCache()}
+	if _, err := core.AnalyzeSources(ctx, g.Name, src, g.CFiles, opts); err != nil {
+		t.Fatal(err)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.AnalyzeSources(ctx, g.Name, src, g.CFiles, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+	if allocs > warmRepeatSplit130MaxAllocs {
+		t.Errorf("%d allocs/op, want ≤ %d", allocs, warmRepeatSplit130MaxAllocs)
+	}
+	if bytes > warmRepeatSplit130MaxBytes {
+		t.Errorf("%d B/op, want ≤ %d", bytes, warmRepeatSplit130MaxBytes)
+	}
+	t.Logf("%d allocs/op, %d B/op, %v/op", allocs, bytes, time.Duration(r.NsPerOp()))
+}

@@ -1,9 +1,15 @@
 // Package cache is SafeFlow's one in-memory cache: a generic,
 // self-verifying LRU. It holds no cache of its own; callers own the
-// values. The analysis instantiates it twice, as a parse tier (parsed
-// ASTs keyed by the SHA-256 of a unit's name and preprocessed text,
-// frontend.ParseCache) and a state tier (the last converged phase-3 state
-// of each system, keyed by name and options), bundled in core.Cache.
+// values. The analysis instantiates it three times, bundled in
+// core.Cache: a parse tier (parsed ASTs keyed by the SHA-256 of a unit's
+// name and preprocessed text, frontend.ParseCache), a module tier
+// (compiled modules keyed by the system name and every unit's parse key,
+// frontend.ModuleCache) and a state tier (the last converged phase-3
+// state of each system, keyed by name and options).
+//
+// An LRU bounds the total weight of its entries. Every entry of the
+// parse and state tiers weighs 1; a module weighs its IR instructions,
+// which follow the memory it keeps.
 //
 // Every entry carries a tag and an integrity sum. The tag names what the
 // value was computed from when the key does not (a state's source
@@ -24,24 +30,33 @@ import (
 // LRU is a bounded, self-verifying map from K to V, safe for concurrent
 // use.
 type LRU[K comparable, V any] struct {
-	mu    sync.Mutex
-	max   int
-	sum   func(V) uint64
-	lru   list.List // of *entry[K, V], most recently used first
-	byKey map[K]*list.Element
+	mu     sync.Mutex
+	max    int
+	sum    func(V) uint64
+	weight func(V) int // nil: every entry weighs 1
+	total  int         // the weight of every entry held
+	lru    list.List   // of *entry[K, V], most recently used first
+	byKey  map[K]*list.Element
 }
 
 type entry[K comparable, V any] struct {
-	key K
-	tag uint64
-	val V
-	sum uint64 // sum(val) when it was stored
+	key    K
+	tag    uint64
+	val    V
+	sum    uint64 // sum(val) when it was stored
+	weight int
 }
 
 // NewLRU returns an empty LRU holding at most max entries, verified by
 // sum.
 func NewLRU[K comparable, V any](max int, sum func(V) uint64) *LRU[K, V] {
-	return &LRU[K, V]{max: max, sum: sum, byKey: make(map[K]*list.Element)}
+	return NewWeightedLRU[K](max, sum, nil)
+}
+
+// NewWeightedLRU returns an empty LRU whose entries weigh at most max in
+// total, verified by sum; weight (at least 1) is taken once, by Put.
+func NewWeightedLRU[K comparable, V any](max int, sum func(V) uint64, weight func(V) int) *LRU[K, V] {
+	return &LRU[K, V]{max: max, sum: sum, weight: weight, byKey: make(map[K]*list.Element)}
 }
 
 // Get returns the value stored under key when it was stored with tag.
@@ -60,8 +75,7 @@ func (c *LRU[K, V]) Get(key K, tag uint64) (v V, ok, corrupt bool) {
 		return v, false, false
 	}
 	if c.sum(e.val) != e.sum {
-		c.lru.Remove(el)
-		delete(c.byKey, key)
+		c.remove(el)
 		return v, false, true
 	}
 	c.lru.MoveToFront(el)
@@ -69,22 +83,34 @@ func (c *LRU[K, V]) Get(key K, tag uint64) (v V, ok, corrupt bool) {
 }
 
 // Put stores v, tagged with tag, under key, replacing what key held, and
-// records its sum. v must not be modified after.
+// records its sum, then evicts the least recently used entries until the
+// weight is within the bound. A value heavier than the bound is not
+// stored (what key held is dropped). v must not be modified after.
 func (c *LRU[K, V]) Put(key K, tag uint64, v V) {
-	e := &entry[K, V]{key: key, tag: tag, val: v, sum: c.sum(v)}
+	e := &entry[K, V]{key: key, tag: tag, val: v, sum: c.sum(v), weight: 1}
+	if c.weight != nil {
+		e.weight = max(c.weight(v), 1)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.byKey[key]; found {
-		el.Value = e
-		c.lru.MoveToFront(el)
+		c.remove(el)
+	}
+	if e.weight > c.max {
 		return
 	}
 	c.byKey[key] = c.lru.PushFront(e)
-	if c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*entry[K, V]).key)
+	c.total += e.weight
+	for c.total > c.max {
+		c.remove(c.lru.Back())
 	}
+}
+
+// remove drops el; c.mu must be held.
+func (c *LRU[K, V]) remove(el *list.Element) {
+	e := c.lru.Remove(el).(*entry[K, V])
+	delete(c.byKey, e.key)
+	c.total -= e.weight
 }
 
 // Len reports the number of entries.

@@ -176,3 +176,40 @@ func TestLRUConcurrent(t *testing.T) {
 		t.Fatalf("len %d exceeds the bound 8", n)
 	}
 }
+
+// A weighted LRU evicts the least recently used entries until the total
+// weight fits, counts a replaced entry's weight once, and stores no
+// entry heavier than its bound.
+func TestLRUWeight(t *testing.T) {
+	c := NewWeightedLRU[string](10, func(v *val) uint64 { return uint64(v.n) }, func(v *val) int { return v.n })
+	keys := func() string {
+		var ks []string
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			ks = append(ks, el.Value.(*entry[string, *val]).key)
+		}
+		return fmt.Sprint(ks, c.total)
+	}
+	for _, s := range []struct {
+		key  string
+		n    int
+		want string // keys, most recent first, then the total weight
+	}{
+		{"a", 4, "[a] 4"},
+		{"b", 4, "[b a] 8"},
+		{"a", 2, "[a b] 6"},    // replaced: its old weight no longer counts
+		{"c", 5, "[c a] 7"},    // 11 > 10 evicts b, the least recently used
+		{"d", 0, "[d c a] 8"},  // a weight below 1 counts as 1
+		{"e", 11, "[d c a] 8"}, // heavier than the bound: not stored
+		{"a", 11, "[d c] 6"},   // and what the key held is dropped
+		{"f", 10, "[f] 10"},
+	} {
+		c.Put(s.key, 0, &val{n: s.n})
+		if got := keys(); got != s.want {
+			t.Fatalf("after put %s(%d): %s, want %s", s.key, s.n, got, s.want)
+		}
+	}
+	c.Corrupt(1)
+	if _, ok, corrupt := c.Get("f", 0); ok || !corrupt || c.total != 0 || c.Len() != 0 {
+		t.Fatalf("damaged entry: ok=%v corrupt=%v weight %d len %d", ok, corrupt, c.total, c.Len())
+	}
+}

@@ -90,13 +90,16 @@ type Options struct {
 	// 1 runs sequentially. Reports are byte-identical at every setting.
 	Workers int
 	// Cache holds the in-memory tiers the run reads and fills: parsed
-	// translation units, and the last converged phase-3 state of each
-	// system. When the last converged analysis of the same system name
-	// and options through this Cache ran over the same sources, phase 3
-	// replays its stored state instead of solving. Nil runs cold: no
-	// parse tier, no persistent tier (DiskCache is ignored) and an
-	// untracked phase 3. pkg/safeflow fills a nil Cache with its
-	// process-wide one.
+	// translation units, compiled modules, and the last converged phase-3
+	// state of each system. When a clean compile of the same system name
+	// and preprocessed units went through this Cache, the front end
+	// returns its module instead of type checking and lowering again
+	// (Report.Module is then shared); when the last converged analysis of
+	// the same system name and options through this Cache ran over the
+	// same sources, phase 3 replays its stored state instead of solving.
+	// Nil runs cold: no parse or module tier, no persistent tier
+	// (DiskCache is ignored) and an untracked phase 3. pkg/safeflow fills
+	// a nil Cache with its process-wide one.
 	Cache *Cache
 	// DiskCache, when non-nil, adds a persistent content-addressed tier
 	// below Cache's in-memory parse tier: parsed ASTs are written to the
@@ -136,7 +139,10 @@ type Options struct {
 
 // Report is the complete analysis output for one system.
 type Report struct {
-	Name    string
+	Name string
+	// Module is the analyzed IR. A run through Options.Cache may share it
+	// with every other run of the same sources through that Cache, at
+	// once too: treat it as read-only.
 	Module  *ir.Module
 	Regions []*shmflow.Region
 
@@ -284,6 +290,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		Defines:   opts.Defines,
 		Workers:   opts.Workers,
 		Cache:     opts.Cache.parseTier(),
+		Modules:   opts.Cache.moduleTier(),
 		DiskCache: opts.DiskCache,
 		Metrics:   col,
 	}
@@ -607,12 +614,17 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
-// Cache bundles the two in-memory tiers an analysis reads and fills,
-// both instances of the generic LRU of internal/cache. Create it with
+// Cache bundles the three in-memory tiers an analysis reads and fills,
+// each an instance of the generic LRU of internal/cache. Create it with
 // NewCache; it is safe for concurrent use.
 type Cache struct {
 	// Parse holds parsed translation units (256 entries).
 	Parse *frontend.ParseCache
+	// Module holds compiled modules (8192 IR instructions in all, at
+	// most 8 modules), keyed by the system name and every unit's parse key: a repeat analysis of
+	// unchanged sources skips type checking, lowering and mem2reg, and
+	// its Report.Module is the module of the run that stored it.
+	Module *frontend.ModuleCache
 	// State holds each system's last converged phase-3 state (64
 	// entries), keyed by stateKey and tagged with the digest of its
 	// sources; its integrity sum is the state's structural checksum.
@@ -625,8 +637,9 @@ const maxStates = 64
 // NewCache returns an empty Cache.
 func NewCache() *Cache {
 	return &Cache{
-		Parse: frontend.NewParseCache(),
-		State: cache.NewLRU[string](maxStates, (*vfg.IncrState).Checksum),
+		Parse:  frontend.NewParseCache(),
+		Module: frontend.NewModuleCache(),
+		State:  cache.NewLRU[string](maxStates, (*vfg.IncrState).Checksum),
 	}
 }
 
@@ -636,6 +649,14 @@ func (c *Cache) parseTier() *frontend.ParseCache {
 		return nil
 	}
 	return c.Parse
+}
+
+// moduleTier is c's module tier, nil when c is.
+func (c *Cache) moduleTier() *frontend.ModuleCache {
+	if c == nil {
+		return nil
+	}
+	return c.Module
 }
 
 // usesStore reports whether a run loads and stores the last converged

@@ -218,8 +218,7 @@ func (p *Preprocessor) processFile(name, text string) {
 			case "if":
 				// Only "#if 0" and "#if 1" are supported — enough to disable
 				// blocks in the corpus.
-				v := strings.TrimSpace(rest)
-				branch := v != "0"
+				branch := !ifZero(rest)
 				conds = append(conds, condState{active: active && branch, everActive: branch, parentLive: active})
 				needSync = true
 			case "else":
@@ -348,7 +347,7 @@ func QuotedIncludes(text string) []string {
 		switch word {
 		case "if", "ifdef", "ifndef":
 			depth++
-			if deadAt == 0 && word == "if" && rest == "0" {
+			if deadAt == 0 && word == "if" && ifZero(rest) {
 				deadAt = depth
 			}
 		case "else":
@@ -370,6 +369,35 @@ func QuotedIncludes(text string) []string {
 		}
 	}
 	return out
+}
+
+// ifZero reports whether an "#if" directive's expression, rest, is the
+// literal 0 once its comments are stripped: the one false condition the
+// preprocessor knows. processFile and QuotedIncludes both read "#if"
+// through it, so the source scans follow exactly the groups it expands.
+func ifZero(rest string) bool {
+	var b strings.Builder
+	for rest != "" {
+		i := strings.Index(rest, "/")
+		if i < 0 || i+1 == len(rest) {
+			b.WriteString(rest)
+			break
+		}
+		switch rest[i+1] {
+		case '/':
+			b.WriteString(rest[:i])
+			rest = ""
+		case '*':
+			// A block comment left open runs to the end of the line.
+			b.WriteString(rest[:i])
+			b.WriteByte(' ')
+			_, rest, _ = strings.Cut(rest[i+2:], "*/")
+		default:
+			b.WriteString(rest[:i+1])
+			rest = rest[i+1:]
+		}
+	}
+	return strings.TrimSpace(b.String()) == "0"
 }
 
 func parseIncludeTarget(rest string) (string, bool) {

@@ -202,3 +202,42 @@ func TestLineCommentNotSubstituted(t *testing.T) {
 		t.Errorf("code not substituted:\n%s", out)
 	}
 }
+
+// A comment after an "#if" value is no part of it: "#if 0 // x" drops
+// its group, the code and the include alike, and "#if 1 // x" keeps
+// both. The preprocessor and QuotedIncludes, which source scans use to
+// follow the files the preprocessor reads, must agree on every form.
+func TestIfValueTrailingComment(t *testing.T) {
+	for _, tc := range []struct {
+		cond string
+		live bool
+	}{
+		{"0 // disabled", false},
+		{"0 /* off */", false},
+		{"0/* off */ // twice", false},
+		{"0 /* left open", false},
+		{"/* off */ 0", false},
+		{"0", false},
+		{"1 // enabled", true},
+		{"1 /* on */", true},
+		{"1", true},
+		{"0 1", true}, // not the literal 0
+	} {
+		src := map[string]string{
+			"a.c": "#if " + tc.cond + "\n#include \"h.h\"\nint dead;\n#endif\nint kept;\n",
+			"h.h": "int fromHeader;\n",
+		}
+		out := expand(t, src, "a.c")
+		for _, decl := range []string{"int dead;", "int fromHeader;"} {
+			if got := strings.Contains(out, decl); got != tc.live {
+				t.Errorf("#if %s: output has %q = %v, want %v:\n%s", tc.cond, decl, got, tc.live, out)
+			}
+		}
+		if !strings.Contains(out, "int kept;") {
+			t.Errorf("#if %s: code after #endif dropped:\n%s", tc.cond, out)
+		}
+		if got := len(QuotedIncludes(src["a.c"])) == 1; got != tc.live {
+			t.Errorf("#if %s: QuotedIncludes = %q, want the include followed = %v", tc.cond, QuotedIncludes(src["a.c"]), tc.live)
+		}
+	}
+}

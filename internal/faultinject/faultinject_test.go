@@ -177,10 +177,10 @@ func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 	}
 }
 
-// Corrupted cache entries self-heal: a damaged parse entry or stored
-// phase-3 state is evicted, the unit (or module) is recomputed, the
-// eviction shows up in run metrics, and the report is unchanged from the
-// healthy warm run.
+// Corrupted cache entries self-heal: a damaged parse entry, compiled
+// module or stored phase-3 state is evicted, the unit, module or state
+// is recomputed, the eviction shows up in run metrics, and the report is
+// unchanged from the healthy warm run.
 func TestCacheCorruptionSelfHeals(t *testing.T) {
 	c := core.NewCache()
 	scen := Scenario{Seed: 42, Stats: true}
@@ -197,15 +197,16 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if _, err := run(); err != nil { // replay from the stored state
 		t.Fatal(err)
 	}
-	if c.State.Len() == 0 || c.Parse.Len() == 0 {
-		t.Fatalf("healthy run did not populate caches (states=%d parse=%d)",
-			c.State.Len(), c.Parse.Len())
+	if c.State.Len() == 0 || c.Parse.Len() == 0 || c.Module.Len() == 0 {
+		t.Fatalf("healthy run did not populate caches (states=%d parse=%d modules=%d)",
+			c.State.Len(), c.Parse.Len(), c.Module.Len())
 	}
 
 	pc := c.Parse.Corrupt(2)
+	mc := c.Module.Corrupt(1)
 	sc := c.State.Corrupt(1)
-	if pc == 0 || sc == 0 {
-		t.Fatalf("corruption hooks touched nothing (parse=%d states=%d)", pc, sc)
+	if pc == 0 || mc == 0 || sc == 0 {
+		t.Fatalf("corruption hooks touched nothing (parse=%d modules=%d states=%d)", pc, mc, sc)
 	}
 	healed, err := run()
 	if err != nil {
@@ -219,8 +220,11 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if m == nil {
 		t.Fatal("no metrics collected")
 	}
-	if m.CacheCorruptEvictions < pc+sc {
-		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, pc+sc)
+	if m.CacheCorruptEvictions < pc+mc+sc {
+		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, pc+mc+sc)
+	}
+	if c.Module.Len() == 0 {
+		t.Error("the healed run stored no module in place of the damaged one")
 	}
 }
 

@@ -21,6 +21,11 @@
 // driver: the first failing stage is fatal, and the first failure in
 // file order is the error reported.
 //
+// With a module tier (Options.Modules, modulecache.go) a compile whose
+// units all preprocess and parse to the parse keys of an earlier clean
+// compile of the same system returns that compile's module, skipping
+// type checking, lowering and mem2reg.
+//
 // FragmentCompiler (incr.go) compiles units one by one for incremental
 // sessions and links them; it shares the per-unit parse step with the
 // driver.
@@ -65,6 +70,13 @@ type Options struct {
 	// so unchanged units survive process restarts. Integrity-checked on
 	// read; a damaged entry degrades to a miss (cache_corrupt_evictions).
 	DiskCache diskcache.CacheBackend
+	// Modules, when non-nil, is the in-memory module tier: a compile
+	// whose every unit preprocessed and parsed cleanly to the same parse
+	// keys as a prior clean compile of the same system name through the
+	// same ModuleCache returns that compile's module, skipping type
+	// checking, lowering and mem2reg. The module is shared, so callers
+	// must only read it.
+	Modules *ModuleCache
 	// Metrics, when non-nil, receives goroutine observations from the
 	// worker pool (peak-concurrency instrumentation) and parse-cache
 	// hit/miss counts. Nil-safe.
@@ -90,6 +102,9 @@ func workerCount(requested, n int) int {
 // parse) result.
 type unitOutcome struct {
 	file *cast.File // non-nil iff the unit compiled cleanly
+	// key is the unit's parse key, set when the compile has a parse or a
+	// module tier and the unit preprocessed.
+	key [sha256.Size]byte
 	// partial is the best-effort AST of a failed unit (the recovering
 	// parser returns what it could resynchronize); used only to harvest
 	// the names of functions whose definitions are now unavailable.
@@ -114,10 +129,11 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 			return nil
 		}
 		var key [sha256.Size]byte
-		if opts.Cache != nil {
+		if opts.Cache != nil || opts.Modules != nil {
 			key = parseCacheKey(cf, text)
 		}
 		out = parseUnit(cf, text, pp.Segments(), key, opts, ic)
+		out.key = key
 		return nil
 	})
 	if err != nil {
@@ -335,6 +351,10 @@ func compile(ctx context.Context, name string, sources cpp.Source, cFiles []stri
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
+	modKey, cached, ok := lookupModule(name, cFiles, outs, opts)
+	if ok {
+		return &RecoverResult{Res: &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars}}, nil
+	}
 
 	type tu struct {
 		name string
@@ -448,6 +468,9 @@ func compile(ctx context.Context, name string, sources cpp.Source, cFiles []stri
 		live, prog = next, nil
 	}
 	irgen.Promote(res.Module)
+	if modKey != nil && len(diags) == 0 {
+		opts.Modules.Put(*modKey, 0, &CompiledModule{Module: res.Module, AssertVars: res.AssertVars})
+	}
 
 	out := &RecoverResult{Res: res}
 	diag.Sort(diags)
@@ -470,6 +493,27 @@ func compile(ctx context.Context, name string, sources cpp.Source, cFiles []stri
 		out.MissingDefs = missing
 	}
 	return out, nil
+}
+
+// lookupModule looks the compile's module up in the module tier when
+// every unit came out of the pool clean. key is the module key the
+// compile stores its module under, nil when there is no tier or a unit
+// failed.
+func lookupModule(name string, cFiles []string, outs []unitOutcome, opts Options) (key *[sha256.Size]byte, cm *CompiledModule, ok bool) {
+	if opts.Modules == nil {
+		return nil, nil, false
+	}
+	for _, o := range outs {
+		if o.file == nil {
+			return nil, nil, false
+		}
+	}
+	k := moduleKey(name, cFiles, outs)
+	cm, ok, corrupt := opts.Modules.Get(k, 0)
+	if corrupt {
+		opts.Metrics.AddCacheCorruptEvictions(1)
+	}
+	return &k, cm, ok
 }
 
 // harvestDefs records the function definitions a skipped unit's

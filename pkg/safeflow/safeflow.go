@@ -59,12 +59,14 @@ type Report = core.Report
 type Options = core.Options
 
 // Cache holds the in-memory caches an analysis reads and fills: parsed
-// translation units and the last converged phase-3 state of each system,
-// each a bounded LRU that verifies an entry's integrity on every hit.
-// Set Options.Cache to a Cache from NewCache to give a group of analyses
-// caches of their own; with a nil Options.Cache, AnalyzeContext and
-// OpenContext share one process-wide Cache. Reports never depend on what
-// a Cache holds.
+// translation units, compiled modules and the last converged phase-3
+// state of each system, each a bounded LRU that verifies an entry's
+// integrity on every hit. Set Options.Cache to a Cache from NewCache to
+// give a group of analyses caches of their own; with a nil
+// Options.Cache, AnalyzeContext and OpenContext share one process-wide
+// Cache. Reports never depend on what a Cache holds, but analyses of the
+// same sources through one Cache share one Report.Module, which callers
+// must only read.
 type Cache = core.Cache
 
 // NewCache returns an empty Cache.
