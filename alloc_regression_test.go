@@ -162,13 +162,16 @@ func TestAllocRegression_SessionUpdateSplit130(t *testing.T) {
 // Warm-repeat pin for the split 130-unit system (seed 1): allocations of
 // a memory-warm repeat analysis at one worker, after a first run filled
 // the Cache. The repeat parses nothing, reuses the compiled module and
+// the facts the first run derived from it (call graph, shm facts,
+// restriction violations, points-to, def-use indexes, fingerprints) and
 // replays phase 3. Reusing the module instead of type checking, lowering
 // and promoting again took the repeat from 66.6k allocations and 7.8 MB
-// to 14.1k and 3.6 MB (go1.24, linux/amd64); the bounds sit 1.5× above
-// the latter, well below a repeat that compiles the module.
+// to 14.1k and 3.6 MB; reusing the facts took it to 6.0k and 2.5 MB
+// (go1.24, linux/amd64). The bounds sit 1.5× above the latter, below a
+// repeat that recomputes the facts.
 const (
-	warmRepeatSplit130MaxAllocs = 21_000
-	warmRepeatSplit130MaxBytes  = 5_400_000
+	warmRepeatSplit130MaxAllocs = 9_000
+	warmRepeatSplit130MaxBytes  = 3_750_000
 )
 
 func TestAllocRegression_WarmRepeatSplit130(t *testing.T) {

@@ -2,8 +2,9 @@
 // over the SafeFlow analyzer (internal/fuzzcamp): a persistent corpus
 // of generated C systems is evolved by annotation/shape/callgraph
 // mutators, prioritized by analysis-path coverage, and every execution
-// checks worker-count determinism, dynamic-taint ⊆ static, and
-// degraded-verdict soundness. Violating inputs are delta-minimized and
+// checks worker-count determinism, dynamic-taint ⊆ static,
+// degraded-verdict soundness, incremental equivalence and cache
+// temperature. Violating inputs are delta-minimized and
 // written to the crasher directory, where TestCrasherRegressions
 // replays them in the tier-1 suite forever after.
 //
@@ -46,7 +47,7 @@ func run() int {
 		noTable1  = flag.Bool("notable1", false, "skip the embedded Table 1 systems as extra seeds")
 		maxCrash  = flag.Int("maxcrashers", 0, "stop after this many distinct crashers (0 = run to budget)")
 		minBudget = flag.Int("minbudget", 300, "executions spent delta-minimizing one crasher")
-		plantFlag = flag.String("plant", "", "deliberately weaken an oracle for canary runs (testing only): drop-main-errors")
+		plantFlag = flag.String("plant", "", "deliberately weaken an oracle for canary runs (testing only): drop-main-errors or stale-hit")
 		replay    = flag.String("replay", "", "replay one crasher directory instead of fuzzing")
 		verbose   = flag.Bool("v", false, "log every new-coverage event and crasher")
 	)

@@ -15,9 +15,6 @@ type Graph struct {
 	Callees map[*ir.Function][]*ir.Function
 	// Callers is the reverse relation.
 	Callers map[*ir.Function][]*ir.Function
-	// Sites lists every call instruction per caller (including calls to
-	// external declarations).
-	Sites map[*ir.Function][]*ir.Call
 
 	sccs  []*SCC
 	sccOf map[*ir.Function]*SCC
@@ -51,7 +48,6 @@ func New(m *ir.Module) *Graph {
 		Module:  m,
 		Callees: make(map[*ir.Function][]*ir.Function, n),
 		Callers: make(map[*ir.Function][]*ir.Function, n),
-		Sites:   make(map[*ir.Function][]*ir.Call, n),
 		sccOf:   make(map[*ir.Function]*SCC, n),
 	}
 	seen := make(map[*ir.Function]bool)
@@ -66,7 +62,6 @@ func New(m *ir.Module) *Graph {
 				if !ok {
 					continue
 				}
-				g.Sites[f] = append(g.Sites[f], call)
 				callee := call.Callee
 				if callee.IsDecl || seen[callee] {
 					continue

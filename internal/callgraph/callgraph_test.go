@@ -38,9 +38,6 @@ func TestCallEdges(t *testing.T) {
 	if len(g.Callers[fns[2]]) != 2 {
 		t.Errorf("b callers = %v", g.Callers[fns[2]])
 	}
-	if len(g.Sites[fns[0]]) != 2 {
-		t.Errorf("main call sites = %d", len(g.Sites[fns[0]]))
-	}
 }
 
 func TestDuplicateCallsDeduped(t *testing.T) {
@@ -48,9 +45,6 @@ func TestDuplicateCallsDeduped(t *testing.T) {
 	g := New(m)
 	if len(g.Callees[fns[0]]) != 1 {
 		t.Errorf("callees = %v, want deduped to 1", g.Callees[fns[0]])
-	}
-	if len(g.Sites[fns[0]]) != 3 {
-		t.Errorf("sites = %d, want all 3", len(g.Sites[fns[0]]))
 	}
 }
 
@@ -113,9 +107,6 @@ func TestExternalCalleesExcluded(t *testing.T) {
 	g := New(m)
 	if len(g.Callees[f]) != 0 {
 		t.Errorf("external callee in graph: %v", g.Callees[f])
-	}
-	if len(g.Sites[f]) != 1 {
-		t.Errorf("external call site missing")
 	}
 }
 

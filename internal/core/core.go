@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,9 +95,11 @@ type Options struct {
 	// state of each system. When a clean compile of the same system name
 	// and preprocessed units went through this Cache, the front end
 	// returns its module instead of type checking and lowering again
-	// (Report.Module is then shared); when the last converged analysis of
-	// the same system name and options through this Cache ran over the
-	// same sources, phase 3 replays its stored state instead of solving.
+	// (Report.Module is then shared), and phases 1–3 reuse the facts an
+	// earlier run derived from it under the same points-to mode; when the
+	// last converged analysis of the same system name and options through
+	// this Cache ran over the same sources, phase 3 replays its stored
+	// state instead of solving.
 	// Nil runs cold: no parse or module tier, no persistent tier
 	// (DiskCache is ignored) and an untracked phase 3. pkg/safeflow fills
 	// a nil Cache with its process-wide one.
@@ -142,7 +145,8 @@ type Report struct {
 	Name string
 	// Module is the analyzed IR. A run through Options.Cache may share it
 	// with every other run of the same sources through that Cache, at
-	// once too: treat it as read-only.
+	// once too, and Regions and Violations with every such run under the
+	// same points-to mode: treat all three as read-only.
 	Module  *ir.Module
 	Regions []*shmflow.Region
 
@@ -281,11 +285,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		col.SetTranslationUnits(len(cFiles))
 	}
 
-	var (
-		res     *irgen.Result
-		diags   []diag.Diagnostic
-		missing map[string]bool
-	)
+	var rr *frontend.RecoverResult
 	fopts := frontend.Options{
 		Defines:   opts.Defines,
 		Workers:   opts.Workers,
@@ -297,16 +297,8 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 	done := col.Phase("frontend")
 	err := guard.Run("frontend", name, func() error {
 		firePhaseHook("frontend", name)
-		if opts.Recover {
-			rr, cerr := frontend.CompileRecover(ctx, name, sources, cFiles, fopts)
-			if cerr != nil {
-				return cerr
-			}
-			res, diags, missing = rr.Res, rr.Diags, rr.MissingDefs
-			return nil
-		}
 		var cerr error
-		res, cerr = frontend.Compile(ctx, name, sources, cFiles, fopts)
+		rr, cerr = frontend.CompileWith(ctx, name, sources, cFiles, fopts, !opts.Recover)
 		return cerr
 	})
 	done()
@@ -324,7 +316,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		}
 		return nil, fmt.Errorf("safeflow: %w", err)
 	}
-	degraded := len(diags) > 0
+	degraded := rr.Degraded()
 	if degraded {
 		// A degraded module is never analyzed incrementally, nor stored:
 		// skipped-def summaries are conservative placeholders and are
@@ -333,11 +325,11 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		opts.incrOpts = nil
 	}
 	loc, annots, digest := scanSources(sources, cFiles)
-	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing, digest, nil)
+	rep, err := analyzeModuleWith(ctx, name, rr.Res, opts, col, rr.MissingDefs, digest, nil, rr.Entry)
 	if err != nil {
 		return nil, err
 	}
-	rep.Diagnostics = diags
+	rep.Diagnostics = rr.Diags
 	rep.Degraded = degraded
 	rep.LinesOfCode, rep.AnnotationLines = loc, annots
 	rep.finishReport(activePolicy(opts), scanSourceSuppressions(sources, cFiles))
@@ -350,16 +342,17 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 // units. A module comes without source text, so its stored phase-3 state
 // is matched by system name and options alone.
 func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
-	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0, nil)
+	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0, nil, nil)
 }
 
 // analyzeModuleWith drives phases 1–3, each wrapped in panic isolation
 // and separated by cancellation checks; col (may be nil) collects
 // metrics, missing (may be nil) names the functions whose defining
 // units the recovering front end skipped, digest names the sources
-// the module was compiled from (scanSources) for the state store, and
-// idx (nil: a table for this run) holds the functions' def-use indexes,
-// which phases 1 and 3 share.
+// the module was compiled from (scanSources) for the state store, idx
+// (nil: a table for this run) holds the functions' def-use indexes,
+// which phases 1 and 3 share, and entry (may be nil) is the module tier
+// entry the module came from.
 //
 // The phases form a small DAG: callgraph → shmflow → restrict on one
 // branch and pointsto, which needs no region facts, on the other, both
@@ -367,12 +360,31 @@ func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Opt
 // in its own goroutine; every return below joins it first. Its phase
 // metric is then the time vfg waited for it, and its hook and its
 // isolated failure are reported in the sequential order.
-func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64, idx *dataflow.Index) (*Report, error) {
+//
+// A run outside a session whose entry holds the facts of its points-to
+// mode (moduleFacts) computes none of them: each phase fires its hook and
+// takes its result from the entry, no points-to goroutine starts, and
+// phase 3 reuses the entry's fingerprints. The first clean, converged
+// run that stores its phase-3 state stores the facts too.
+func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64, idx *dataflow.Index, entry *frontend.CompiledModule) (*Report, error) {
 	m := res.Module
-	if idx == nil {
+	mode := pointsToMode(opts)
+	if opts.incrOpts != nil {
+		// A session keeps facts of its own across updates.
+		entry = nil
+	}
+	var facts *moduleFacts
+	if entry != nil {
+		facts, _ = entry.Facts(factSlot(mode)).(*moduleFacts)
+	}
+	var reused *pointsto.Result
+	switch {
+	case facts != nil:
+		idx, reused = facts.idx, facts.pts
+	case idx == nil:
 		idx = dataflow.NewIndex()
 	}
-	pt := startPointsTo(name, m, pointsToMode(opts), opts.Workers != 1)
+	pt := startPointsTo(name, m, mode, reused, opts.Workers != 1)
 	defer pt.join()
 	rep := &Report{Name: name, Module: m}
 	pol := activePolicy(opts)
@@ -387,6 +399,10 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	done := col.Phase("shmflow")
 	err := guard.Run("shmflow", name, func() error {
 		firePhaseHook("shmflow", name)
+		if facts != nil {
+			cg, sf = facts.cg, facts.sf
+			return nil
+		}
 		cg = callgraph.New(m)
 		sf = shmflow.AnalyzeIndexed(m, cg, idx)
 		return nil
@@ -400,19 +416,27 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return rep, nil
 	}
 	rep.Regions = sf.Regions
-	rep.AnnotationErrors = sf.Errors
+	// Clipped: the errors appended below must not land in sf's array,
+	// which other runs may share.
+	rep.AnnotationErrors = slices.Clip(sf.Errors)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
 
 	// Phase 2.
+	var violations []restrict.Violation
 	done = col.Phase("restrict")
 	err = guard.Run("restrict", name, func() error {
 		firePhaseHook("restrict", name)
-		rep.Violations = restrict.Check(m, sf)
+		if facts != nil {
+			violations = facts.violations
+			return nil
+		}
+		violations = restrict.Check(m, sf)
 		return nil
 	})
 	done()
+	rep.Violations = slices.Clip(violations)
 	if err != nil {
 		// Phase 3 does not consume phase-2 results: record and continue.
 		rep.Internal = append(rep.Internal, err)
@@ -460,6 +484,9 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			col.AddCacheCorruptEvictions(1)
 		}
 		incr = &vfg.IncrOptions{Prev: prev}
+		if facts != nil {
+			incr.Fingerprints = facts.fps
+		}
 	}
 	var v *vfg.Result
 	done = col.Phase("vfg")
@@ -501,6 +528,12 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			// stored: a partial state would poison every later run.
 			if v.NextIncr != nil && len(rep.Internal) == 0 {
 				opts.Cache.State.Put(storeKey, digest, v.NextIncr)
+				if entry != nil && facts == nil {
+					entry.StoreFacts(factSlot(mode), &moduleFacts{
+						cg: cg, sf: sf, violations: violations, pts: pts, idx: idx,
+						fps: v.NextIncr.Fingerprints(),
+					})
+				}
 			}
 			hits, misses = v.Incr.UnitsReplayed, v.Incr.UnitsSolved
 		} else {
@@ -554,7 +587,8 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 
 // pointsToRun is one run's alias analysis. Started concurrently it
 // runs in its own goroutine from the start; otherwise wait runs it in
-// place, after phases 1 and 2, as a sequential pipeline would.
+// place, after phases 1 and 2, as a sequential pipeline would. A run
+// handed an earlier result only fires the phase hook, in place.
 type pointsToRun struct {
 	name string
 	m    *ir.Module
@@ -564,9 +598,11 @@ type pointsToRun struct {
 	err  error
 }
 
-func startPointsTo(name string, m *ir.Module, mode pointsto.Mode, concurrent bool) *pointsToRun {
-	p := &pointsToRun{name: name, m: m, mode: mode}
-	if concurrent {
+// startPointsTo starts the alias analysis of m; reused, when non-nil, is
+// its result from an earlier run over m.
+func startPointsTo(name string, m *ir.Module, mode pointsto.Mode, reused *pointsto.Result, concurrent bool) *pointsToRun {
+	p := &pointsToRun{name: name, m: m, mode: mode, pts: reused}
+	if concurrent && reused == nil {
 		p.done = make(chan struct{})
 		go func() {
 			defer close(p.done)
@@ -579,7 +615,9 @@ func startPointsTo(name string, m *ir.Module, mode pointsto.Mode, concurrent boo
 func (p *pointsToRun) run() {
 	p.err = guard.Run("pointsto", p.name, func() error {
 		firePhaseHook("pointsto", p.name)
-		p.pts = pointsto.Analyze(p.m, p.mode)
+		if p.pts == nil {
+			p.pts = pointsto.Analyze(p.m, p.mode)
+		}
 		return nil
 	})
 }
@@ -614,6 +652,25 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
+// moduleFacts are what phases 1–3 derive from a module alone under one
+// points-to mode, kept in the module tier entry (frontend.CompiledModule)
+// by the first clean, converged run over it: the call graph, the shm
+// facts, the restriction violations, the points-to result, the def-use
+// indexes and phase 3's per-function fingerprints. Every analysis that
+// hits the entry shares them, possibly at once, so nothing modifies them;
+// the report slices that alias them are clipped.
+type moduleFacts struct {
+	cg         *callgraph.Graph
+	sf         *shmflow.Result
+	violations []restrict.Violation
+	pts        *pointsto.Result
+	idx        *dataflow.Index
+	fps        vfg.Fingerprints
+}
+
+// factSlot is the module tier entry's fact slot of a points-to mode.
+func factSlot(mode pointsto.Mode) int { return int(mode) - 1 }
+
 // Cache bundles the three in-memory tiers an analysis reads and fills,
 // each an instance of the generic LRU of internal/cache. Create it with
 // NewCache; it is safe for concurrent use.
@@ -621,9 +678,13 @@ type Cache struct {
 	// Parse holds parsed translation units (256 entries).
 	Parse *frontend.ParseCache
 	// Module holds compiled modules (8192 IR instructions in all, at
-	// most 8 modules), keyed by the system name and every unit's parse key: a repeat analysis of
-	// unchanged sources skips type checking, lowering and mem2reg, and
-	// its Report.Module is the module of the run that stored it.
+	// most 8 modules), keyed by the system name and every unit's parse
+	// key: a repeat analysis of unchanged sources skips type checking,
+	// lowering and mem2reg, and its Report.Module is the module of the
+	// run that stored it. Each entry also keeps, per points-to mode, the
+	// whole-module facts (moduleFacts) of the first clean, converged
+	// analysis of the module, so a repeat runs no call graph, shmflow,
+	// restrict or points-to and reuses phase 3's fingerprints.
 	Module *frontend.ModuleCache
 	// State holds each system's last converged phase-3 state (64
 	// entries), keyed by stateKey and tagged with the digest of its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -251,6 +252,44 @@ func TestModuleTierConcurrentShare(t *testing.T) {
 			if e != "" {
 				t.Errorf("workers %d, %s: %s", workers, fmt.Sprintf("policy %v sarif %v", jobs[i].pol != nil, jobs[i].sarif), e)
 			}
+		}
+	}
+}
+
+// TestModuleTierRenderShared renders the module two analyses share from
+// two goroutines at once (run it under -race): rendering reads the SSA
+// names lowering assigned and writes nothing, so both renders, and the
+// render of a cold run's own module, are the same bytes.
+func TestModuleTierRenderShared(t *testing.T) {
+	g := split130(1)
+	want := fresh(t, g.Name, g.Sources, g.CFiles, core.Options{}).Module.String()
+	if !strings.Contains(want, "%t") {
+		t.Fatal("the module renders no SSA name")
+	}
+	c := core.NewCache()
+	fresh(t, g.Name, g.Sources, g.CFiles, core.Options{Cache: c})
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	mods := make([]*ir.Module, 2)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := core.AnalyzeSources(context.Background(), g.Name, cpp.MapSource(g.Sources), g.CFiles, core.Options{Cache: c})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mods[i], got[i] = rep.Module, rep.Module.String()
+		}(i)
+	}
+	wg.Wait()
+	if mods[0] == nil || mods[0] != mods[1] {
+		t.Fatal("the analyses did not share one module")
+	}
+	for i, s := range got {
+		if s != want {
+			t.Errorf("render %d differs from a cold module's", i)
 		}
 	}
 }

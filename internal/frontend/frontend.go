@@ -302,7 +302,7 @@ feed:
 // worker pool between translation units (never mid-unit) and returns
 // ctx.Err() promptly with no goroutines left behind.
 func Compile(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*irgen.Result, error) {
-	rr, err := compile(ctx, name, sources, cFiles, opts, true)
+	rr, err := CompileWith(ctx, name, sources, cFiles, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -323,6 +323,10 @@ type RecoverResult struct {
 	// calls to them as unknown-taint sources. Nil when nothing was
 	// skipped.
 	MissingDefs map[string]bool
+	// Entry is the module tier entry of Res.Module: the one the compile
+	// hit, or the one it stored. Nil when the compile had no module tier
+	// or was degraded.
+	Entry *CompiledModule
 }
 
 // Degraded reports whether any translation unit was skipped.
@@ -335,13 +339,15 @@ func (r *RecoverResult) Degraded() bool { return len(r.Diags) > 0 }
 // every worker count: diagnostics carry a total sort order and units are
 // dropped in stable file order.
 func CompileRecover(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*RecoverResult, error) {
-	return compile(ctx, name, sources, cFiles, opts, false)
+	return CompileWith(ctx, name, sources, cFiles, opts, false)
 }
 
-// compile is the one front-end driver behind Compile and CompileRecover.
-// It always runs the recovering pipeline; failStop makes the first
-// failure of each stage the compile's error instead of a skipped unit.
-func compile(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options, failStop bool) (*RecoverResult, error) {
+// CompileWith is the one front end behind Compile and
+// CompileRecover, for callers that choose the mode per run or read the
+// module tier entry. It always runs the recovering pipeline; failStop
+// makes the first failure of each stage the compile's error instead of a
+// skipped unit, as Compile does.
+func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options, failStop bool) (*RecoverResult, error) {
 	outs := make([]unitOutcome, len(cFiles))
 	ic := newIncludeCache()
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
@@ -353,7 +359,7 @@ func compile(ctx context.Context, name string, sources cpp.Source, cFiles []stri
 	}
 	modKey, cached, ok := lookupModule(name, cFiles, outs, opts)
 	if ok {
-		return &RecoverResult{Res: &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars}}, nil
+		return &RecoverResult{Res: &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars}, Entry: cached}, nil
 	}
 
 	type tu struct {
@@ -468,11 +474,11 @@ func compile(ctx context.Context, name string, sources cpp.Source, cFiles []stri
 		live, prog = next, nil
 	}
 	irgen.Promote(res.Module)
-	if modKey != nil && len(diags) == 0 {
-		opts.Modules.Put(*modKey, 0, &CompiledModule{Module: res.Module, AssertVars: res.AssertVars})
-	}
-
 	out := &RecoverResult{Res: res}
+	if modKey != nil && len(diags) == 0 {
+		out.Entry = &CompiledModule{Module: res.Module, AssertVars: res.AssertVars}
+		opts.Modules.Put(*modKey, 0, out.Entry)
+	}
 	diag.Sort(diags)
 	out.Diags = diags
 	if len(diags) > 0 {

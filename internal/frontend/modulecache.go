@@ -13,16 +13,25 @@
 // compile with no diagnostic, so a degraded, cancelled or panicking
 // compile never publishes one; a clean fail-stop and a clean recovering
 // compile build the same module and share its entry. The entry keeps the
-// module and its assert names, not the ASTs or the semantic program.
+// module and its assert names, not the ASTs or the semantic program, and
+// one slot of analysis facts per points-to mode. The front end never
+// reads the slots: the analysis (internal/core) fills one after the
+// first clean, converged run over the module under that mode — its call
+// graph, shm facts, restriction violations, points-to result, def-use
+// indexes and phase-3 fingerprints — and a later analysis that hits the
+// entry reads them instead of computing them again. The first writer
+// wins; stored facts are never replaced.
 //
-// A stored module is shared by every analysis that hits it, possibly at
-// once: nothing after the front end may modify it.
+// A stored module and the facts in its slots are shared by every
+// analysis that hits the entry, possibly at once: nothing after the
+// front end may modify them.
 
 package frontend
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"sync/atomic"
 
 	"safeflow/internal/cache"
 	"safeflow/internal/ir"
@@ -33,10 +42,37 @@ import (
 type ModuleCache = cache.LRU[[sha256.Size]byte, *CompiledModule]
 
 // CompiledModule is one module tier entry: what the analysis phases read
-// of a compile.
+// of a compile, and the facts analyses derived from it.
 type CompiledModule struct {
 	Module     *ir.Module
 	AssertVars map[*ir.Call]string
+	// facts holds one slot of analysis facts per points-to mode, opaque
+	// to the front end.
+	facts [FactSlots]atomic.Value
+}
+
+// FactSlots is the number of fact slots of an entry: one per points-to
+// mode.
+const FactSlots = 2
+
+// Facts returns the analysis facts stored in slot i, nil until an
+// analysis stored some or when i is out of range.
+func (cm *CompiledModule) Facts(i int) any {
+	if i < 0 || i >= FactSlots {
+		return nil
+	}
+	return cm.facts[i].Load()
+}
+
+// StoreFacts stores analysis facts in slot i unless it holds some
+// already: the first writer wins. facts must be non-nil and of one type
+// for every call, and nothing may modify them once stored. An
+// out-of-range i stores nothing.
+func (cm *CompiledModule) StoreFacts(i int, facts any) {
+	if i < 0 || i >= FactSlots {
+		return
+	}
+	cm.facts[i].CompareAndSwap(nil, facts)
 }
 
 // maxModuleInstrs bounds a ModuleCache in IR instructions, which track

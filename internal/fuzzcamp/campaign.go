@@ -12,6 +12,8 @@ import (
 	"io"
 	"math/rand"
 	"time"
+
+	"safeflow/internal/core"
 )
 
 // Config shapes one campaign.
@@ -83,6 +85,11 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		}
 	}
 
+	if cfg.Exec.Cache == nil {
+		// One Cache for the campaign: the cache-temperature oracle sees
+		// every input after every earlier one.
+		cfg.Exec.Cache = core.NewCache()
+	}
 	store, err := OpenCorpus(cfg.CorpusDir)
 	if err != nil {
 		return nil, err

@@ -85,3 +85,67 @@ func TestCanaryFindsPlantedSoundnessBug(t *testing.T) {
 		t.Errorf("crasher not minimized: %d lines, smallest seed has %d", gotLines, seedLines)
 	}
 }
+
+// TestCanaryFindsStaleHit: a campaign whose executor hands the
+// cache-temperature oracle's mutated sibling its parent's warm report —
+// a cache that hits on a key missing what the mutation changed — must
+// find the stale hit, minimize it, and persist a crasher that reproduces
+// under the planted executor and holds under the honest one, as
+// TestCrasherRegressions replays it.
+func TestCanaryFindsStaleHit(t *testing.T) {
+	dir := t.TempDir()
+	planted := Executor{MaxSteps: 500_000, Plant: PlantStaleHit}
+	stats, err := Run(context.Background(), Config{
+		Seed:           11,
+		CrasherDir:     dir,
+		MaxExecs:       40,
+		MaxCrashers:    1,
+		SeedCount:      3,
+		MinimizeBudget: 60,
+		Exec:           planted,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Crashers == 0 {
+		t.Fatal("campaign did not find the planted stale hit")
+	}
+	crashers, err := LoadCrashers(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(crashers) == 0 {
+		t.Fatal("no crasher persisted")
+	}
+	c := crashers[0]
+	if c.Oracle != OracleCacheTemperature {
+		t.Errorf("crasher oracle = %q, want %q", c.Oracle, OracleCacheTemperature)
+	}
+	if v, err := Replay(context.Background(), c, planted); err != nil {
+		t.Fatal(err)
+	} else if v == nil || v.Oracle != c.Oracle {
+		t.Errorf("minimized crasher does not reproduce under the planted executor: %v", v)
+	}
+	if v, err := Replay(context.Background(), c, testExec()); err != nil {
+		t.Fatal(err)
+	} else if v != nil {
+		t.Errorf("minimized crasher violates the honest executor: %v", v)
+	}
+	seedLines := 0
+	for _, in := range SeedInputs(11, 3) {
+		n := 0
+		for _, f := range in.Files() {
+			n += strings.Count(in.Sources[f], "\n")
+		}
+		if seedLines == 0 || n < seedLines {
+			seedLines = n
+		}
+	}
+	gotLines := 0
+	for _, f := range c.Files() {
+		gotLines += strings.Count(c.Sources[f], "\n")
+	}
+	if gotLines >= seedLines {
+		t.Errorf("crasher not minimized: %d lines, smallest seed has %d", gotLines, seedLines)
+	}
+}

@@ -1,14 +1,17 @@
-// The executor: run one input through the analyzer and check the three
-// standing correctness oracles. Every run is configured for
-// reproducibility — recovering mode, both in-memory caches disabled, no
-// disk tier — so an input's verdicts, coverage signature, and any
-// oracle violation are pure functions of its bytes.
+// The executor: run one input through the analyzer and check the
+// standing correctness oracles. The primary run is configured for
+// reproducibility — recovering mode, no cache, no disk tier — so an
+// input's verdicts and coverage signature are pure functions of its
+// bytes. The cache-temperature oracle then runs the input and a mutated
+// sibling through the campaign's Cache, whose verdicts must not depend
+// on what it holds.
 
 package fuzzcamp
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -44,6 +47,11 @@ const (
 	// edited input) renders byte-identically to a from-scratch analysis
 	// of the edited sources.
 	OracleIncremental = "incremental-equivalence"
+	// OracleCacheTemperature: an analysis through a Cache renders
+	// byte-identically to a cold one, whether it fills the Cache or hits
+	// it, and so does a mutated sibling of the input run through the same
+	// Cache afterwards (a stale hit would show there).
+	OracleCacheTemperature = "cache-temperature"
 )
 
 // Violation is one oracle failure on one input.
@@ -69,6 +77,10 @@ const (
 	// main.c before the dynamic-⊆-static comparison, simulating an
 	// analyzer that silently loses error dependencies at the sink.
 	PlantDropMainErrors
+	// PlantStaleHit hands the mutated sibling of the cache-temperature
+	// oracle its parent's warm report instead of analyzing it,
+	// simulating a cache key that misses an input the sibling changed.
+	PlantStaleHit
 )
 
 // ParsePlant maps a -plant flag value to a Plant.
@@ -78,8 +90,10 @@ func ParsePlant(s string) (Plant, error) {
 		return PlantNone, nil
 	case "drop-main-errors":
 		return PlantDropMainErrors, nil
+	case "stale-hit":
+		return PlantStaleHit, nil
 	}
-	return PlantNone, fmt.Errorf("unknown plant %q (want none or drop-main-errors)", s)
+	return PlantNone, fmt.Errorf("unknown plant %q (want none, drop-main-errors or stale-hit)", s)
 }
 
 // Executor runs inputs and checks oracles.
@@ -92,6 +106,10 @@ type Executor struct {
 	MaxSteps int64
 	// Plant weakens the oracles for canary runs (default PlantNone).
 	Plant Plant
+	// Cache is the campaign's Cache, which the cache-temperature oracle
+	// runs every input through; Run sets it when nil. Nil gives each
+	// Execute a Cache of its own.
+	Cache *core.Cache
 }
 
 // execWorld is the interpreter environment for campaign inputs: a
@@ -125,11 +143,13 @@ func (e *Executor) maxSteps() int64 {
 
 // analyze runs one recovering, cache-free analysis of the sources.
 func analyze(ctx context.Context, in Input, sources map[string]string, workers int, stats bool) (*core.Report, error) {
-	return core.AnalyzeSources(ctx, in.Name, cpp.MapSource(sources), in.CFiles, core.Options{
-		Recover: true,
-		Workers: workers,
-		Stats:   stats,
-	})
+	return analyzeWith(ctx, in, sources, core.Options{Workers: workers, Stats: stats})
+}
+
+// analyzeWith runs one recovering analysis of the sources under opts.
+func analyzeWith(ctx context.Context, in Input, sources map[string]string, opts core.Options) (*core.Report, error) {
+	opts.Recover = true
+	return core.AnalyzeSources(ctx, in.Name, cpp.MapSource(sources), in.CFiles, opts)
 }
 
 // render produces the byte-exact forms the determinism oracle compares.
@@ -193,6 +213,18 @@ func (e *Executor) Execute(ctx context.Context, in Input) (*ExecResult, error) {
 				Detail: fmt.Sprintf("report bytes differ between workers=%d and workers=%d", e.workers()[0], w)}
 			return res, nil
 		}
+	}
+
+	// Oracle: cache temperature — cold, filling and hitting runs, and a
+	// sibling through the same Cache, render the same bytes.
+	if v, err := e.checkCacheTemperature(ctx, in, baseBytes); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	} else if v != nil {
+		res.Violation = v
+		return res, nil
 	}
 
 	// Oracle: incremental equivalence — patching a session must equal a
@@ -331,6 +363,74 @@ func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, 
 			return &Violation{Oracle: OracleIncremental,
 				Detail: fmt.Sprintf("update %d: patched report differs from from-scratch analysis of the edited sources", i)}, nil
 		}
+	}
+	return nil, nil
+}
+
+// checkCacheTemperature runs the input through the campaign's Cache
+// twice — the first run fills it, the second hits it — and requires both
+// to render cold, the bytes of the primary run. Then a sibling of the
+// input, one seeded mutation away and under the same system name, runs
+// through the same Cache and must render what its own cold run renders:
+// a cache key that missed what the mutation changed would hand it the
+// input's verdicts.
+func (e *Executor) checkCacheTemperature(ctx context.Context, in Input, cold string) (*Violation, error) {
+	c := e.Cache
+	if c == nil {
+		c = core.NewCache()
+	}
+	opts := core.Options{Workers: e.workers()[0], Cache: c}
+	var warm *core.Report
+	for _, temp := range []string{"fill", "hit"} {
+		rep, err := analyzeWith(ctx, in, in.Sources, opts)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return &Violation{Oracle: OracleCacheTemperature,
+				Detail: fmt.Sprintf("the %s run through a cache failed where the cold run succeeded: %v", temp, err)}, nil
+		}
+		b, err := render(rep)
+		if err != nil {
+			return nil, err
+		}
+		if b != cold {
+			return &Violation{Oracle: OracleCacheTemperature,
+				Detail: fmt.Sprintf("the %s run through a cache renders differently from the cold run", temp)}, nil
+		}
+		warm = rep
+	}
+
+	sib := NewMutator(rand.New(rand.NewSource(in.hashSeed()))).Mutate(in, Input{})
+	sib.Name = in.Name
+	want, err := analyze(ctx, sib, sib.Sources, e.workers()[0], false)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, nil // structured rejection of the sibling: nothing to compare
+	}
+	got := warm
+	if e.Plant != PlantStaleHit {
+		if got, err = analyzeWith(ctx, sib, sib.Sources, opts); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return &Violation{Oracle: OracleCacheTemperature,
+				Detail: fmt.Sprintf("sibling %s: the run through the input's cache failed where its cold run succeeded: %v", sib.Name, err)}, nil
+		}
+	}
+	wantBytes, err := render(want)
+	if err != nil {
+		return nil, err
+	}
+	gotBytes, err := render(got)
+	if err != nil {
+		return nil, err
+	}
+	if gotBytes != wantBytes {
+		return &Violation{Oracle: OracleCacheTemperature,
+			Detail: fmt.Sprintf("sibling %s: the run through the input's cache renders differently from its cold run", sib.Name)}, nil
 	}
 	return nil, nil
 }

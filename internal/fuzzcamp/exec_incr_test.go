@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"safeflow/internal/core"
 	"safeflow/internal/corpus"
 )
 
@@ -32,5 +33,32 @@ func TestIncrementalOracleSkipsEmptyInput(t *testing.T) {
 	v, err := exec.checkIncremental(context.Background(), Input{Name: "empty"})
 	if err != nil || v != nil {
 		t.Fatalf("empty input: violation=%v err=%v, want nil/nil", v, err)
+	}
+}
+
+// TestCacheTemperatureOracleHolds runs the cache-temperature oracle on
+// generated inputs through one Cache, as a campaign does: cold, filling
+// and hitting runs render alike, and so does each input's sibling.
+func TestCacheTemperatureOracleHolds(t *testing.T) {
+	exec := testExec()
+	exec.Cache = core.NewCache()
+	for _, in := range SeedInputs(3, 4) {
+		base, err := analyze(context.Background(), in, in.Sources, 1, false)
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		cold, err := render(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			v, err := exec.checkCacheTemperature(context.Background(), in, cold)
+			if err != nil {
+				t.Fatalf("%s: %v", in.Name, err)
+			}
+			if v != nil {
+				t.Errorf("%s, round %d: cache-temperature oracle violated: %v", in.Name, round, v)
+			}
+		}
 	}
 }

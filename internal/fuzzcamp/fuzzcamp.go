@@ -6,12 +6,14 @@
 // over annotations, shared-memory shapes, call structure, and raw
 // source text; mutants are prioritized by cheap coverage signals the
 // analyzer already exports (internal/metrics phase counters plus report
-// shape), and every execution checks the three standing correctness
-// oracles:
+// shape), and every execution checks the standing correctness oracles:
 //
 //   - worker-count byte determinism of the rendered reports,
 //   - dynamic taint ⊆ static errors (via internal/interp's tracker),
-//   - degraded-verdict soundness under internal/faultinject faults.
+//   - degraded-verdict soundness under internal/faultinject faults,
+//   - no internal panic, incremental equivalence of session updates,
+//   - cache temperature: runs that fill and hit the campaign's Cache,
+//     and a mutated sibling run through it, render as cold runs do.
 //
 // An input that violates an oracle is delta-minimized and written to a
 // crasher directory (testdata/crashers in this repository), where

@@ -11,6 +11,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"safeflow/internal/ctoken"
@@ -150,7 +151,6 @@ type Function struct {
 	Pos       ctoken.Pos
 	IsDecl    bool // external declaration, no body
 	Facts     AnnotationFacts
-	nextName  int
 	numValues int
 	numInstrs int
 }
@@ -178,11 +178,6 @@ func (f *Function) NewBlock(hint string) *Block {
 	}
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-func (f *Function) nextID() int {
-	f.nextName++
-	return f.nextName
 }
 
 // RenumberBlocks refreshes Block.Index after block list edits.
@@ -264,7 +259,6 @@ type Instr interface {
 type instrBase struct {
 	parent *Block
 	pos    ctoken.Pos
-	id     int
 	vnum   int32
 	iidx   int32
 }
@@ -283,12 +277,15 @@ func (i *instrBase) instrIndex() int       { return int(i.iidx) - 1 }
 // instructions (e.g. inserting phis at a block's front) without Append.
 func (i *instrBase) SetParentBlock(b *Block) { i.parent = b }
 
-// ident assigns and formats the SSA name.
-func (i *instrBase) identIn(f *Function) string {
-	if i.id == 0 && f != nil {
-		i.id = f.nextID()
+// ident formats the SSA name, %t followed by the value number
+// NumberValues assigned (%t? before the function is numbered). It only
+// reads, so analyses sharing one module may render it at once, and the
+// names do not depend on which instruction was rendered first.
+func (i *instrBase) ident() string {
+	if i.vnum == 0 {
+		return "%t?"
 	}
-	return fmt.Sprintf("%%t%d", i.id)
+	return "%t" + strconv.Itoa(i.valueNum())
 }
 
 // Alloca reserves stack storage for one object of Elem type; the result is
@@ -307,7 +304,7 @@ func (a *Alloca) Ident() string {
 	if a.VarName != "" {
 		return "%" + a.VarName
 	}
-	return a.identIn(fnOf(a.parent))
+	return a.ident()
 }
 
 // AppendOperands implements Instr.
@@ -333,7 +330,7 @@ func (l *Load) Type() ctypes.Type {
 }
 
 // Ident implements Value.
-func (l *Load) Ident() string { return l.identIn(fnOf(l.parent)) }
+func (l *Load) Ident() string { return l.ident() }
 
 // AppendOperands implements Instr.
 func (l *Load) AppendOperands(ops []Value) []Value { return append(ops, l.Addr) }
@@ -379,7 +376,7 @@ type GEP struct {
 func (g *GEP) Type() ctypes.Type { return g.ResultT }
 
 // Ident implements Value.
-func (g *GEP) Ident() string { return g.identIn(fnOf(g.parent)) }
+func (g *GEP) Ident() string { return g.ident() }
 
 // AppendOperands implements Instr.
 func (g *GEP) AppendOperands(ops []Value) []Value {
@@ -442,7 +439,7 @@ type BinOp struct {
 func (b *BinOp) Type() ctypes.Type { return b.Ty }
 
 // Ident implements Value.
-func (b *BinOp) Ident() string { return b.identIn(fnOf(b.parent)) }
+func (b *BinOp) Ident() string { return b.ident() }
 
 // AppendOperands implements Instr.
 func (b *BinOp) AppendOperands(ops []Value) []Value { return append(ops, b.X, b.Y) }
@@ -481,7 +478,7 @@ type Cmp struct {
 func (c *Cmp) Type() ctypes.Type { return ctypes.IntType }
 
 // Ident implements Value.
-func (c *Cmp) Ident() string { return c.identIn(fnOf(c.parent)) }
+func (c *Cmp) Ident() string { return c.ident() }
 
 // AppendOperands implements Instr.
 func (c *Cmp) AppendOperands(ops []Value) []Value { return append(ops, c.X, c.Y) }
@@ -527,7 +524,7 @@ type Cast struct {
 func (c *Cast) Type() ctypes.Type { return c.To }
 
 // Ident implements Value.
-func (c *Cast) Ident() string { return c.identIn(fnOf(c.parent)) }
+func (c *Cast) Ident() string { return c.ident() }
 
 // AppendOperands implements Instr.
 func (c *Cast) AppendOperands(ops []Value) []Value { return append(ops, c.X) }
@@ -548,7 +545,7 @@ type Call struct {
 func (c *Call) Type() ctypes.Type { return c.Callee.Sig.Result }
 
 // Ident implements Value.
-func (c *Call) Ident() string { return c.identIn(fnOf(c.parent)) }
+func (c *Call) Ident() string { return c.ident() }
 
 // AppendOperands implements Instr.
 func (c *Call) AppendOperands(ops []Value) []Value { return append(ops, c.Args...) }
@@ -584,7 +581,7 @@ type Phi struct {
 func (p *Phi) Type() ctypes.Type { return p.Ty }
 
 // Ident implements Value.
-func (p *Phi) Ident() string { return p.identIn(fnOf(p.parent)) }
+func (p *Phi) Ident() string { return p.ident() }
 
 // AppendOperands implements Instr.
 func (p *Phi) AppendOperands(ops []Value) []Value {
@@ -665,13 +662,6 @@ func (u *Unreachable) AppendOperands(ops []Value) []Value { return ops }
 func (u *Unreachable) String() string { return "unreachable" }
 
 func (u *Unreachable) isTerminator() bool { return true }
-
-func fnOf(b *Block) *Function {
-	if b == nil {
-		return nil
-	}
-	return b.Fn
-}
 
 // ---------------------------------------------------------------------------
 // Builder helpers

@@ -9,8 +9,9 @@ package ir
 // NumberValues assigns the function's dense numbering: parameters take
 // 0..len(Params)-1 (their Index), every value-producing instruction takes
 // the next number in block order, and every instruction (value-producing
-// or not) additionally gets a dense instruction index. It returns the
-// number of numbered values. Safe to call again after the block or
+// or not) additionally gets a dense instruction index. The value number
+// is also the instruction's SSA name (%t<n>), so rendering reads it and
+// writes nothing. It returns the number of numbered values. Safe to call again after the block or
 // instruction lists change; not safe concurrently with readers.
 func (f *Function) NumberValues() int {
 	nv := len(f.Params)

@@ -24,7 +24,7 @@ func fingerprintsOf(t *testing.T, sources map[string]string, cFiles []string) ma
 	cfg.CG = callgraph.New(res.Module)
 	cfg.SF = shmflow.Analyze(res.Module, cfg.CG)
 	cfg.PTS = pointsto.Analyze(res.Module, pointsto.ModeSubset)
-	return vfg.Fingerprints(&cfg)
+	return vfg.FingerprintsOf(&cfg)
 }
 
 // Environment hashes name points-to objects, never by object id, and

@@ -76,7 +76,23 @@ type IncrOptions struct {
 	// hashes (from the incremental frontend's fragment cache) keyed by
 	// function name; functions not in the map are hashed here.
 	BodyHashes map[string]uint64
+	// Fingerprints, when set, are every function's fingerprints from an
+	// earlier run over the same module, shm facts, points-to result and
+	// assert names with no MissingDefs (IncrState.Fingerprints); the run
+	// uses them instead of hashing. BodyHashes is then ignored.
+	Fingerprints Fingerprints
 }
+
+// Fingerprints are the per-function fingerprints (body and environment
+// hashes) of one run. They are shared by every run handed them and by
+// every state captured from such a run, so nothing modifies them.
+type Fingerprints struct {
+	fns map[string]fnFingerprint
+}
+
+// Fingerprints returns the function fingerprints the state was captured
+// with.
+func (st *IncrState) Fingerprints() Fingerprints { return Fingerprints{st.fnFP} }
 
 // IncrState is the persistent dependency-graph snapshot of one converged
 // run: per-function fingerprints plus per-unit replay records. Opaque to
@@ -558,11 +574,15 @@ func regionFingerprint(sf *shmflow.Result) uint64 {
 	return h.h
 }
 
-// computeFingerprints fingerprints every defined function, preferring the
-// frontend's precomputed body hashes when supplied.
+// computeFingerprints fingerprints every defined function, preferring
+// fingerprints handed in whole, then the frontend's precomputed body
+// hashes.
 func computeFingerprints(cfg *Config) map[string]fnFingerprint {
 	var hints map[string]uint64
 	if cfg.Incr != nil {
+		if fps := cfg.Incr.Fingerprints.fns; fps != nil {
+			return fps
+		}
 		hints = cfg.Incr.BodyHashes
 	}
 	fps := make(map[string]fnFingerprint)

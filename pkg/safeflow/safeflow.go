@@ -65,8 +65,9 @@ type Options = core.Options
 // give a group of analyses caches of their own; with a nil
 // Options.Cache, AnalyzeContext and OpenContext share one process-wide
 // Cache. Reports never depend on what a Cache holds, but analyses of the
-// same sources through one Cache share one Report.Module, which callers
-// must only read.
+// same sources through one Cache share one Report.Module, and under one
+// points-to mode its Regions and Violations too, which callers must only
+// read.
 type Cache = core.Cache
 
 // NewCache returns an empty Cache.
