@@ -118,6 +118,31 @@ void serve()
 	}
 }
 
+// TestCLIStrictUnreadHeader: a header behind an untaken #ifdef is never
+// read, so a safeflow:ignore directive in it is not diagnosed and
+// -strict exits 0; once the macro is defined the header is read and
+// -strict exits 3.
+func TestCLIStrictUnreadHeader(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		want   int
+	}{{"", 0}, {"#define DEBUG\n", 3}} {
+		dir := t.TempDir()
+		for name, text := range map[string]string{
+			"main.c": tc.prefix + "#ifdef DEBUG\n#include \"dbg.h\"\n#endif\nint main(void)\n{\n    return 0;\n}\n",
+			"dbg.h":  "// safeflow:ignore no-such-rule reviewed\nint debug_level;\n",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-strict", dir}, &out, &errOut); code != tc.want {
+			t.Errorf("-strict, main.c prefix %q: exit = %d, want %d\n%s%s", tc.prefix, code, tc.want, out.String(), errOut.String())
+		}
+	}
+}
+
 // TestCLISARIFWatchRejected pins that -watch still refuses non-text
 // formats now that sarif exists.
 func TestCLISARIFWatchRejected(t *testing.T) {

@@ -12,8 +12,8 @@
 // which follow the memory it keeps.
 //
 // Every entry carries a tag and an integrity sum. The tag names what the
-// value was computed from when the key does not (a state's source
-// digest): a lookup with another tag is a plain miss that neither
+// value was computed from when the key does not (a state's module key,
+// which covers the preprocessed text it was computed from): a lookup with another tag is a plain miss that neither
 // verifies nor promotes the entry, so a system keeps one slot as its
 // sources change. The sum is taken by Put and compared by Get; a value
 // that no longer matches it (memory corruption, a stray mutation of a

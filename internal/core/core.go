@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"strconv"
@@ -98,8 +97,9 @@ type Options struct {
 	// (Report.Module is then shared), and phases 1–3 reuse the facts an
 	// earlier run derived from it under the same points-to mode; when the
 	// last converged analysis of the same system name and options through
-	// this Cache ran over the same sources, phase 3 replays its stored
-	// state instead of solving.
+	// this Cache compiled the same module key — the same preprocessed
+	// units, so an edit to a file no unit reads keeps it — phase 3 replays
+	// its stored state instead of solving.
 	// Nil runs cold: no parse or module tier, no persistent tier
 	// (DiskCache is ignored) and an untracked phase 3. pkg/safeflow fills
 	// a nil Cache with its process-wide one.
@@ -199,15 +199,18 @@ type Report struct {
 	// `// safeflow:ignore <rule-id> <reason>` directives: suppressed
 	// findings move here instead of being dropped silently.
 	Suppressed []SuppressedFinding
-	// SuppressionIssues diagnoses directives that are malformed or
-	// reference a rule id the active policy does not define. A report
-	// with suppression issues is never Clean (and `safeflow -strict`
-	// exits 3 on them).
+	// SuppressionIssues diagnoses directives, in the files the
+	// preprocessor read, that are malformed or reference a rule id the
+	// active policy does not define. A report with suppression issues is
+	// never Clean (and `safeflow -strict` exits 3 on them).
 	SuppressionIssues []SuppressionIssue
 
-	// LinesOfCode counts non-blank source lines across the analyzed files.
+	// LinesOfCode counts non-blank source lines across the files the
+	// preprocessor read (each once): the units and the headers their
+	// expansions pulled in, and no file behind an untaken conditional.
 	LinesOfCode int
-	// AnnotationLines counts SafeFlow annotation comments.
+	// AnnotationLines counts SafeFlow annotation comments in the files the
+	// preprocessor read.
 	AnnotationLines int
 	// UnitsAnalyzed is the number of (function, context) solves phase 3
 	// performed (the A-2 ablation metric).
@@ -324,15 +327,15 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		opts.Cache = nil
 		opts.incrOpts = nil
 	}
-	loc, annots, digest := scanSources(sources, cFiles)
-	rep, err := analyzeModuleWith(ctx, name, rr.Res, opts, col, rr.MissingDefs, digest, nil, rr.Entry)
+	rep, err := analyzeModuleWith(ctx, name, rr.Res, opts, col, rr.MissingDefs, rr.Key, nil, rr.Entry)
 	if err != nil {
 		return nil, err
 	}
 	rep.Diagnostics = rr.Diags
 	rep.Degraded = degraded
-	rep.LinesOfCode, rep.AnnotationLines = loc, annots
-	rep.finishReport(activePolicy(opts), scanSourceSuppressions(sources, cFiles))
+	var sups []policy.Suppression
+	rep.LinesOfCode, rep.AnnotationLines, sups = scanSources(rr.Files, scanFile)
+	rep.finishReport(activePolicy(opts), sups)
 	rep.Metrics = col.Finish()
 	return rep, nil
 }
@@ -348,11 +351,11 @@ func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Opt
 // analyzeModuleWith drives phases 1–3, each wrapped in panic isolation
 // and separated by cancellation checks; col (may be nil) collects
 // metrics, missing (may be nil) names the functions whose defining
-// units the recovering front end skipped, digest names the sources
-// the module was compiled from (scanSources) for the state store, idx
-// (nil: a table for this run) holds the functions' def-use indexes,
-// which phases 1 and 3 share, and entry (may be nil) is the module tier
-// entry the module came from.
+// units the recovering front end skipped, tag names the preprocessed
+// sources the module was compiled from (frontend.RecoverResult.Key) for
+// the state store, idx (nil: a table for this run) holds the functions'
+// def-use indexes, which phases 1 and 3 share, and entry (may be nil) is
+// the module tier entry the module came from.
 //
 // The phases form a small DAG: callgraph → shmflow → restrict on one
 // branch and pointsto, which needs no region facts, on the other, both
@@ -366,7 +369,7 @@ func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Opt
 // takes its result from the entry, no points-to goroutine starts, and
 // phase 3 reuses the entry's fingerprints. The first clean, converged
 // run that stores its phase-3 state stores the facts too.
-func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, digest uint64, idx *dataflow.Index, entry *frontend.CompiledModule) (*Report, error) {
+func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, tag uint64, idx *dataflow.Index, entry *frontend.CompiledModule) (*Report, error) {
 	m := res.Module
 	mode := pointsToMode(opts)
 	if opts.incrOpts != nil {
@@ -479,7 +482,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	incr, storeKey := opts.incrOpts, ""
 	if usesStore(opts) && len(missing) == 0 {
 		storeKey = stateKey(name, opts)
-		prev, _, corrupt := opts.Cache.State.Get(storeKey, digest)
+		prev, _, corrupt := opts.Cache.State.Get(storeKey, tag)
 		if corrupt {
 			col.AddCacheCorruptEvictions(1)
 		}
@@ -527,7 +530,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			// Only a converged run with no recovered panic in any phase is
 			// stored: a partial state would poison every later run.
 			if v.NextIncr != nil && len(rep.Internal) == 0 {
-				opts.Cache.State.Put(storeKey, digest, v.NextIncr)
+				opts.Cache.State.Put(storeKey, tag, v.NextIncr)
 				if entry != nil && facts == nil {
 					entry.StoreFacts(factSlot(mode), &moduleFacts{
 						cg: cg, sf: sf, violations: violations, pts: pts, idx: idx,
@@ -687,8 +690,10 @@ type Cache struct {
 	// restrict or points-to and reuses phase 3's fingerprints.
 	Module *frontend.ModuleCache
 	// State holds each system's last converged phase-3 state (64
-	// entries), keyed by stateKey and tagged with the digest of its
-	// sources; its integrity sum is the state's structural checksum.
+	// entries), keyed by stateKey and tagged with the module key of the
+	// compile it analyzed (frontend.RecoverResult.Key), which covers
+	// exactly the preprocessed text the module was built from; its
+	// integrity sum is the state's structural checksum.
 	State *cache.LRU[string, *vfg.IncrState]
 }
 
@@ -730,8 +735,8 @@ func usesStore(opts Options) bool {
 // stateKey names a system's slot in the state tier of a Cache:
 // the system name plus every option that the per-function fingerprints
 // do not cover. It holds no source text, so a system keeps one slot as
-// its sources change; the slot's entry is tagged with the digest of its
-// sources (scanSources).
+// its sources change; the slot's entry is tagged with the module key of
+// its sources.
 func stateKey(name string, opts Options) string {
 	var b strings.Builder
 	put := func(parts ...string) {
@@ -753,74 +758,42 @@ func stateKey(name string, opts Options) string {
 	return b.String()
 }
 
-// digestSeed seeds the source digest: the state tier it tags lives in one
-// process.
-var digestSeed = maphash.MakeSeed()
-
-// scanSources counts non-blank lines and annotation comments across the
-// program's files (headers included once each), and hashes every file
-// with its name into digest: a stored phase-3 state is replayed only by
-// a run over the sources it was computed from.
-func scanSources(sources cpp.Source, cFiles []string) (loc, annots int, digest uint64) {
-	var h maphash.Hash
-	h.SetSeed(digestSeed)
-	put := func(s string) {
-		h.WriteString(strconv.Itoa(len(s)))
-		h.WriteByte(':')
-		h.WriteString(s)
-	}
-	walkSources(cFiles, func(name string) []string {
-		put(name)
-		text, err := sources.ReadFile(name)
-		if err != nil {
-			h.WriteByte('!')
-			return nil
-		}
-		put(text)
-		l, a := lineStats(text)
-		loc += l
-		annots += a
-		return cpp.QuotedIncludes(text)
-	})
-	return loc, annots, h.Sum64()
+// fileScan is one file's contribution to the source scans.
+type fileScan struct {
+	loc, annots int
+	sups        []policy.Suppression
 }
 
-// lineStats counts one file's non-blank lines and annotation comments.
-func lineStats(text string) (loc, annots int) {
+// scanFile counts one file's non-blank lines and annotation comments and
+// collects its safeflow:ignore directives.
+func scanFile(name, text string) fileScan {
+	fs := fileScan{sups: policy.ScanSuppressions(name, text)}
 	for text != "" {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		if strings.TrimSpace(line) != "" {
-			loc++
+			fs.loc++
 		}
 		if strings.Contains(line, "SafeFlow Annotation") {
-			annots++
+			fs.annots++
 		}
 	}
-	return loc, annots
+	return fs
 }
 
-// walkSources visits every file reachable from cFiles through quoted
-// includes exactly once, depth first in include order: a file, then each
-// file it includes with that file's own includes. visit handles one file
-// and returns the names it includes. Every whole-program source scan —
-// the source digest, the line counts, the suppression directives —
-// walks the program this way, so they all see the same files.
-func walkSources(cFiles []string, visit func(name string) []string) {
-	seen := make(map[string]bool)
-	var walk func(name string)
-	walk = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		for _, inc := range visit(name) {
-			walk(inc)
-		}
+// scanSources scans files — every file the preprocessor read, each once —
+// with scan: the non-blank lines and annotation comments summed over the
+// program, and its safeflow:ignore directives by file name, each file's
+// in line order.
+func scanSources(files map[string]string, scan func(name, text string) fileScan) (loc, annots int, sups []policy.Suppression) {
+	for name, text := range files {
+		fs := scan(name, text)
+		loc += fs.loc
+		annots += fs.annots
+		sups = append(sups, fs.sups...)
 	}
-	for _, f := range cFiles {
-		walk(f)
-	}
+	sort.SliceStable(sups, func(i, j int) bool { return sups[i].File < sups[j].File })
+	return loc, annots, sups
 }
 
 // pointsToMode resolves the alias-analysis solver the run uses.
@@ -839,22 +812,6 @@ func activePolicy(opts Options) *policy.Compiled {
 		return opts.Policy
 	}
 	return policy.Default()
-}
-
-// scanSourceSuppressions collects inline safeflow:ignore directives from
-// every file reachable through quoted includes, so the scan sees exactly
-// the analyzed program.
-func scanSourceSuppressions(sources cpp.Source, cFiles []string) []policy.Suppression {
-	var out []policy.Suppression
-	walkSources(cFiles, func(name string) []string {
-		text, err := sources.ReadFile(name)
-		if err != nil {
-			return nil
-		}
-		out = append(out, policy.ScanSuppressions(name, text)...)
-		return cpp.QuotedIncludes(text)
-	})
-	return out
 }
 
 // finishReport applies the scanned suppression directives to the

@@ -14,14 +14,26 @@ import (
 // program's state. It reports whether there was a state to re-tag.
 func PlantState(name string, opts Options, from, to map[string]string, fromFiles, toFiles []string) bool {
 	key := stateKey(name, opts)
-	_, _, fromDigest := scanSources(cpp.MapSource(from), fromFiles)
-	_, _, toDigest := scanSources(cpp.MapSource(to), toFiles)
-	st, ok, _ := opts.Cache.State.Get(key, fromDigest)
+	st, ok, _ := opts.Cache.State.Get(key, sourcesTag(name, from, fromFiles, opts))
 	if !ok {
 		return false
 	}
-	opts.Cache.State.Put(key, toDigest, st)
+	opts.Cache.State.Put(key, sourcesTag(name, to, toFiles, opts), st)
 	return true
+}
+
+// sourcesTag is the state tier tag of an analysis of the sources under
+// opts: their module key, from a compile through a module tier of its
+// own. It is zero when a unit fails.
+func sourcesTag(name string, sources map[string]string, cFiles []string, opts Options) uint64 {
+	rr, err := frontend.CompileWith(context.Background(), name, cpp.MapSource(sources), cFiles, frontend.Options{
+		Defines: opts.Defines,
+		Modules: frontend.NewModuleCache(),
+	}, true)
+	if err != nil {
+		return 0
+	}
+	return rr.Key
 }
 
 // SessionIndex returns the def-use index table s keeps across updates.

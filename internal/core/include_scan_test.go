@@ -3,10 +3,16 @@ package core
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"safeflow/internal/cpp"
 )
+
+// The whole-program source scans — the line counts, the annotation
+// counts, the safeflow:ignore directives — read the files the
+// preprocessor read (frontend.RecoverResult.Files), and the state tier's
+// tag is the module key, which covers exactly the preprocessed text.
 
 // includeSpellings are directive spellings the preprocessor honours for
 // one quoted include; the whole-program source scans must follow each.
@@ -30,42 +36,32 @@ const includeHeader = "// safeflow:ignore no-such-rule reviewed\nint helper(int 
 
 // Every spelling of the include gives the same line counts, the same
 // suppression directives (the header's unknown rule is diagnosed) and a
-// digest that changes with the header's text, from a whole analysis and
-// from a session.
+// state tier tag that changes with the header's text, from a whole
+// analysis and from a session.
 func TestIncludeSpellingsScanned(t *testing.T) {
 	ctx := context.Background()
 	cFiles := []string{"main.c"}
-	var wantLOC int
-	for i, d := range includeSpellings {
+	const wantLOC = 7
+	for _, d := range includeSpellings {
 		src := includeSystem(d, includeHeader)
-		loc, _, digest := scanSources(cpp.MapSource(src), cFiles)
-		if i == 0 {
-			wantLOC = loc
-		}
-		if loc != wantLOC || loc != 7 {
-			t.Errorf("%q: %d counted lines, want %d (header lines included)", d, loc, 7)
-		}
 		edited := includeSystem(d, includeHeader+"int other(void);\n")
-		if _, _, d2 := scanSources(cpp.MapSource(edited), cFiles); d2 == digest {
-			t.Errorf("%q: the source digest does not cover the header", d)
-		}
-		if sups := scanSourceSuppressions(cpp.MapSource(src), cFiles); len(sups) != 1 || sups[0].File != "h.h" {
-			t.Errorf("%q: suppression directives %+v, want the header's one", d, sups)
+		if sourcesTag("inc", src, cFiles, Options{}) == sourcesTag("inc", edited, cFiles, Options{}) {
+			t.Errorf("%q: the state tier tag does not cover the header", d)
 		}
 
 		rep, err := AnalyzeSources(ctx, "inc", cpp.MapSource(src), cFiles, Options{})
 		if err != nil {
 			t.Fatalf("%q: %v", d, err)
 		}
-		if rep.LinesOfCode != wantLOC || len(rep.SuppressionIssues) != 1 {
-			t.Errorf("%q: analysis counts %d lines and %d suppression issues, want %d and 1",
-				d, rep.LinesOfCode, len(rep.SuppressionIssues), wantLOC)
+		if rep.LinesOfCode != wantLOC || len(rep.SuppressionIssues) != 1 || rep.SuppressionIssues[0].File != "h.h" {
+			t.Errorf("%q: analysis counts %d lines and suppression issues %v, want %d and the header's one",
+				d, rep.LinesOfCode, rep.SuppressionIssues, wantLOC)
 		}
 		s, open, err := OpenSession(ctx, "inc", src, cFiles, Options{})
 		if err != nil {
 			t.Fatalf("%q: open: %v", d, err)
 		}
-		up, _, err := s.Update(ctx, map[string]string{"h.h": includeHeader + "int other(void);\n"})
+		up, _, err := s.Update(ctx, map[string]string{"h.h": edited["h.h"]})
 		if err != nil {
 			t.Fatalf("%q: update: %v", d, err)
 		}
@@ -77,69 +73,133 @@ func TestIncludeSpellingsScanned(t *testing.T) {
 	}
 }
 
-// A line the preprocessor does not read as a quoted include is not
-// followed, nor is one in the group of a literal "#if 0" (nested
-// conditionals included). Its #else, #ifdef and #ifndef groups and
-// "#if 1" are read under some defines, so their includes are followed.
-func TestQuotedIncludesSkipsOtherDirectives(t *testing.T) {
-	for _, c := range []struct {
-		text string
-		want []string
+// A header the preprocessor does not read adds nothing to the program:
+// one in the group of an "#if 0", of an untaken #ifdef or #ifndef, or in
+// the #else of a taken #ifdef leaves the line counts, the suppression
+// scan and the state tier tag to main.c alone; one a -D define switches
+// on counts like a plain include. Checked in a whole analysis, in a
+// session's open, in an update that edits the header, and in an update
+// that replaces the conditional by a plain include.
+func TestIncludeInIfZeroNotScanned(t *testing.T) {
+	ctx := context.Background()
+	cFiles := []string{"main.c"}
+	for _, tc := range []struct {
+		name      string
+		directive string
+		defines   map[string]string
+		read      bool
 	}{
-		{"#include <stdio.h>\n#define X \"h.h\"\n#includes \"h.h\"\nint x; // #include \"h.h\"\n#include \"\"\n#include \"a.h\"\n", []string{"a.h"}},
-		{"#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n", []string{"b.h"}},
-		{"# if  0\n#ifdef X\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n#endif\n", nil},
-		{"#if 0\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n", []string{"b.h"}},
-		{"#ifdef X\n#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n#else\n#include \"c.h\"\n#endif\n", []string{"b.h", "c.h"}},
-		{"#ifndef G\n#include \"a.h\"\n#endif\n#if 1\n#include \"b.h\"\n#endif\n", []string{"a.h", "b.h"}},
-		{"#endif\n#else\n#include \"a.h\"\n", []string{"a.h"}},
+		{"#if 0", "#if 0\n#include \"h.h\"\n#endif", nil, false},
+		{"untaken #ifdef", "#ifdef DEBUG\n#include \"h.h\"\n#endif", nil, false},
+		{"untaken #ifndef", "#define NO_H\n#ifndef NO_H\n#include \"h.h\"\n#endif", nil, false},
+		{"#else of a taken #ifdef", "#define DEBUG\n#ifdef DEBUG\n#else\n#include \"h.h\"\n#endif", nil, false},
+		{"#ifdef taken by -D", "#ifdef DEBUG\n#include \"h.h\"\n#endif", map[string]string{"DEBUG": "1"}, true},
 	} {
-		if got := cpp.QuotedIncludes(c.text); !slices.Equal(got, c.want) {
-			t.Errorf("QuotedIncludes(%q) = %q, want %q", c.text, got, c.want)
+		opts := Options{Defines: tc.defines}
+		src := includeSystem(tc.directive, includeHeader)
+		edited := includeSystem(tc.directive, includeHeader+"int other(void);\n")
+		// main.c's own lines, plus the header's two when it is read.
+		wantLOC := nonBlank(src["main.c"])
+		wantIssues := 0
+		if tc.read {
+			wantLOC += 2
+			wantIssues = 1
+		}
+		editedLOC := wantLOC
+		if tc.read {
+			editedLOC++
+		}
+
+		if same := sourcesTag("inc", src, cFiles, opts) == sourcesTag("inc", edited, cFiles, opts); same == tc.read {
+			t.Errorf("%s: editing the header leaves the state tier tag unchanged = %v, want %v", tc.name, same, !tc.read)
+		}
+		rep, err := AnalyzeSources(ctx, "inc", cpp.MapSource(src), cFiles, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.LinesOfCode != wantLOC || len(rep.SuppressionIssues) != wantIssues || rep.Clean() == tc.read {
+			t.Errorf("%s: analysis counts %d lines and %d suppression issues, clean %v; want %d, %d, %v",
+				tc.name, rep.LinesOfCode, len(rep.SuppressionIssues), rep.Clean(), wantLOC, wantIssues, !tc.read)
+		}
+
+		s, open, err := OpenSession(ctx, "inc", src, cFiles, opts)
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.name, err)
+		}
+		up, _, err := s.Update(ctx, map[string]string{"h.h": edited["h.h"]})
+		if err != nil {
+			t.Fatalf("%s: update: %v", tc.name, err)
+		}
+		plain := includeSystem(`#include "h.h"`, edited["h.h"])
+		unguarded, _, err := s.Update(ctx, map[string]string{"main.c": plain["main.c"]})
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: update: %v", tc.name, err)
+		}
+		if open.LinesOfCode != wantLOC || len(open.SuppressionIssues) != wantIssues || up.LinesOfCode != editedLOC {
+			t.Errorf("%s: session counts %d then %d lines, %d suppression issues; want %d, %d, %d",
+				tc.name, open.LinesOfCode, up.LinesOfCode, len(open.SuppressionIssues), wantLOC, editedLOC, wantIssues)
+		}
+		if want := nonBlank(plain["main.c"]) + 3; unguarded.LinesOfCode != want || len(unguarded.SuppressionIssues) != 1 {
+			t.Errorf("%s: after the conditional went, session counts %d lines and %d suppression issues; want %d and 1",
+				tc.name, unguarded.LinesOfCode, len(unguarded.SuppressionIssues), want)
 		}
 	}
 }
 
-// An include inside "#if 0" adds nothing to the program: the line counts,
-// the suppression scan and the source digest see main.c alone, in a whole
-// analysis and in a session.
-func TestIncludeInIfZeroNotScanned(t *testing.T) {
-	ctx := context.Background()
-	cFiles := []string{"main.c"}
-	src := includeSystem("#if 0\n#include \"h.h\"\n#endif", includeHeader)
-	const wantLOC = 7 // main.c's lines; h.h is never read
+// The scans read only what the preprocessor reads as a quoted include:
+// not an angle-bracket include, a macro, a comment, a group of "#if 0"
+// (nested conditionals included) or an untaken branch; but the #else of
+// an "#if 0", "#if 1" and a taken #ifdef or #ifndef. Each header carries
+// a directive with an unknown rule, so the suppression issues name the
+// headers scanned.
+func TestScansSkipOtherDirectives(t *testing.T) {
+	headers := map[string]string{}
+	for _, h := range []string{"a.h", "b.h", "c.h"} {
+		headers[h] = "// safeflow:ignore no-such-rule reviewed\nint " + h[:1] + "_decl;\n"
+	}
+	for _, c := range []struct {
+		text    string
+		defines map[string]string
+		want    []string
+	}{
+		{"#include <stdio.h>\n#define X \"h.h\"\nint x; // #include \"h.h\"\n#include \"a.h\"\n", nil, []string{"a.h"}},
+		{"#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n", nil, []string{"b.h"}},
+		{"# if  0\n#ifdef X\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n#endif\n", nil, nil},
+		{"#if 0\n#include \"a.h\"\n#else\n#include \"b.h\"\n#endif\n", nil, []string{"b.h"}},
+		{"#ifdef X\n#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n#else\n#include \"c.h\"\n#endif\n", nil, []string{"c.h"}},
+		{"#ifdef X\n#if 0\n#include \"a.h\"\n#endif\n#include \"b.h\"\n#else\n#include \"c.h\"\n#endif\n", map[string]string{"X": "1"}, []string{"b.h"}},
+		{"#ifndef G\n#include \"a.h\"\n#endif\n#if 1\n#include \"b.h\"\n#endif\n", nil, []string{"a.h", "b.h"}},
+		{"#ifndef G\n#include \"a.h\"\n#endif\n#if 1\n#include \"b.h\"\n#endif\n", map[string]string{"G": ""}, []string{"b.h"}},
+	} {
+		src := cpp.MapSource{"main.c": c.text + "int main(void)\n{\n    return 0;\n}\n"}
+		for h, text := range headers {
+			src[h] = text
+		}
+		rep, err := AnalyzeSources(context.Background(), "inc", src, []string{"main.c"}, Options{Defines: c.defines})
+		if err != nil {
+			t.Fatalf("%q: %v", c.text, err)
+		}
+		var got []string
+		for _, si := range rep.SuppressionIssues {
+			got = append(got, si.File)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%q (defines %v): scanned headers %q, want %q", c.text, c.defines, got, c.want)
+		}
+		if want := nonBlank(src["main.c"]) + 2*len(c.want); rep.LinesOfCode != want {
+			t.Errorf("%q (defines %v): %d counted lines, want %d", c.text, c.defines, rep.LinesOfCode, want)
+		}
+	}
+}
 
-	loc, _, digest := scanSources(cpp.MapSource(src), cFiles)
-	if loc != wantLOC {
-		t.Errorf("%d counted lines, want %d", loc, wantLOC)
+// nonBlank counts text's non-blank lines.
+func nonBlank(text string) int {
+	n := 0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.TrimSpace(line) != "" {
+			n++
+		}
 	}
-	edited := includeSystem("#if 0\n#include \"h.h\"\n#endif", includeHeader+"int other(void);\n")
-	if _, _, d2 := scanSources(cpp.MapSource(edited), cFiles); d2 != digest {
-		t.Error("the source digest covers a header the program never reads")
-	}
-	if sups := scanSourceSuppressions(cpp.MapSource(src), cFiles); len(sups) != 0 {
-		t.Errorf("suppression directives %+v, want none", sups)
-	}
-
-	rep, err := AnalyzeSources(ctx, "inc", cpp.MapSource(src), cFiles, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LinesOfCode != wantLOC || len(rep.SuppressionIssues) != 0 {
-		t.Errorf("analysis counts %d lines and %d suppression issues, want %d and 0",
-			rep.LinesOfCode, len(rep.SuppressionIssues), wantLOC)
-	}
-	s, open, err := OpenSession(ctx, "inc", src, cFiles, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	up, _, err := s.Update(ctx, map[string]string{"h.h": includeHeader + "int other(void);\n"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if open.LinesOfCode != wantLOC || up.LinesOfCode != wantLOC || len(open.SuppressionIssues) != 0 {
-		t.Errorf("session counts %d then %d lines, %d suppression issues; want %d, %d, 0",
-			open.LinesOfCode, up.LinesOfCode, len(open.SuppressionIssues), wantLOC, wantLOC)
-	}
+	return n
 }

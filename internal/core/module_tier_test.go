@@ -83,7 +83,8 @@ func probeSystem() corpus.Generated {
 	for k, v := range g.Sources {
 		src[k] = v
 	}
-	src["probe.c"] = "#ifndef PROBE_N\n#define PROBE_N 1\n#endif\nint probe_value(void)\n{\n    return PROBE_N;\n}\n"
+	src["probe.c"] = "#ifndef PROBE_N\n#define PROBE_N 1\n#endif\n#ifdef PROBE_DEBUG\n#include \"probe_dbg.h\"\n#endif\nint probe_value(void)\n{\n    return PROBE_N;\n}\n"
+	src["probe_dbg.h"] = "int probe_debug;\n"
 	g.Sources = src
 	g.CFiles = append(append([]string(nil), g.CFiles...), "probe.c")
 	return g
@@ -91,9 +92,12 @@ func probeSystem() corpus.Generated {
 
 // TestModuleTierInvalidation: an edited header, an edited unit and a
 // define the sources read each compile a new module, whose report is a
-// cold run's of the changed input. A define no unit reads changes no
-// preprocessed text, so the module is reused, and going back to the
-// first sources finds their module again.
+// cold run's of the changed input, and replay nothing of the stored
+// phase-3 state. A define no unit reads changes no preprocessed text, so
+// the module is reused. A header no unit reads — probe_dbg.h while
+// PROBE_DEBUG is undefined — is no part of the program: editing it hits
+// both tiers, the module and every unit's state. Going back to the first
+// sources finds their module again.
 func TestModuleTierInvalidation(t *testing.T) {
 	base := probeSystem()
 	if _, ok := base.Sources["gen.h"]; !ok {
@@ -117,21 +121,27 @@ func TestModuleTierInvalidation(t *testing.T) {
 		g       corpus.Generated
 		defines map[string]string
 		sameAs  string // the earlier run whose module this one must reuse; "" for a new one
+		replay  bool   // every unit replays the stored state; otherwise none does
 	}{
-		{"edited header", edit("gen.h", "int header_probe;\n"), nil, ""},
-		{"edited unit", edit(base.CFiles[0], "int unit_probe;\n"), nil, ""},
-		{"define read by a unit", base, map[string]string{"PROBE_N": "2"}, ""},
-		{"define read by no unit", base, map[string]string{"PROBE_N": "2", "UNREAD_PROBE": "1"}, "define read by a unit"},
-		{"first sources again", base, nil, "first"},
+		{"edited unread header", edit("probe_dbg.h", "int unread_probe;\n"), nil, "first", true},
+		{"edited header", edit("gen.h", "int header_probe;\n"), nil, "", false},
+		{"edited unit", edit(base.CFiles[0], "int unit_probe;\n"), nil, "", false},
+		{"define read by a unit", base, map[string]string{"PROBE_N": "2"}, "", false},
+		{"define read by no unit", base, map[string]string{"PROBE_N": "2", "UNREAD_PROBE": "1"}, "define read by a unit", false},
+		{"define pulling a header in", base, map[string]string{"PROBE_DEBUG": "1"}, "", false},
+		{"first sources again", base, nil, "first", false},
 	} {
-		opts := core.Options{Defines: tc.defines}
+		opts := core.Options{Defines: tc.defines, Stats: true}
 		want := coldRender(t, tc.g.Name, tc.g, opts)
 		opts.Cache = c
 		rep := fresh(t, tc.g.Name, tc.g.Sources, tc.g.CFiles, opts)
 		for name, m := range modules {
-			if reused := rep.Module == m; reused != (name == tc.sameAs) {
-				t.Errorf("%s: module of %q reused = %v", tc.name, name, reused)
+			if reused, wantReused := rep.Module == m, m == modules[tc.sameAs]; reused != wantReused {
+				t.Errorf("%s: module of %q reused = %v, want %v", tc.name, name, reused, wantReused)
 			}
+		}
+		if m := rep.Metrics; tc.replay && (m.CacheHits == 0 || m.CacheMisses != 0) || !tc.replay && m.CacheHits != 0 {
+			t.Errorf("%s: replayed %d units and solved %d, want every unit replayed = %v", tc.name, m.CacheHits, m.CacheMisses, tc.replay)
 		}
 		if renderAll(t, rep) != want {
 			t.Errorf("%s: report differs from a cold run", tc.name)

@@ -78,9 +78,9 @@ func TestPolicyCacheIsolationMemory(t *testing.T) {
 	if n := c.State.Len(); n != 2 {
 		t.Fatalf("cache holds %d states, want one per policy", n)
 	}
-	_, _, digest := scanSources(cpp.MapSource{"main.c": credSrc}, []string{"main.c"})
 	for _, opts := range []Options{cred, pii} {
-		if _, ok, _ := c.State.Get(stateKey("credsys", opts), digest); !ok {
+		tag := sourcesTag("credsys", map[string]string{"main.c": credSrc}, []string{"main.c"}, opts)
+		if _, ok, _ := c.State.Get(stateKey("credsys", opts), tag); !ok {
 			t.Errorf("no state under %q", stateKey("credsys", opts))
 		}
 	}

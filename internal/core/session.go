@@ -285,36 +285,21 @@ func (s *Session) CFiles() []string {
 	return append([]string(nil), s.cFiles...)
 }
 
-// locEntry memoizes one file's contribution to the whole-program source
-// scans, keyed by content: its line counts, its safeflow:ignore
-// directives and the quoted includes it pulls in.
+// locEntry memoizes one file's source scan by content.
 type locEntry struct {
-	content  string
-	loc      int
-	annots   int
-	sups     []policy.Suppression
-	includes []string
+	content string
+	fileScan
 }
 
-// countStats reproduces scanSources' counts and scanSourceSuppressions'
-// directives over the session's sources, rescanning only files whose
-// contents changed since the last update.
+// countStats scans the files the fragment compiler's last compile read,
+// rescanning only files whose contents changed since the last update.
 func (s *Session) countStats() (loc, annots int, sups []policy.Suppression) {
-	walkSources(s.cFiles, func(name string) []string {
-		text, ok := s.sources[name]
-		if !ok {
-			return nil
-		}
+	return scanSources(s.fc.Files(), func(name, text string) fileScan {
 		e := s.locMemo[name]
 		if e == nil || e.content != text {
-			e = &locEntry{content: text, sups: policy.ScanSuppressions(name, text), includes: cpp.QuotedIncludes(text)}
-			e.loc, e.annots = lineStats(text)
+			e = &locEntry{content: text, fileScan: scanFile(name, text)}
 			s.locMemo[name] = e
 		}
-		loc += e.loc
-		annots += e.annots
-		sups = append(sups, e.sups...)
-		return e.includes
+		return e.fileScan
 	})
-	return loc, annots, sups
 }

@@ -93,26 +93,39 @@ func TestStoreDifferentProgramSameKey(t *testing.T) {
 // which changes no function and no report: the run over the changed
 // sources replays nothing and renders the same report, its repeat
 // replays every unit, and the original sources, whose state it
-// replaced, solve cold again.
+// replaced, solve cold again. A comment added to a declaration of gen.h,
+// which every unit reads, replays nothing either; an edit to dbg.h, which one unit
+// includes only under a macro no one defines, changes no text the
+// preprocessor read, so the run after it replays every unit and shares
+// the module of the run before.
 func TestStoreChangedSourcesSolveCold(t *testing.T) {
 	c := core.NewCache()
 	g := split130(1)
+	g.Sources = withSource(g.Sources, g.CFiles[0], g.Sources[g.CFiles[0]]+"#ifdef SF_UNDEFINED_DEBUG\n#include \"dbg.h\"\n#endif\n")
+	g.Sources["dbg.h"] = "int dbg_level;\n"
 	opts := core.Options{Stats: true, Cache: c}
-	want := renderAll(t, fresh(t, g.Name, g.Sources, g.CFiles, opts))
+	last := fresh(t, g.Name, g.Sources, g.CFiles, opts)
+	want := renderAll(t, last)
 
-	commented := corpus.Generated{Name: g.Name, CFiles: g.CFiles, Sources: make(map[string]string, len(g.Sources))}
-	for k, v := range g.Sources {
-		commented.Sources[k] = v
-	}
+	commented := corpus.Generated{Name: g.Name, CFiles: g.CFiles, Sources: g.Sources}
 	for _, cf := range g.CFiles {
 		// On the last line, so line counts and the report stay the same.
-		text := strings.TrimSuffix(g.Sources[cf], "\n")
-		commented.Sources[cf] = text + " /* changed */\n"
+		commented.Sources = withSource(commented.Sources, cf, strings.TrimSuffix(g.Sources[cf], "\n")+" /* changed */\n")
 	}
+	// On a declaration: a comment after the closing #endif is no text
+	// the preprocessor emits.
+	const decl = "double stage63(double x);\n"
+	if !strings.Contains(g.Sources["gen.h"], decl) {
+		t.Fatal("gen.h lost the declaration this test comments")
+	}
+	headerCommented := corpus.Generated{Name: g.Name, CFiles: g.CFiles,
+		Sources: withSource(g.Sources, "gen.h", strings.Replace(g.Sources["gen.h"], decl, "double stage63(double x); /* changed */\n", 1))}
+	unreadEdited := corpus.Generated{Name: g.Name, CFiles: g.CFiles,
+		Sources: withSource(g.Sources, "dbg.h", "int dbg_level;\nint dbg_mask;\n")}
 	for i, tc := range []struct {
 		g        corpus.Generated
 		replayed bool
-	}{{commented, false}, {commented, true}, {g, false}} {
+	}{{commented, false}, {commented, true}, {g, false}, {unreadEdited, true}, {headerCommented, false}, {g, false}} {
 		rep := fresh(t, g.Name, tc.g.Sources, tc.g.CFiles, opts)
 		hits, misses := 0, 129
 		if tc.replayed {
@@ -121,13 +134,30 @@ func TestStoreChangedSourcesSolveCold(t *testing.T) {
 		if m := rep.Metrics; m.CacheHits != hits || m.CacheMisses != misses {
 			t.Errorf("run %d: replayed %d units and solved %d, want %d and %d", i, m.CacheHits, m.CacheMisses, hits, misses)
 		}
+		// The module tier holds one module this size: a run that replays
+		// shares the previous run's module, and one that does not
+		// compiled its own.
+		if shared := rep.Module == last.Module; shared != tc.replayed {
+			t.Errorf("run %d: shares the previous run's module = %v, want %v", i, shared, tc.replayed)
+		}
 		if renderAll(t, rep) != want {
 			t.Errorf("run %d: report differs from the first run's", i)
 		}
+		last = rep
 	}
 	if n := c.State.Len(); n != 1 {
 		t.Errorf("store holds %d states, want one slot for the system", n)
 	}
+}
+
+// withSource returns a copy of sources with file's text replaced.
+func withSource(sources map[string]string, file, text string) map[string]string {
+	out := make(map[string]string, len(sources)+1)
+	for k, v := range sources {
+		out[k] = v
+	}
+	out[file] = text
+	return out
 }
 
 // TestStoreNoSharingAcrossOptions changes one keyed option at a time

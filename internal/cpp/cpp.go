@@ -323,58 +323,9 @@ func directive(line string) (word, rest string, ok bool) {
 	return word, rest, true
 }
 
-// QuotedIncludes returns the files text pulls in with #include "file",
-// in line order, each directive read as the preprocessor reads it (so
-// "# include" counts too). Angle-bracket and malformed includes are left
-// out, and so is every include in the group of an "#if 0": the
-// preprocessor treats only a literal 0 as false, so that group is never
-// read whatever the defines are. Groups whose branch depends on the
-// defines (#ifdef, #ifndef) and the #else of an "#if 0" are followed, so
-// a scan sees every file some configuration reads. Whole-program source
-// scans use it to follow the files the preprocessor reads.
-func QuotedIncludes(text string) []string {
-	var out []string
-	// depth counts open conditionals; deadAt is the depth of the "#if 0"
-	// whose group the scan is in, 0 while lines are read.
-	depth, deadAt := 0, 0
-	for text != "" {
-		var line string
-		line, text, _ = strings.Cut(text, "\n")
-		word, rest, ok := directive(line)
-		if !ok {
-			continue
-		}
-		switch word {
-		case "if", "ifdef", "ifndef":
-			depth++
-			if deadAt == 0 && word == "if" && ifZero(rest) {
-				deadAt = depth
-			}
-		case "else":
-			if depth == deadAt {
-				deadAt = 0
-			}
-		case "endif":
-			if depth == deadAt {
-				deadAt = 0
-			}
-			depth = max(depth-1, 0)
-		case "include":
-			if deadAt != 0 || !strings.HasPrefix(rest, `"`) {
-				continue
-			}
-			if target, ok := parseIncludeTarget(rest); ok && target != "" {
-				out = append(out, target)
-			}
-		}
-	}
-	return out
-}
-
 // ifZero reports whether an "#if" directive's expression, rest, is the
 // literal 0 once its comments are stripped: the one false condition the
-// preprocessor knows. processFile and QuotedIncludes both read "#if"
-// through it, so the source scans follow exactly the groups it expands.
+// preprocessor knows.
 func ifZero(rest string) bool {
 	var b strings.Builder
 	for rest != "" {

@@ -15,6 +15,17 @@ func expand(t *testing.T, sources map[string]string, top string) string {
 	return out
 }
 
+// readCounter is a Source that counts the reads of each file.
+type readCounter struct {
+	src Source
+	n   map[string]int
+}
+
+func (r readCounter) ReadFile(name string) (string, error) {
+	r.n[name]++
+	return r.src.ReadFile(name)
+}
+
 func TestObjectMacroSubstitution(t *testing.T) {
 	out := expand(t, map[string]string{
 		"a.c": "#define N 10\nint a[N];\nint NN;\nchar *s = \"N\";\n",
@@ -205,8 +216,8 @@ func TestLineCommentNotSubstituted(t *testing.T) {
 
 // A comment after an "#if" value is no part of it: "#if 0 // x" drops
 // its group, the code and the include alike, and "#if 1 // x" keeps
-// both. The preprocessor and QuotedIncludes, which source scans use to
-// follow the files the preprocessor reads, must agree on every form.
+// both. A dropped include's file is never read, so the source scans,
+// which scan the files the preprocessor read, leave it out.
 func TestIfValueTrailingComment(t *testing.T) {
 	for _, tc := range []struct {
 		cond string
@@ -227,7 +238,11 @@ func TestIfValueTrailingComment(t *testing.T) {
 			"a.c": "#if " + tc.cond + "\n#include \"h.h\"\nint dead;\n#endif\nint kept;\n",
 			"h.h": "int fromHeader;\n",
 		}
-		out := expand(t, src, "a.c")
+		reads := readCounter{src: MapSource(src), n: make(map[string]int)}
+		out, err := New(reads).Expand("a.c")
+		if err != nil {
+			t.Fatalf("#if %s: %v", tc.cond, err)
+		}
 		for _, decl := range []string{"int dead;", "int fromHeader;"} {
 			if got := strings.Contains(out, decl); got != tc.live {
 				t.Errorf("#if %s: output has %q = %v, want %v:\n%s", tc.cond, decl, got, tc.live, out)
@@ -236,8 +251,8 @@ func TestIfValueTrailingComment(t *testing.T) {
 		if !strings.Contains(out, "int kept;") {
 			t.Errorf("#if %s: code after #endif dropped:\n%s", tc.cond, out)
 		}
-		if got := len(QuotedIncludes(src["a.c"])) == 1; got != tc.live {
-			t.Errorf("#if %s: QuotedIncludes = %q, want the include followed = %v", tc.cond, QuotedIncludes(src["a.c"]), tc.live)
+		if got := reads.n["h.h"] > 0; got != tc.live {
+			t.Errorf("#if %s: h.h read = %v, want %v", tc.cond, got, tc.live)
 		}
 	}
 }

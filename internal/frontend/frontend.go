@@ -26,6 +26,11 @@
 // compile of the same system returns that compile's module, skipping
 // type checking, lowering and mem2reg.
 //
+// Every compile records the files each unit's preprocessor read, with
+// their text (RecoverResult.Files, FragmentCompiler.Files): the analysis
+// scans exactly those for line counts and suppression directives, so no
+// second include resolver decides which files belong to the program.
+//
 // FragmentCompiler (incr.go) compiles units one by one for incremental
 // sessions and links them; it shares the per-unit parse step with the
 // driver.
@@ -36,6 +41,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -327,6 +333,15 @@ type RecoverResult struct {
 	// hit, or the one it stored. Nil when the compile had no module tier
 	// or was degraded.
 	Entry *CompiledModule
+	// Files holds every file the preprocessor read, by name, with the
+	// text it read: the units and exactly the headers their expansions
+	// pulled in, failed units' reads included.
+	Files map[string]string
+	// Key is the module key (moduleKey) folded to 64 bits: it covers the
+	// system name and every unit's name and preprocessed text. Zero when
+	// the compile had no module tier or a unit failed to preprocess or
+	// parse.
+	Key uint64
 }
 
 // Degraded reports whether any translation unit was skipped.
@@ -349,17 +364,27 @@ func CompileRecover(ctx context.Context, name string, sources cpp.Source, cFiles
 // skipped unit, as Compile does.
 func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options, failStop bool) (*RecoverResult, error) {
 	outs := make([]unitOutcome, len(cFiles))
+	// One recorder per unit: the pool runs units concurrently.
+	recs := make([]recordingSource, len(cFiles))
 	ic := newIncludeCache()
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		outs[i] = compileUnitDiags(sources, cFiles[i], opts, ic)
+		recs[i] = recordingSource{src: sources, deps: make(map[string]string)}
+		outs[i] = compileUnitDiags(&recs[i], cFiles[i], opts, ic)
 	})
 	ic.report(opts.Metrics)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
+	files := make(map[string]string, len(cFiles))
+	for _, r := range recs {
+		maps.Copy(files, r.deps)
+	}
 	modKey, cached, ok := lookupModule(name, cFiles, outs, opts)
 	if ok {
-		return &RecoverResult{Res: &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars}, Entry: cached}, nil
+		return &RecoverResult{
+			Res:   &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars},
+			Entry: cached, Files: files, Key: foldKey(*modKey),
+		}, nil
 	}
 
 	type tu struct {
@@ -474,7 +499,10 @@ func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []
 		live, prog = next, nil
 	}
 	irgen.Promote(res.Module)
-	out := &RecoverResult{Res: res}
+	out := &RecoverResult{Res: res, Files: files}
+	if modKey != nil {
+		out.Key = foldKey(*modKey)
+	}
 	if modKey != nil && len(diags) == 0 {
 		out.Entry = &CompiledModule{Module: res.Module, AssertVars: res.AssertVars}
 		opts.Modules.Put(*modKey, 0, out.Entry)

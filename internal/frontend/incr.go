@@ -27,6 +27,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"slices"
 
 	"safeflow/internal/cast"
@@ -109,7 +110,21 @@ func (e *expansion) fresh(sources cpp.Source) bool {
 	return true
 }
 
-// recordingSource logs every file the preprocessor reads.
+// Files returns every file the preprocessor read for the units of the
+// last successful Compile, by name, with the text it read: the union of
+// the units' expansions' dependencies. A unit whose expansion was still
+// fresh contributes the files of the expansion that made it.
+func (fc *FragmentCompiler) Files() map[string]string {
+	files := make(map[string]string, len(fc.expansions))
+	for _, e := range fc.expansions {
+		maps.Copy(files, e.deps)
+	}
+	return files
+}
+
+// recordingSource logs every file the preprocessor reads. A memoized
+// header's nested files are read again when the memo is hit (cpp.Memo
+// checks them), so a unit's recorder sees them too.
 type recordingSource struct {
 	src  cpp.Source
 	deps map[string]string

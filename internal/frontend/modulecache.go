@@ -152,3 +152,12 @@ func moduleKey(name string, cFiles []string, outs []unitOutcome) [sha256.Size]by
 	h.Sum(key[:0])
 	return key
 }
+
+// foldKey folds a module key into 64 bits, the four words XORed.
+func foldKey(k [sha256.Size]byte) uint64 {
+	var h uint64
+	for i := 0; i < len(k); i += 8 {
+		h ^= binary.LittleEndian.Uint64(k[i:])
+	}
+	return h
+}
