@@ -47,7 +47,7 @@ func run() int {
 		noTable1  = flag.Bool("notable1", false, "skip the embedded Table 1 systems as extra seeds")
 		maxCrash  = flag.Int("maxcrashers", 0, "stop after this many distinct crashers (0 = run to budget)")
 		minBudget = flag.Int("minbudget", 300, "executions spent delta-minimizing one crasher")
-		plantFlag = flag.String("plant", "", "deliberately weaken an oracle for canary runs (testing only): drop-main-errors or stale-hit")
+		plantFlag = flag.String("plant", "", "deliberately weaken an oracle for canary runs (testing only): drop-main-errors, stale-hit or stale-unit")
 		replay    = flag.String("replay", "", "replay one crasher directory instead of fuzzing")
 		verbose   = flag.Bool("v", false, "log every new-coverage event and crasher")
 	)
@@ -124,12 +124,14 @@ func run() int {
 // replayOne re-executes a single archived crasher under the (possibly
 // planted) oracles and reports whether it still reproduces.
 func replayOne(ctx context.Context, dir string, exec fuzzcamp.Executor) int {
+	// Clean first: the parent of "x/crasher/" is "x", not "x/crasher".
+	dir = filepath.Clean(dir)
 	all, err := fuzzcamp.LoadCrashers(filepath.Dir(dir))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sffuzz: %v\n", err)
 		return 1
 	}
-	want := filepath.Base(filepath.Clean(dir))
+	want := filepath.Base(dir)
 	for _, c := range all {
 		if c.Dir() != want {
 			continue

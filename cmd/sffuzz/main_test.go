@@ -109,3 +109,22 @@ func TestCampaignSeedContract(t *testing.T) {
 		t.Errorf("campaign stats differ across identical seeds:\n%+v\n%+v", a, b)
 	}
 }
+
+// -replay finds a crasher directory named with or without a trailing
+// slash, as a shell glob like crashers/*/ passes it: the archived
+// stale-hit crasher passes the honest executor and reproduces under its
+// plant either way.
+func TestReplayTrailingSlash(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata", "crashers", "cache-temperature-5f5aa5a80d6f")
+	if _, err := os.Stat(filepath.Join(dir, "crasher.json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{dir, dir + string(filepath.Separator)} {
+		if code := replayOne(context.Background(), d, fuzzcamp.Executor{}); code != 0 {
+			t.Errorf("honest replay of %q: exit %d, want 0", d, code)
+		}
+		if code := replayOne(context.Background(), d, fuzzcamp.Executor{Plant: fuzzcamp.PlantStaleHit}); code != 2 {
+			t.Errorf("stale-hit replay of %q: exit %d, want 2", d, code)
+		}
+	}
+}

@@ -1,14 +1,16 @@
 // Package cache is SafeFlow's one in-memory cache: a generic,
 // self-verifying LRU. It holds no cache of its own; callers own the
-// values. The analysis instantiates it three times, bundled in
+// values. The analysis instantiates it four times, bundled in
 // core.Cache: a parse tier (parsed ASTs keyed by the SHA-256 of a unit's
-// name and preprocessed text, frontend.ParseCache), a module tier
+// name and preprocessed text, frontend.ParseCache), a unit tier (each
+// unit's parse key and the files it read, keyed by system name, unit name
+// and defines, frontend.UnitCache), a module tier
 // (compiled modules keyed by the system name and every unit's parse key,
 // frontend.ModuleCache) and a state tier (the last converged phase-3
 // state of each system, keyed by name and options).
 //
 // An LRU bounds the total weight of its entries. Every entry of the
-// parse and state tiers weighs 1; a module weighs its IR instructions,
+// parse, unit and state tiers weighs 1; a module weighs its IR instructions,
 // which follow the memory it keeps.
 //
 // Every entry carries a tag and an integrity sum. The tag names what the

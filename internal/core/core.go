@@ -90,17 +90,20 @@ type Options struct {
 	// 1 runs sequentially. Reports are byte-identical at every setting.
 	Workers int
 	// Cache holds the in-memory tiers the run reads and fills: parsed
-	// translation units, compiled modules, and the last converged phase-3
-	// state of each system. When a clean compile of the same system name
-	// and preprocessed units went through this Cache, the front end
-	// returns its module instead of type checking and lowering again
-	// (Report.Module is then shared), and phases 1–3 reuse the facts an
-	// earlier run derived from it under the same points-to mode; when the
+	// translation units, the files each unit read, compiled modules, and
+	// the last converged phase-3 state of each system. A unit whose read
+	// files are unchanged since its last clean compile of the same system
+	// name and defines through this Cache is not preprocessed again. When
+	// a clean compile of the same system name and preprocessed units went
+	// through this Cache, the front end returns its module instead of
+	// type checking and lowering again (Report.Module is then shared),
+	// and phases 1–3 reuse the facts an earlier run derived from it under
+	// the same points-to mode; when the
 	// last converged analysis of the same system name and options through
 	// this Cache compiled the same module key — the same preprocessed
 	// units, so an edit to a file no unit reads keeps it — phase 3 replays
 	// its stored state instead of solving.
-	// Nil runs cold: no parse or module tier, no persistent tier
+	// Nil runs cold: no parse, unit or module tier, no persistent tier
 	// (DiskCache is ignored) and an untracked phase 3. pkg/safeflow fills
 	// a nil Cache with its process-wide one.
 	Cache *Cache
@@ -293,6 +296,7 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 		Defines:   opts.Defines,
 		Workers:   opts.Workers,
 		Cache:     opts.Cache.parseTier(),
+		Units:     opts.Cache.unitTier(),
 		Modules:   opts.Cache.moduleTier(),
 		DiskCache: opts.DiskCache,
 		Metrics:   col,
@@ -674,12 +678,18 @@ type moduleFacts struct {
 // factSlot is the module tier entry's fact slot of a points-to mode.
 func factSlot(mode pointsto.Mode) int { return int(mode) - 1 }
 
-// Cache bundles the three in-memory tiers an analysis reads and fills,
+// Cache bundles the four in-memory tiers an analysis reads and fills,
 // each an instance of the generic LRU of internal/cache. Create it with
 // NewCache; it is safe for concurrent use.
 type Cache struct {
 	// Parse holds parsed translation units (256 entries).
 	Parse *frontend.ParseCache
+	// Units holds, per system name, unit name and -D defines, the parse
+	// key of the unit's last clean compile and the files its
+	// preprocessor read (256 entries): while each of those files is
+	// unchanged, a repeat compile runs no preprocessor for the unit and
+	// takes its parsed file from Parse. Sessions keep their own.
+	Units *frontend.UnitCache
 	// Module holds compiled modules (8192 IR instructions in all, at
 	// most 8 modules), keyed by the system name and every unit's parse
 	// key: a repeat analysis of unchanged sources skips type checking,
@@ -704,6 +714,7 @@ const maxStates = 64
 func NewCache() *Cache {
 	return &Cache{
 		Parse:  frontend.NewParseCache(),
+		Units:  frontend.NewUnitCache(),
 		Module: frontend.NewModuleCache(),
 		State:  cache.NewLRU[string](maxStates, (*vfg.IncrState).Checksum),
 	}
@@ -715,6 +726,14 @@ func (c *Cache) parseTier() *frontend.ParseCache {
 		return nil
 	}
 	return c.Parse
+}
+
+// unitTier is c's unit tier, nil when c is.
+func (c *Cache) unitTier() *frontend.UnitCache {
+	if c == nil {
+		return nil
+	}
+	return c.Units
 }
 
 // moduleTier is c's module tier, nil when c is.

@@ -48,6 +48,7 @@ func ModuleFacts(name string, sources map[string]string, cFiles []string, opts O
 	rr, err := frontend.CompileWith(context.Background(), name, cpp.MapSource(sources), cFiles, frontend.Options{
 		Defines: opts.Defines,
 		Cache:   opts.Cache.parseTier(),
+		Units:   opts.Cache.unitTier(),
 		Modules: opts.Cache.moduleTier(),
 	}, true)
 	if err != nil || rr.Entry == nil {

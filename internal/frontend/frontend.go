@@ -21,15 +21,23 @@
 // driver: the first failing stage is fatal, and the first failure in
 // file order is the error reported.
 //
+// With a unit tier (Options.Units, unitcache.go) a unit whose read files
+// are all unchanged since its last clean compile of the same system
+// under the same defines skips the preprocessor and takes its parsed
+// file from the parse tier under its previous parse key, as the
+// fragment compiler does for a session's units.
+//
 // With a module tier (Options.Modules, modulecache.go) a compile whose
 // units all preprocess and parse to the parse keys of an earlier clean
 // compile of the same system returns that compile's module, skipping
 // type checking, lowering and mem2reg.
 //
 // Every compile records the files each unit's preprocessor read, with
-// their text (RecoverResult.Files, FragmentCompiler.Files): the analysis
-// scans exactly those for line counts and suppression directives, so no
-// second include resolver decides which files belong to the program.
+// their text (RecoverResult.Files, FragmentCompiler.Files; a unit that
+// skipped the preprocessor contributes the files of the compile that
+// stored its slot): the analysis scans exactly those for line counts and
+// suppression directives, so no second include resolver decides which
+// files belong to the program.
 //
 // FragmentCompiler (incr.go) compiles units one by one for incremental
 // sessions and links them; it shares the per-unit parse step with the
@@ -76,6 +84,12 @@ type Options struct {
 	// so unchanged units survive process restarts. Integrity-checked on
 	// read; a damaged entry degrades to a miss (cache_corrupt_evictions).
 	DiskCache diskcache.CacheBackend
+	// Units, when non-nil with Cache, is the in-memory unit tier
+	// (unitcache.go): a unit whose every read file is unchanged since its
+	// last clean compile through the same UnitCache, of the same system
+	// name under the same defines, skips the preprocessor and takes the
+	// parsed file stored under its previous parse key.
+	Units *UnitCache
 	// Modules, when non-nil, is the in-memory module tier: a compile
 	// whose every unit preprocessed and parsed cleanly to the same parse
 	// keys as a prior clean compile of the same system name through the
@@ -123,12 +137,21 @@ type unitOutcome struct {
 
 // compileUnitDiags runs one unit's front half — preprocess, then the
 // shared parse step — sharing included headers with the compile's other
-// units through ic. It is panic-isolated: a crash becomes the unit's
-// internal error and "internal" diagnostic, so the other units of the
-// batch still complete.
-func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCache) (out unitOutcome) {
+// units through ic, and records the files the preprocessor read in rec.
+// With a unit tier, a unit whose slot is fresh skips both steps
+// (lookupUnit) and takes the slot's files as its reads, and a unit that
+// compiled clean is stored. It is panic-isolated: a crash becomes the
+// unit's internal error and "internal" diagnostic, so the other units of
+// the batch still complete.
+func compileUnitDiags(rec *recordingSource, slot unitSlot, opts Options, ic *includeCache) (out unitOutcome) {
+	cf := slot.unit
 	err := guard.Run("frontend", cf, func() error {
-		pp := newPreprocessor(sources, opts, ic)
+		if o, deps, ok := lookupUnit(rec.src, slot, opts); ok {
+			out, rec.deps = o, deps
+			return nil
+		}
+		rec.deps = make(map[string]string)
+		pp := newPreprocessor(rec, opts, ic)
 		text, err := pp.Expand(cf)
 		if err != nil {
 			out.diags = []diag.Diagnostic{{Unit: cf, Phase: diag.PhasePreprocess, Msg: err.Error()}}
@@ -140,6 +163,7 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options, ic *includeCa
 		}
 		out = parseUnit(cf, text, pp.Segments(), key, opts, ic)
 		out.key = key
+		storeUnit(slot, out, rec.deps, opts)
 		return nil
 	})
 	if err != nil {
@@ -335,7 +359,9 @@ type RecoverResult struct {
 	Entry *CompiledModule
 	// Files holds every file the preprocessor read, by name, with the
 	// text it read: the units and exactly the headers their expansions
-	// pulled in, failed units' reads included.
+	// pulled in, failed units' reads included. A unit the unit tier
+	// served contributes the files its slot recorded, which still read
+	// the same.
 	Files map[string]string
 	// Key is the module key (moduleKey) folded to 64 bits: it covers the
 	// system name and every unit's name and preprocessed text. Zero when
@@ -367,9 +393,10 @@ func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []
 	// One recorder per unit: the pool runs units concurrently.
 	recs := make([]recordingSource, len(cFiles))
 	ic := newIncludeCache()
+	defs := definesKey(opts.Defines)
 	runUnitPool(ctx, len(cFiles), opts, func(i int) {
-		recs[i] = recordingSource{src: sources, deps: make(map[string]string)}
-		outs[i] = compileUnitDiags(&recs[i], cFiles[i], opts, ic)
+		recs[i].src = sources
+		outs[i] = compileUnitDiags(&recs[i], unitSlot{name, cFiles[i], defs}, opts, ic)
 	})
 	ic.report(opts.Metrics)
 	if ctx.Err() != nil {

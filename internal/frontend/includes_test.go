@@ -141,7 +141,7 @@ func TestSegmentParseTypedefKey(t *testing.T) {
 	ic := newIncludeCache()
 	header := make(map[string]cast.Decl)
 	for _, cf := range cFiles {
-		out := compileUnitDiags(src, cf, Options{}, ic)
+		out := compileUnitDiags(&recordingSource{src: src}, unitSlot{unit: cf}, Options{}, ic)
 		if cf == "c.c" {
 			if out.file != nil {
 				t.Fatal("c.c compiled; want a parse error at T")
@@ -219,7 +219,7 @@ func TestIncludeMemoDegradedDiagnostics(t *testing.T) {
 func SegmentParses(sources cpp.MapSource, cFiles []string) int {
 	ic := newIncludeCache()
 	for _, cf := range cFiles {
-		compileUnitDiags(sources, cf, Options{}, ic)
+		compileUnitDiags(&recordingSource{src: sources}, unitSlot{unit: cf}, Options{}, ic)
 	}
 	return len(ic.segs)
 }

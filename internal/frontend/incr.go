@@ -88,12 +88,14 @@ func NewFragmentCompiler(name string, opts Options, hashFn HashFunc) *FragmentCo
 	}
 }
 
-// expansion caches one unit's preprocessed text, its parse-cache key and
-// the exact files the preprocessor read to produce it. The cache is fresh
-// while every dependency's current content is unchanged — unchanged
-// files in a session keep their identical string values, so the
-// comparison hits the pointer-equality fast path — and a fresh expansion
-// is never hashed again.
+// expansion is one unit's preprocessed text, its parse-cache key and
+// the exact files the preprocessor read to produce it, with the text it
+// read. It is fresh while every one of those files still has that text —
+// unchanged files keep their identical string values, so the comparison
+// hits the pointer-equality fast path — and a fresh expansion is never
+// preprocessed or hashed again. A session's FragmentCompiler keeps one
+// per unit, with its text; the unit tier (UnitCache) keeps them without
+// text, and never modifies one it stored.
 type expansion struct {
 	text string
 	key  [sha256.Size]byte

@@ -87,14 +87,30 @@ func TestCanaryFindsPlantedSoundnessBug(t *testing.T) {
 }
 
 // TestCanaryFindsStaleHit: a campaign whose executor hands the
-// cache-temperature oracle's mutated sibling its parent's warm report —
-// a cache that hits on a key missing what the mutation changed — must
-// find the stale hit, minimize it, and persist a crasher that reproduces
+// cache-temperature oracle's siblings their parent's warm report — a
+// cache that hits on a key missing what the sibling changed — must find
+// the stale hit, minimize it, and persist a crasher that reproduces
 // under the planted executor and holds under the honest one, as
 // TestCrasherRegressions replays it.
 func TestCanaryFindsStaleHit(t *testing.T) {
+	checkCacheCanary(t, PlantStaleHit, "")
+}
+
+// TestCanaryFindsStaleUnit: a campaign whose unit tier slots check only
+// the unit's own file before a sibling runs — a freshness check that
+// misses an edit to a header — must find it through the header sibling,
+// minimize it, persist it and replay it, as for the stale hit.
+func TestCanaryFindsStaleUnit(t *testing.T) {
+	checkCacheCanary(t, PlantStaleUnit, "header sibling")
+}
+
+// checkCacheCanary runs the cache canary campaign under plant and checks
+// its crasher: a cache-temperature violation whose detail starts with
+// sibling, reproduced by the planted executor, passed by the honest one,
+// and smaller than any seed.
+func checkCacheCanary(t *testing.T, plant Plant, sibling string) {
 	dir := t.TempDir()
-	planted := Executor{MaxSteps: 500_000, Plant: PlantStaleHit}
+	planted := Executor{MaxSteps: 500_000, Plant: plant}
 	stats, err := Run(context.Background(), Config{
 		Seed:           11,
 		CrasherDir:     dir,
@@ -108,7 +124,7 @@ func TestCanaryFindsStaleHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Crashers == 0 {
-		t.Fatal("campaign did not find the planted stale hit")
+		t.Fatal("campaign did not find the planted stale cache")
 	}
 	crashers, err := LoadCrashers(dir)
 	if err != nil {
@@ -120,6 +136,9 @@ func TestCanaryFindsStaleHit(t *testing.T) {
 	c := crashers[0]
 	if c.Oracle != OracleCacheTemperature {
 		t.Errorf("crasher oracle = %q, want %q", c.Oracle, OracleCacheTemperature)
+	}
+	if !strings.HasPrefix(c.Detail, sibling) {
+		t.Errorf("crasher detail %q, want one of the %s", c.Detail, sibling)
 	}
 	if v, err := Replay(context.Background(), c, planted); err != nil {
 		t.Fatal(err)

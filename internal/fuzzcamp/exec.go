@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,10 +78,15 @@ const (
 	// main.c before the dynamic-⊆-static comparison, simulating an
 	// analyzer that silently loses error dependencies at the sink.
 	PlantDropMainErrors
-	// PlantStaleHit hands the mutated sibling of the cache-temperature
-	// oracle its parent's warm report instead of analyzing it,
-	// simulating a cache key that misses an input the sibling changed.
+	// PlantStaleHit hands each sibling of the cache-temperature oracle
+	// its parent's warm report instead of analyzing it, simulating a
+	// cache key that misses an input the sibling changed.
 	PlantStaleHit
+	// PlantStaleUnit hands a sibling that changed no unit's own file,
+	// under the parent's defines, its parent's warm report, simulating a
+	// unit tier whose freshness check compares only the unit's own file:
+	// every unit would hit its stale slot.
+	PlantStaleUnit
 )
 
 // ParsePlant maps a -plant flag value to a Plant.
@@ -92,8 +98,10 @@ func ParsePlant(s string) (Plant, error) {
 		return PlantDropMainErrors, nil
 	case "stale-hit":
 		return PlantStaleHit, nil
+	case "stale-unit":
+		return PlantStaleUnit, nil
 	}
-	return PlantNone, fmt.Errorf("unknown plant %q (want none, drop-main-errors or stale-hit)", s)
+	return PlantNone, fmt.Errorf("unknown plant %q (want none, drop-main-errors, stale-hit or stale-unit)", s)
 }
 
 // Executor runs inputs and checks oracles.
@@ -369,11 +377,10 @@ func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, 
 
 // checkCacheTemperature runs the input through the campaign's Cache
 // twice — the first run fills it, the second hits it — and requires both
-// to render cold, the bytes of the primary run. Then a sibling of the
-// input, one seeded mutation away and under the same system name, runs
-// through the same Cache and must render what its own cold run renders:
-// a cache key that missed what the mutation changed would hand it the
-// input's verdicts.
+// to render cold, the bytes of the primary run. Then each sibling of the
+// input (siblings), under the same system name, runs through the same
+// Cache and must render what its own cold run renders: a cache key that
+// missed what the sibling changed would hand it the input's verdicts.
 func (e *Executor) checkCacheTemperature(ctx context.Context, in Input, cold string) (*Violation, error) {
 	c := e.Cache
 	if c == nil {
@@ -401,9 +408,48 @@ func (e *Executor) checkCacheTemperature(ctx context.Context, in Input, cold str
 		warm = rep
 	}
 
-	sib := NewMutator(rand.New(rand.NewSource(in.hashSeed()))).Mutate(in, Input{})
-	sib.Name = in.Name
-	want, err := analyze(ctx, sib, sib.Sources, e.workers()[0], false)
+	for _, sib := range siblings(in) {
+		if v, err := e.checkSibling(ctx, in, sib, warm, opts); v != nil || err != nil {
+			return v, err
+		}
+	}
+	return nil, nil
+}
+
+// sibling is a variant of an input that the cache-temperature oracle
+// runs, under the input's system name, through the Cache the input
+// filled.
+type sibling struct {
+	in      Input
+	defines map[string]string
+	desc    string
+}
+
+// siblings returns the cache-temperature oracle's variants of in: a
+// seeded mutation; in with a declaration appended to its first header,
+// which every tier keyed on what a unit read must notice; and in under a
+// -D define that renames main, which every tier must key on.
+func siblings(in Input) []sibling {
+	mut := NewMutator(rand.New(rand.NewSource(in.hashSeed()))).Mutate(in, Input{})
+	desc := "mutated sibling " + mut.Name
+	mut.Name = in.Name
+	sibs := []sibling{{in: mut, desc: desc}}
+	for _, f := range in.Files() {
+		if !slices.Contains(in.CFiles, f) {
+			h := in.Clone()
+			h.Sources[f] += "\nextern int sf_header_sibling;\n"
+			sibs = append(sibs, sibling{in: h, desc: "header sibling (" + f + " edited)"})
+			break
+		}
+	}
+	return append(sibs, sibling{in: in, defines: map[string]string{"main": "sf_define_sibling"},
+		desc: "define sibling (-D main=sf_define_sibling)"})
+}
+
+// checkSibling runs sib through the Cache of opts, which the parent
+// filled, and requires it to render what its own cold run renders.
+func (e *Executor) checkSibling(ctx context.Context, parent Input, sib sibling, warm *core.Report, opts core.Options) (*Violation, error) {
+	want, err := analyzeWith(ctx, sib.in, sib.in.Sources, core.Options{Workers: opts.Workers, Defines: sib.defines})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -411,13 +457,14 @@ func (e *Executor) checkCacheTemperature(ctx context.Context, in Input, cold str
 		return nil, nil // structured rejection of the sibling: nothing to compare
 	}
 	got := warm
-	if e.Plant != PlantStaleHit {
-		if got, err = analyzeWith(ctx, sib, sib.Sources, opts); err != nil {
+	if e.Plant != PlantStaleHit && !(e.Plant == PlantStaleUnit && sameUnits(parent, sib)) {
+		opts.Defines = sib.defines
+		if got, err = analyzeWith(ctx, sib.in, sib.in.Sources, opts); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
 			return &Violation{Oracle: OracleCacheTemperature,
-				Detail: fmt.Sprintf("sibling %s: the run through the input's cache failed where its cold run succeeded: %v", sib.Name, err)}, nil
+				Detail: fmt.Sprintf("%s: the run through the input's cache failed where its cold run succeeded: %v", sib.desc, err)}, nil
 		}
 	}
 	wantBytes, err := render(want)
@@ -430,9 +477,26 @@ func (e *Executor) checkCacheTemperature(ctx context.Context, in Input, cold str
 	}
 	if gotBytes != wantBytes {
 		return &Violation{Oracle: OracleCacheTemperature,
-			Detail: fmt.Sprintf("sibling %s: the run through the input's cache renders differently from its cold run", sib.Name)}, nil
+			Detail: fmt.Sprintf("%s: the run through the input's cache renders differently from its cold run", sib.desc)}, nil
 	}
 	return nil, nil
+}
+
+// sameUnits reports whether sib has parent's units, each with the text
+// it has in parent, under parent's (empty) defines: a unit tier whose
+// slots checked only the unit's own file would serve every unit of sib
+// its parent's parse key, so the compile, the module and the phase-3
+// state would all be the parent's, and the report its warm report.
+func sameUnits(parent Input, sib sibling) bool {
+	if len(sib.defines) > 0 || !slices.Equal(parent.CFiles, sib.in.CFiles) {
+		return false
+	}
+	for _, cf := range parent.CFiles {
+		if parent.Sources[cf] != sib.in.Sources[cf] {
+			return false
+		}
+	}
+	return true
 }
 
 // stripMetrics clears the execution-dependent metrics snapshot before a
