@@ -163,16 +163,19 @@ func TestAllocRegression_SessionUpdateSplit130(t *testing.T) {
 // a memory-warm repeat analysis at one worker, after a first run filled
 // the Cache. The repeat preprocesses and parses nothing, reuses the
 // compiled module and the facts the first run derived from it (call
-// graph, shm facts, restriction violations, points-to, def-use indexes,
-// fingerprints) and replays phase 3. Reusing the module instead of type
+// graph, shm facts, restriction violations, points-to, def-use indexes)
+// and takes phase 3's stored verdict. Reusing the module instead of type
 // checking, lowering and promoting again took the repeat from 66.6k
 // allocations and 7.8 MB to 14.1k and 3.6 MB; reusing the facts took it
 // to 6.0k and 2.5 MB; skipping the preprocessor for units whose files are
-// unchanged took it to 2.7k and 0.45 MB (go1.24, linux/amd64). The bounds
-// sit 1.5× above the latter, below a repeat that preprocesses every unit.
+// unchanged took it to 2.7k and 0.45 MB; taking the stored verdict
+// instead of replaying a stored state, and scanning files without a
+// safeflow:ignore directive without allocating, took it to 654 and
+// 0.12 MB (go1.24, linux/amd64). The bounds sit 1.5× above the latter,
+// below a repeat that replays phase 3.
 const (
-	warmRepeatSplit130MaxAllocs = 4_100
-	warmRepeatSplit130MaxBytes  = 680_000
+	warmRepeatSplit130MaxAllocs = 980
+	warmRepeatSplit130MaxBytes  = 183_000
 )
 
 func TestAllocRegression_WarmRepeatSplit130(t *testing.T) {

@@ -63,10 +63,10 @@ func BenchmarkTable1_DoubleIP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline: worker counts, batch fan-out, and phase-3 replay.
+// Parallel pipeline: worker counts, batch fan-out, and stored verdicts.
 // The Workers1/WorkersMax pairs record the intra-pipeline speedup; the
 // AnalyzeAll pair records the batch fan-out speedup; the SummaryCache pair
-// records the warm-run speedup from replaying the stored phase-3 state. The
+// records the warm-run speedup from taking the stored phase-3 verdict. The
 // core variants run without a cache except the cache benchmarks
 // themselves, so they measure the work they name; the batch pair goes
 // through the public API and its process cache.
@@ -154,17 +154,18 @@ func BenchmarkParallel_SummaryCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{})
 	})
-	// Every iteration after the first replays the phase-3 state its
+	// Every iteration after the first takes the phase-3 verdict its
 	// predecessor stored.
 	b.Run("warm", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{Cache: core.NewCache()})
 	})
 }
 
-// BenchmarkParallel_PhaseThreeCache isolates the cached work: the module
-// is compiled once, and each iteration re-runs phases 1–3 on it (the
-// watch-mode shape — reanalysis without recompilation).
-func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
+// BenchmarkParallel_PhaseThree isolates phases 1–3: the module is
+// compiled once, and each iteration re-runs them on it. A module handed
+// in without its sources has no module key, so no run takes or stores a
+// verdict.
+func BenchmarkParallel_PhaseThree(b *testing.B) {
 	sys := corpus.GenericSimplex()
 	src, err := sys.Sources()
 	if err != nil {
@@ -174,17 +175,13 @@ func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, opts core.Options) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, opts)
-			if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
-				b.Fatalf("counts diverged")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := core.AnalyzeModule(context.Background(), sys.Name, res, core.Options{})
+		if err != nil || len(rep.ErrorsData) != sys.Expected.Errors {
+			b.Fatalf("counts diverged")
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, core.Options{}) })
-	b.Run("warm", func(b *testing.B) { run(b, core.Options{Cache: core.NewCache()}) })
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Command safeflowd runs the SafeFlow analyzer as a long-lived HTTP
 // service with a persistent shared cache: one daemon process keeps the
-// in-memory parse cache and phase-3 states hot across requests, and the
+// in-memory parse cache and phase-3 verdicts hot across requests, and the
 // content-addressed disk cache (shared with safeflow CLI processes
 // pointed at the same -cachedir) keeps parsed units warm across restarts.
 //

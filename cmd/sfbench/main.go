@@ -215,8 +215,8 @@ func runAblation(w io.Writer) bool {
 	ok := true
 	for _, sys := range corpus.All() {
 		// No cache: the ablation compares the two algorithms' unit
-		// solves; a stored state (e.g. after -table1 in the same
-		// process) would replay units and understate the summary-mode count.
+		// solves; a stored verdict (e.g. after -table1 in the same
+		// process) would solve nothing and understate the summary-mode count.
 		fast, err := sys.Analyze(core.Options{})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)

@@ -4,24 +4,26 @@
 // core.Cache: a parse tier (parsed ASTs keyed by the SHA-256 of a unit's
 // name and preprocessed text, frontend.ParseCache), a unit tier (each
 // unit's parse key and the files it read, keyed by system name, unit name
-// and defines, frontend.UnitCache), a module tier
-// (compiled modules keyed by the system name and every unit's parse key,
-// frontend.ModuleCache) and a state tier (the last converged phase-3
-// state of each system, keyed by name and options).
+// and defines, frontend.UnitCache), a module tier (compiled modules keyed
+// by the system name and every unit's parse key, frontend.ModuleCache)
+// and a state tier (the last phase-3 verdict of each system, keyed by
+// name and options).
 //
 // An LRU bounds the total weight of its entries. Every entry of the
 // parse, unit and state tiers weighs 1; a module weighs its IR instructions,
 // which follow the memory it keeps.
 //
 // Every entry carries a tag and an integrity sum. The tag names what the
-// value was computed from when the key does not (a state's module key,
-// which covers the preprocessed text it was computed from): a lookup with another tag is a plain miss that neither
-// verifies nor promotes the entry, so a system keeps one slot as its
-// sources change. The sum is taken by Put and compared by Get; a value
-// that no longer matches it (memory corruption, a stray mutation of a
-// shared value) is evicted and reported corrupt, and the caller counts it
-// and recomputes, so a damaged entry degrades to a miss, never to a wrong
-// report. The sum is an integrity check, not a cryptographic one.
+// value was computed from when the key does not (a verdict's module key,
+// folded to 64 bits; the verdict's entry keeps the whole key, which its
+// caller compares on a hit): a lookup with another tag is a plain miss
+// that neither verifies nor promotes the entry, so a system keeps one
+// slot as its sources change. The sum is taken by Put and compared by
+// Get; a value that no longer matches it (memory corruption, a stray
+// mutation of a shared value) is evicted and reported corrupt, and the
+// caller counts it and recomputes, so a damaged entry degrades to a miss,
+// never to a wrong report. The sum is an integrity check, not a
+// cryptographic one.
 package cache
 
 import (

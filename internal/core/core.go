@@ -14,6 +14,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -91,21 +93,23 @@ type Options struct {
 	Workers int
 	// Cache holds the in-memory tiers the run reads and fills: parsed
 	// translation units, the files each unit read, compiled modules, and
-	// the last converged phase-3 state of each system. A unit whose read
-	// files are unchanged since its last clean compile of the same system
-	// name and defines through this Cache is not preprocessed again. When
-	// a clean compile of the same system name and preprocessed units went
+	// the last phase-3 verdict of each system. A unit whose read files
+	// are unchanged since its last clean compile of the same system name
+	// and defines through this Cache is not preprocessed again. When a
+	// clean compile of the same system name and preprocessed units went
 	// through this Cache, the front end returns its module instead of
 	// type checking and lowering again (Report.Module is then shared),
 	// and phases 1–3 reuse the facts an earlier run derived from it under
-	// the same points-to mode; when the
-	// last converged analysis of the same system name and options through
-	// this Cache compiled the same module key — the same preprocessed
-	// units, so an edit to a file no unit reads keeps it — phase 3 replays
-	// its stored state instead of solving.
+	// the same points-to mode. When the last clean, converged analysis of
+	// the same system name and options through this Cache compiled the
+	// same module key — the same preprocessed units, so an edit to a file
+	// no unit reads keeps it — phase 3 takes that run's stored verdict
+	// and solves nothing; otherwise it solves untracked, as a run with no
+	// Cache does, and stores its verdict. Exponential and degraded runs
+	// neither take nor store one.
 	// Nil runs cold: no parse, unit or module tier, no persistent tier
-	// (DiskCache is ignored) and an untracked phase 3. pkg/safeflow fills
-	// a nil Cache with its process-wide one.
+	// (DiskCache is ignored) and no verdict. pkg/safeflow fills a nil
+	// Cache with its process-wide one.
 	Cache *Cache
 	// DiskCache, when non-nil, adds a persistent content-addressed tier
 	// below Cache's in-memory parse tier: parsed ASTs are written to the
@@ -123,7 +127,7 @@ type Options struct {
 	// default simplex-shm policy and renders reports byte-identically to
 	// builds that predate configurable policies; a non-nil policy adds
 	// per-rule attribution to the text and JSON reports. The policy's
-	// name and fingerprint join the key of the stored phase-3 state, so
+	// name and fingerprint join the key of the stored phase-3 verdict, so
 	// two policies never share one.
 	Policy *policy.Compiled
 	// Recover enables graceful degradation: translation units that fail
@@ -230,8 +234,8 @@ type Report struct {
 
 	// incrState is phase 3's captured per-function state for the next
 	// incremental update; incrStats describes how much of this run was
-	// reused. Both are nil on non-session runs, whose state goes to the
-	// store instead. Unexported: Session owns the lifecycle.
+	// reused. Both are nil outside sessions, the only tracked runs.
+	// Unexported: Session owns the lifecycle.
 	incrState *vfg.IncrState
 	incrStats *vfg.IncrStats
 }
@@ -346,20 +350,20 @@ func AnalyzeSources(ctx context.Context, name string, sources cpp.Source, cFiles
 
 // AnalyzeModule runs phases 1–3 on an already-compiled module; it
 // returns ctx.Err() when the run was cancelled between phases or analysis
-// units. A module comes without source text, so its stored phase-3 state
-// is matched by system name and options alone.
+// units. A module comes without a module key, so the run neither reads
+// nor stores a verdict in Options.Cache.
 func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Options) (*Report, error) {
-	return analyzeModuleWith(ctx, name, res, opts, nil, nil, 0, nil, nil)
+	return analyzeModuleWith(ctx, name, res, opts, nil, nil, moduleKey{}, nil, nil)
 }
 
 // analyzeModuleWith drives phases 1–3, each wrapped in panic isolation
 // and separated by cancellation checks; col (may be nil) collects
 // metrics, missing (may be nil) names the functions whose defining
-// units the recovering front end skipped, tag names the preprocessed
-// sources the module was compiled from (frontend.RecoverResult.Key) for
-// the state store, idx (nil: a table for this run) holds the functions'
-// def-use indexes, which phases 1 and 3 share, and entry (may be nil) is
-// the module tier entry the module came from.
+// units the recovering front end skipped, key is the module key of the
+// compile (frontend.RecoverResult.Key; zero: none), under which the
+// state tier keeps the run's verdict, idx (nil: a table for this run)
+// holds the functions' def-use indexes, which phases 1 and 3 share, and
+// entry (may be nil) is the module tier entry the module came from.
 //
 // The phases form a small DAG: callgraph → shmflow → restrict on one
 // branch and pointsto, which needs no region facts, on the other, both
@@ -370,10 +374,11 @@ func AnalyzeModule(ctx context.Context, name string, res *irgen.Result, opts Opt
 //
 // A run outside a session whose entry holds the facts of its points-to
 // mode (moduleFacts) computes none of them: each phase fires its hook and
-// takes its result from the entry, no points-to goroutine starts, and
-// phase 3 reuses the entry's fingerprints. The first clean, converged
-// run that stores its phase-3 state stores the facts too.
-func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, tag uint64, idx *dataflow.Index, entry *frontend.CompiledModule) (*Report, error) {
+// takes its result from the entry, and no points-to goroutine starts.
+// The first clean, converged run that uses the state tier stores the
+// facts. A run that finds the stored verdict of its module key binds it
+// against its regions and solves nothing; phase 3 still fires its hook.
+func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts Options, col *metrics.Collector, missing map[string]bool, key moduleKey, idx *dataflow.Index, entry *frontend.CompiledModule) (*Report, error) {
 	m := res.Module
 	mode := pointsToMode(opts)
 	if opts.incrOpts != nil {
@@ -480,25 +485,32 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			roots = append(roots, f)
 		}
 	}
-	// A run outside a session starts from the last converged state of the
-	// same system, options and sources, unless it is cold, degraded or
-	// exponential (the exponential driver tracks nothing).
-	incr, storeKey := opts.incrOpts, ""
-	if usesStore(opts) && len(missing) == 0 {
+	// A run outside a session through a Cache takes the stored verdict of
+	// its system, options and module key, unless it is exponential or
+	// degraded or has no module key; a miss runs untracked and stores the
+	// verdict of a clean, converged run.
+	var stored *vfg.Verdict
+	storeKey := ""
+	if opts.incrOpts == nil && opts.Cache != nil && !opts.Exponential && len(missing) == 0 && key != (moduleKey{}) {
 		storeKey = stateKey(name, opts)
-		prev, _, corrupt := opts.Cache.State.Get(storeKey, tag)
+		sv, ok, corrupt := opts.Cache.State.Get(storeKey, foldKey(key))
 		if corrupt {
 			col.AddCacheCorruptEvictions(1)
 		}
-		incr = &vfg.IncrOptions{Prev: prev}
-		if facts != nil {
-			incr.Fingerprints = facts.fps
+		if ok && sv.key == key {
+			stored = sv.verdict
 		}
 	}
 	var v *vfg.Result
+	hit := false
 	done = col.Phase("vfg")
 	err = guard.Run("vfg", name, func() error {
 		firePhaseHook("vfg", name)
+		if stored != nil {
+			if v, hit = stored.Bind(sf); hit {
+				return nil
+			}
+		}
 		v = vfg.Run(vfg.Config{
 			Module:      m,
 			CG:          cg,
@@ -511,7 +523,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			Ctx:         ctx,
 			Metrics:     col,
 			MissingDefs: missing,
-			Incr:        incr,
+			Incr:        opts.incrOpts,
 			Policy:      opts.Policy,
 			Index:       idx,
 		})
@@ -528,25 +540,23 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 	}
 	rep.Internal = append(rep.Internal, v.Internal...)
 	hits, misses := 0, 0
-	if v.Incr != nil {
+	switch {
+	case v.Incr != nil:
 		col.SetIncremental(v.Incr.FuncsInvalidated, v.Incr.FuncsReused, v.Incr.UnitsReplayed, v.Incr.Restarts)
-		if storeKey != "" {
-			// Only a converged run with no recovered panic in any phase is
-			// stored: a partial state would poison every later run.
-			if v.NextIncr != nil && len(rep.Internal) == 0 {
-				opts.Cache.State.Put(storeKey, tag, v.NextIncr)
-				if entry != nil && facts == nil {
-					entry.StoreFacts(factSlot(mode), &moduleFacts{
-						cg: cg, sf: sf, violations: violations, pts: pts, idx: idx,
-						fps: v.NextIncr.Fingerprints(),
-					})
-				}
-			}
-			hits, misses = v.Incr.UnitsReplayed, v.Incr.UnitsSolved
-		} else {
-			rep.incrState = v.NextIncr
-			rep.incrStats = v.Incr
+		rep.incrState = v.NextIncr
+		rep.incrStats = v.Incr
+	case hit:
+		hits = v.Units
+	case storeKey != "":
+		misses = v.Units
+		// Only a run with no recovered panic in any phase is stored: a
+		// partial verdict would poison every later run.
+		if len(rep.Internal) == 0 {
+			opts.Cache.State.Put(storeKey, foldKey(key), &storedVerdict{key: key, verdict: vfg.NewVerdict(v)})
 		}
+	}
+	if storeKey != "" && len(rep.Internal) == 0 && entry != nil && facts == nil {
+		entry.StoreFacts(factSlot(mode), &moduleFacts{cg: cg, sf: sf, violations: violations, pts: pts, idx: idx})
 	}
 	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, hits, misses)
 	col.SetVFGTransfers(v.Transfers)
@@ -662,17 +672,16 @@ func callsInitCheck(f *ir.Function) bool {
 // moduleFacts are what phases 1–3 derive from a module alone under one
 // points-to mode, kept in the module tier entry (frontend.CompiledModule)
 // by the first clean, converged run over it: the call graph, the shm
-// facts, the restriction violations, the points-to result, the def-use
-// indexes and phase 3's per-function fingerprints. Every analysis that
-// hits the entry shares them, possibly at once, so nothing modifies them;
-// the report slices that alias them are clipped.
+// facts, the restriction violations, the points-to result and the def-use
+// indexes. Every analysis that hits the entry shares them, possibly at
+// once, so nothing modifies them; the report slices that alias them are
+// clipped.
 type moduleFacts struct {
 	cg         *callgraph.Graph
 	sf         *shmflow.Result
 	violations []restrict.Violation
 	pts        *pointsto.Result
 	idx        *dataflow.Index
-	fps        vfg.Fingerprints
 }
 
 // factSlot is the module tier entry's fact slot of a points-to mode.
@@ -697,14 +706,43 @@ type Cache struct {
 	// run that stored it. Each entry also keeps, per points-to mode, the
 	// whole-module facts (moduleFacts) of the first clean, converged
 	// analysis of the module, so a repeat runs no call graph, shmflow,
-	// restrict or points-to and reuses phase 3's fingerprints.
+	// restrict or points-to.
 	Module *frontend.ModuleCache
-	// State holds each system's last converged phase-3 state (64
-	// entries), keyed by stateKey and tagged with the module key of the
-	// compile it analyzed (frontend.RecoverResult.Key), which covers
-	// exactly the preprocessed text the module was built from; its
-	// integrity sum is the state's structural checksum.
-	State *cache.LRU[string, *vfg.IncrState]
+	// State holds each system's last phase-3 verdict (64 entries): the
+	// warnings and error dependencies of its last clean, converged
+	// analysis outside a session, in a portable form that keeps no
+	// module alive. It is keyed by stateKey and tagged with the module
+	// key of the compile the verdict was computed from, folded to 64
+	// bits; the entry keeps the whole key, and a lookup takes the verdict
+	// only when all of it matches. A hit binds the verdict against the
+	// run's regions and runs no phase-3 solve. The integrity sum is the
+	// verdict's checksum.
+	State *cache.LRU[string, *storedVerdict]
+}
+
+// storedVerdict is a state tier entry: a verdict and the full module key
+// of the compile it was computed from.
+type storedVerdict struct {
+	key     moduleKey
+	verdict *vfg.Verdict
+}
+
+// checksum is the entry's integrity sum: the verdict's and the key's.
+func (sv *storedVerdict) checksum() uint64 {
+	return sv.verdict.Checksum() ^ foldKey(sv.key)
+}
+
+// moduleKey is a compile's module key (frontend.RecoverResult.Key).
+type moduleKey = [sha256.Size]byte
+
+// foldKey folds a module key into 64 bits, the four words XORed: the
+// state tier's tag.
+func foldKey(k moduleKey) uint64 {
+	var h uint64
+	for i := 0; i < len(k); i += 8 {
+		h ^= binary.LittleEndian.Uint64(k[i:])
+	}
+	return h
 }
 
 // maxStates bounds a Cache's state tier.
@@ -716,7 +754,7 @@ func NewCache() *Cache {
 		Parse:  frontend.NewParseCache(),
 		Units:  frontend.NewUnitCache(),
 		Module: frontend.NewModuleCache(),
-		State:  cache.NewLRU[string](maxStates, (*vfg.IncrState).Checksum),
+		State:  cache.NewLRU[string](maxStates, (*storedVerdict).checksum),
 	}
 }
 
@@ -744,18 +782,10 @@ func (c *Cache) moduleTier() *frontend.ModuleCache {
 	return c.Module
 }
 
-// usesStore reports whether a run loads and stores the last converged
-// phase-3 state: every run outside a session that has a Cache and is not
-// exponential (a degraded run is made cold before it gets here).
-func usesStore(opts Options) bool {
-	return opts.incrOpts == nil && opts.Cache != nil && !opts.Exponential
-}
-
-// stateKey names a system's slot in the state tier of a Cache:
-// the system name plus every option that the per-function fingerprints
-// do not cover. It holds no source text, so a system keeps one slot as
-// its sources change; the slot's entry is tagged with the module key of
-// its sources.
+// stateKey names a system's slot in the state tier of a Cache: the
+// system name plus every option phase 3 reads beyond the module. It
+// holds no source text, so a system keeps one slot as its sources
+// change; the slot's entry carries the module key of its sources.
 func stateKey(name string, opts Options) string {
 	var b strings.Builder
 	put := func(parts ...string) {
@@ -783,18 +813,33 @@ type fileScan struct {
 	sups        []policy.Suppression
 }
 
+// annotationMarker opens every SafeFlow annotation comment.
+const annotationMarker = "SafeFlow Annotation"
+
 // scanFile counts one file's non-blank lines and annotation comments and
-// collects its safeflow:ignore directives.
+// collects its safeflow:ignore directives. Lines are cut from text in
+// place, so a file without directives scans with no allocation.
 func scanFile(name, text string) fileScan {
 	fs := fileScan{sups: policy.ScanSuppressions(name, text)}
+	// A line counts once however many annotations it holds: after each
+	// match the search resumes on the next line.
+	for rest := text; ; {
+		i := strings.Index(rest, annotationMarker)
+		if i < 0 {
+			break
+		}
+		fs.annots++
+		j := strings.IndexByte(rest[i:], '\n')
+		if j < 0 {
+			break
+		}
+		rest = rest[i+j+1:]
+	}
 	for text != "" {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		if strings.TrimSpace(line) != "" {
 			fs.loc++
-		}
-		if strings.Contains(line, "SafeFlow Annotation") {
-			fs.annots++
 		}
 	}
 	return fs

@@ -1,7 +1,7 @@
 package core_test
 
 // Determinism under concurrency: the parallel pipeline (frontend workers,
-// phase-3 SCC scheduling, replay from the stored state) must never change a
+// phase-3 SCC scheduling, taking the stored verdict) must never change a
 // report. Each corpus system is analyzed repeatedly at several worker
 // counts, with the cache cold and warm, and every rendered report — text
 // and JSON — must be byte-identical to the first.

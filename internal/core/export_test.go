@@ -8,10 +8,11 @@ import (
 	"safeflow/internal/frontend"
 )
 
-// PlantState re-tags the state the last analysis of name under opts
-// over the sources from stored in opts.Cache, as if it had been computed
-// from the sources to, so the next analysis of to replays a different
-// program's state. It reports whether there was a state to re-tag.
+// PlantState re-tags the verdict the last analysis of name under opts
+// over the sources from stored in opts.Cache with the tag of the sources
+// to, as a module key whose 64-bit fold collides would; the entry keeps
+// the full key of from. It reports whether there was a verdict to
+// re-tag.
 func PlantState(name string, opts Options, from, to map[string]string, fromFiles, toFiles []string) bool {
 	key := stateKey(name, opts)
 	st, ok, _ := opts.Cache.State.Get(key, sourcesTag(name, from, fromFiles, opts))
@@ -23,8 +24,8 @@ func PlantState(name string, opts Options, from, to map[string]string, fromFiles
 }
 
 // sourcesTag is the state tier tag of an analysis of the sources under
-// opts: their module key, from a compile through a module tier of its
-// own. It is zero when a unit fails.
+// opts: their module key folded to 64 bits, from a compile through a
+// module tier of its own. It is zero when a unit fails.
 func sourcesTag(name string, sources map[string]string, cFiles []string, opts Options) uint64 {
 	rr, err := frontend.CompileWith(context.Background(), name, cpp.MapSource(sources), cFiles, frontend.Options{
 		Defines: opts.Defines,
@@ -33,7 +34,7 @@ func sourcesTag(name string, sources map[string]string, cFiles []string, opts Op
 	if err != nil {
 		return 0
 	}
-	return rr.Key
+	return foldKey(rr.Key)
 }
 
 // SessionIndex returns the def-use index table s keeps across updates.

@@ -203,3 +203,38 @@ func nonBlank(text string) int {
 	}
 	return n
 }
+
+// TestScanFileAllocFree: a file without a safeflow:ignore directive, the
+// common case, scans with no allocation, and its counts are the lines'.
+func TestScanFileAllocFree(t *testing.T) {
+	src := strings.Repeat("int x;\n\n   \n/***SafeFlow Annotation assume(core(p, 0, 8)) /***/\ndouble y; // note\n", 100)
+	var fs fileScan
+	if allocs := testing.AllocsPerRun(100, func() { fs = scanFile("a.c", src) }); allocs != 0 {
+		t.Errorf("%v allocations per scan, want 0", allocs)
+	}
+	if fs.loc != 300 || fs.annots != 100 || fs.sups != nil {
+		t.Errorf("scan: %d lines, %d annotations, %d directives; want 300, 100, 0", fs.loc, fs.annots, len(fs.sups))
+	}
+}
+
+// TestScanFileCountsLines: an annotation line counts once however many
+// annotations it holds, blank and whitespace-only lines do not count,
+// and a last line without a newline does.
+func TestScanFileCountsLines(t *testing.T) {
+	for _, tc := range []struct {
+		text        string
+		loc, annots int
+	}{
+		{"", 0, 0},
+		{"\n\n \t\n", 0, 0},
+		{"int x;", 1, 0},
+		{"/***SafeFlow Annotation a /***/ /***SafeFlow Annotation b /***/\nint x;\n", 2, 1},
+		{"int x;\n/***SafeFlow Annotation a /***/", 2, 1},
+		{"/***SafeFlow Annotation a /***/\n\n/***SafeFlow Annotation b /***/\n", 2, 2},
+		{" \n x\n", 1, 0},
+	} {
+		if fs := scanFile("a.c", tc.text); fs.loc != tc.loc || fs.annots != tc.annots {
+			t.Errorf("%q: %d lines, %d annotations; want %d, %d", tc.text, fs.loc, fs.annots, tc.loc, tc.annots)
+		}
+	}
+}

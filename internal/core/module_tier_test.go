@@ -41,7 +41,7 @@ func TestModuleTierWarmRepeat(t *testing.T) {
 			t.Errorf("repeat %d: compiled a new module", i)
 		}
 		if m := rep.Metrics; m.FrontendCacheHits != len(g.CFiles) || m.CacheHits != 129 {
-			t.Errorf("repeat %d: frontend hits %d, units replayed %d; want %d, 129", i, m.FrontendCacheHits, m.CacheHits, len(g.CFiles))
+			t.Errorf("repeat %d: frontend hits %d, verdict units taken %d; want %d, 129", i, m.FrontendCacheHits, m.CacheHits, len(g.CFiles))
 		}
 		if renderAll(t, rep) != want {
 			t.Errorf("repeat %d: report differs from a cold run", i)
@@ -92,11 +92,11 @@ func probeSystem() corpus.Generated {
 
 // TestModuleTierInvalidation: an edited header, an edited unit and a
 // define the sources read each compile a new module, whose report is a
-// cold run's of the changed input, and replay nothing of the stored
-// phase-3 state. A define no unit reads changes no preprocessed text, so
-// the module is reused. A header no unit reads — probe_dbg.h while
-// PROBE_DEBUG is undefined — is no part of the program: editing it hits
-// both tiers, the module and every unit's state. Going back to the first
+// cold run's of the changed input, and take no stored phase-3 verdict.
+// A define no unit reads changes no preprocessed text, so the module is
+// reused. A header no unit reads — probe_dbg.h while PROBE_DEBUG is
+// undefined — is no part of the program: editing it hits both tiers, the
+// module and the verdict. Going back to the first
 // sources finds their module again.
 func TestModuleTierInvalidation(t *testing.T) {
 	base := probeSystem()
@@ -121,7 +121,7 @@ func TestModuleTierInvalidation(t *testing.T) {
 		g       corpus.Generated
 		defines map[string]string
 		sameAs  string // the earlier run whose module this one must reuse; "" for a new one
-		replay  bool   // every unit replays the stored state; otherwise none does
+		hit     bool   // the run takes the stored verdict; otherwise it solves every unit
 	}{
 		{"edited unread header", edit("probe_dbg.h", "int unread_probe;\n"), nil, "first", true},
 		{"edited header", edit("gen.h", "int header_probe;\n"), nil, "", false},
@@ -140,8 +140,8 @@ func TestModuleTierInvalidation(t *testing.T) {
 				t.Errorf("%s: module of %q reused = %v, want %v", tc.name, name, reused, wantReused)
 			}
 		}
-		if m := rep.Metrics; tc.replay && (m.CacheHits == 0 || m.CacheMisses != 0) || !tc.replay && m.CacheHits != 0 {
-			t.Errorf("%s: replayed %d units and solved %d, want every unit replayed = %v", tc.name, m.CacheHits, m.CacheMisses, tc.replay)
+		if m := rep.Metrics; tc.hit && (m.CacheHits == 0 || m.CacheMisses != 0) || !tc.hit && m.CacheHits != 0 {
+			t.Errorf("%s: took a verdict of %d units and solved %d, want the verdict taken = %v", tc.name, m.CacheHits, m.CacheMisses, tc.hit)
 		}
 		if renderAll(t, rep) != want {
 			t.Errorf("%s: report differs from a cold run", tc.name)

@@ -193,7 +193,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			s.fragOK = true
 			opts := s.opts
 			opts.incrOpts = &vfg.IncrOptions{Prev: s.incr, BodyHashes: hashes}
-			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil, 0, s.idx, nil)
+			rep, err := analyzeModuleWith(ctx, s.name, res, opts, col, nil, moduleKey{}, s.idx, nil)
 			s.idx.Prune(res.Module)
 			if err != nil {
 				return nil, UpdateStats{}, err

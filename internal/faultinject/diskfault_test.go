@@ -60,7 +60,7 @@ func TestDiskCorruptionHealsStore(t *testing.T) {
 	}
 
 	// Same scenario, same store, no new corruption: the "cold" run of
-	// this second invocation replays the healed store.
+	// this second invocation reads the healed store.
 	second, err := RunDisk(context.Background(), DiskScenario{Seed: 3}, store)
 	if err != nil {
 		t.Fatal(err)

@@ -138,9 +138,9 @@ func TestDegradedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// A degraded run must never write to the store of last converged states:
-// its skipped-def summaries are conservative placeholders, so a later
-// healthy run must not replay them.
+// A degraded run must never write to the state tier: its skipped-def
+// summaries are conservative placeholders, so a later healthy run must
+// not take its verdict.
 func TestNoSummaryCacheWritesOnFaultedRuns(t *testing.T) {
 	c := core.NewCache()
 	for _, seed := range harnessSeeds {
@@ -194,7 +194,7 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if warm.Report.Degraded {
 		t.Fatal("unfaulted scenario reported degraded")
 	}
-	if _, err := run(); err != nil { // replay from the stored state
+	if _, err := run(); err != nil { // take the stored verdict
 		t.Fatal(err)
 	}
 	if c.State.Len() == 0 || c.Parse.Len() == 0 || c.Module.Len() == 0 {

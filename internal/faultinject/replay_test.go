@@ -82,7 +82,7 @@ func replayInvariants(t *testing.T, sc Scenario) {
 	}
 	if sc.Faults > 0 {
 		if n := c.State.Len(); n != 0 {
-			t.Errorf("faulted replay stored %d phase-3 states\n%s", n, sc.Repro())
+			t.Errorf("faulted replay stored %d phase-3 verdicts\n%s", n, sc.Repro())
 		}
 	}
 	if t.Failed() {

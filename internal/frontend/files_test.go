@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"crypto/sha256"
 	"maps"
 	"sort"
 	"testing"
@@ -60,8 +61,8 @@ func TestFilesRead(t *testing.T) {
 					if !maps.Equal(rr.Files, want) {
 						t.Errorf("%s, %d workers, tiers %v, run %d: read %v, want %v", tc.name, workers, tiers, run, names(rr.Files), tc.want)
 					}
-					if (rr.Key != 0) != tiers {
-						t.Errorf("%s, %d workers, tiers %v: key %#x", tc.name, workers, tiers, rr.Key)
+					if (rr.Key != [sha256.Size]byte{}) != tiers {
+						t.Errorf("%s, %d workers, tiers %v: key %x", tc.name, workers, tiers, rr.Key)
 					}
 				}
 			}
@@ -91,7 +92,7 @@ func TestFilesRead(t *testing.T) {
 // unit reads.
 func TestFilesKeyFollowsReads(t *testing.T) {
 	cFiles := []string{"a.c", "b.c", "c.c"}
-	key := func(src cpp.MapSource, defines map[string]string) uint64 {
+	key := func(src cpp.MapSource, defines map[string]string) [sha256.Size]byte {
 		t.Helper()
 		rr, err := CompileWith(context.Background(), "sys", src, cFiles, Options{Defines: defines, Modules: NewModuleCache()}, true)
 		if err != nil {

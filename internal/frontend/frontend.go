@@ -363,11 +363,11 @@ type RecoverResult struct {
 	// served contributes the files its slot recorded, which still read
 	// the same.
 	Files map[string]string
-	// Key is the module key (moduleKey) folded to 64 bits: it covers the
-	// system name and every unit's name and preprocessed text. Zero when
-	// the compile had no module tier or a unit failed to preprocess or
-	// parse.
-	Key uint64
+	// Key is the module key (moduleKey): the SHA-256 of the system name
+	// and every unit's name and parse key, so it covers every unit's
+	// preprocessed text. Zero when the compile had no module tier or a
+	// unit failed to preprocess or parse.
+	Key [sha256.Size]byte
 }
 
 // Degraded reports whether any translation unit was skipped.
@@ -410,7 +410,7 @@ func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []
 	if ok {
 		return &RecoverResult{
 			Res:   &irgen.Result{Module: cached.Module, AssertVars: cached.AssertVars},
-			Entry: cached, Files: files, Key: foldKey(*modKey),
+			Entry: cached, Files: files, Key: *modKey,
 		}, nil
 	}
 
@@ -528,7 +528,7 @@ func CompileWith(ctx context.Context, name string, sources cpp.Source, cFiles []
 	irgen.Promote(res.Module)
 	out := &RecoverResult{Res: res, Files: files}
 	if modKey != nil {
-		out.Key = foldKey(*modKey)
+		out.Key = *modKey
 	}
 	if modKey != nil && len(diags) == 0 {
 		out.Entry = &CompiledModule{Module: res.Module, AssertVars: res.AssertVars}

@@ -1,4 +1,4 @@
-// Content-keyed module cache. Once phase 3 replays a stored state, the
+// Content-keyed module cache. Once phase 3 takes a stored verdict, the
 // warm repeat of an unchanged system spends most of its time in the
 // steps that run one at a time after the unit pool: type checking,
 // lowering and mem2reg. A compile through Options.Modules whose every
@@ -17,8 +17,8 @@
 // one slot of analysis facts per points-to mode. The front end never
 // reads the slots: the analysis (internal/core) fills one after the
 // first clean, converged run over the module under that mode — its call
-// graph, shm facts, restriction violations, points-to result, def-use
-// indexes and phase-3 fingerprints — and a later analysis that hits the
+// graph, shm facts, restriction violations, points-to result and def-use
+// indexes — and a later analysis that hits the
 // entry reads them instead of computing them again. The first writer
 // wins; stored facts are never replaced.
 //
@@ -151,13 +151,4 @@ func moduleKey(name string, cFiles []string, outs []unitOutcome) [sha256.Size]by
 	var key [sha256.Size]byte
 	h.Sum(key[:0])
 	return key
-}
-
-// foldKey folds a module key into 64 bits, the four words XORed.
-func foldKey(k [sha256.Size]byte) uint64 {
-	var h uint64
-	for i := 0; i < len(k); i += 8 {
-		h ^= binary.LittleEndian.Uint64(k[i:])
-	}
-	return h
 }

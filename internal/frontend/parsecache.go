@@ -1,5 +1,5 @@
 // Content-keyed parse cache. Lex + parse dominate warm end-to-end runs
-// (phase 3 replays the last converged state of the system instead), so
+// (phase 3 takes the stored verdict of the system instead), so
 // repeated compilations of unchanged translation units — watch-mode
 // workloads, daemon requests, AnalyzeAll batches sharing headers — reuse
 // the parsed AST held by Options.Cache instead of re-deriving it.

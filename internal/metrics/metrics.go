@@ -1,6 +1,6 @@
 // Package metrics instruments SafeFlow analysis runs: per-phase wall
 // times, pipeline shape counters (translation units, SCCs, fixpoint
-// rounds, summaries solved), phase-3 replay rates, and peak goroutine
+// rounds, summaries solved), phase-3 verdict hit rates, and peak goroutine
 // counts. A Collector is threaded through one run; its Finish snapshot is
 // embedded in reports under the versioned "metrics" JSON key.
 //
@@ -39,9 +39,12 @@ type RunMetrics struct {
 	SCCs             int            `json:"sccs"`
 	FixpointRounds   int            `json:"fixpoint_rounds"`
 	UnitsSolved      int            `json:"units_solved"`
-	// CacheHits / CacheMisses count the units a run that started from a
-	// stored phase-3 state replayed / solved; both are zero on cold runs
-	// and session updates.
+	// CacheHits / CacheMisses count phase-3 verdict lookups in units: a
+	// run that took a stored verdict counts the units the verdict covers
+	// as hits; a run through a Cache that found none counts the units it
+	// solved as misses, so a cold run under a new nonce reports 0 hits.
+	// Both are zero on runs with no Cache, exponential, degraded and
+	// module-only runs, and session opens and updates.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// VFGTransfers counts the value-flow solver's instruction transfer
@@ -66,9 +69,9 @@ type RunMetrics struct {
 	// versus includes it expanded.
 	IncludeMemoHits   int `json:"include_memo_hits,omitempty"`
 	IncludeMemoMisses int `json:"include_memo_misses,omitempty"`
-	// Incremental re-analysis counters (set on tracked runs — session
-	// updates and analyses that start from a stored phase-3 state;
-	// omitted from JSON when zero): how many functions the dependency
+	// Incremental re-analysis counters (set on tracked runs, which are
+	// session opens and updates; omitted from JSON when zero): how many
+	// functions the dependency
 	// graph invalidated versus reused, how many units were replayed from
 	// the previous run's records, and how many verify restarts the run
 	// needed.

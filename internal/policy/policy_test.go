@@ -299,3 +299,16 @@ func TestScanSuppressions(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSuppressionsNoMarkerAllocFree: a file without the marker, the
+// common case, scans with no allocation.
+func TestScanSuppressionsNoMarkerAllocFree(t *testing.T) {
+	src := strings.Repeat("int x; // a comment\n\n  double y = read(); /* safeflow */\n", 200)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if ScanSuppressions("a.c", src) != nil {
+			t.Fatal("found a directive in a file without the marker")
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations per scan, want 0", allocs)
+	}
+}

@@ -25,11 +25,16 @@ const ignoreMarker = "safeflow:ignore"
 // ScanSuppressions extracts every safeflow:ignore directive from one
 // source file. Malformed directives (no rule id after the marker) are
 // returned with an empty Rule so the caller can diagnose them instead
-// of ignoring them.
+// of ignoring them. A file without the marker costs one search and no
+// allocation; lines are cut from src in place.
 func ScanSuppressions(file, src string) []Suppression {
+	if !strings.Contains(src, ignoreMarker) {
+		return nil
+	}
 	var out []Suppression
-	lines := strings.Split(src, "\n")
-	for i, line := range lines {
+	for n := 1; src != ""; n++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
 		idx := strings.Index(line, "//")
 		if idx < 0 {
 			continue
@@ -46,16 +51,16 @@ func ScanSuppressions(file, src string) []Suppression {
 		}
 		s := Suppression{
 			File:        file,
-			CommentLine: i + 1,
+			CommentLine: n,
 			Rule:        rule,
 			Reason:      reason,
 		}
 		if strings.TrimSpace(line[:idx]) == "" {
 			// Directive-only line: targets the following line.
-			s.Line = i + 2
+			s.Line = n + 1
 		} else {
 			// Trailing directive: targets its own line.
-			s.Line = i + 1
+			s.Line = n
 		}
 		out = append(out, s)
 	}

@@ -15,7 +15,7 @@ import (
 // TestSARIFDeterminism pins the CI-facing invariant for the new format:
 // the SARIF bytes are identical at every worker count and at every
 // cache temperature. Each worker count is rendered cold (a new cache)
-// and warm (second run replaying the stored state) and every
+// and warm (second run taking the stored verdict) and every
 // rendering must equal the first.
 func TestSARIFDeterminism(t *testing.T) {
 	sys := corpus.All()[0]

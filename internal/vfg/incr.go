@@ -10,11 +10,10 @@
 // facts) plus an environment hash (the shm facts, points-to footprints and
 // callee identities its transfer functions consult).
 //
-// Every tracked run — a session update, or a plain analysis that loaded
-// the last converged state of its system from a cache's state tier
-// (internal/cache) — goes
-// through runIncremental; a run with no previous state is an update from
-// empty state.
+// Only sessions track: a session's open and every update go through
+// runIncremental, the open as an update from empty state. A plain
+// analysis runs untracked; a repeat of unchanged sources takes the stored
+// Verdict of its first run instead (verdict.go).
 //
 // On the next run, functions whose fingerprint changed are dirty; the
 // dirty set plus its transitive caller cone in the (new) call graph is
@@ -76,23 +75,7 @@ type IncrOptions struct {
 	// hashes (from the incremental frontend's fragment cache) keyed by
 	// function name; functions not in the map are hashed here.
 	BodyHashes map[string]uint64
-	// Fingerprints, when set, are every function's fingerprints from an
-	// earlier run over the same module, shm facts, points-to result and
-	// assert names with no MissingDefs (IncrState.Fingerprints); the run
-	// uses them instead of hashing. BodyHashes is then ignored.
-	Fingerprints Fingerprints
 }
-
-// Fingerprints are the per-function fingerprints (body and environment
-// hashes) of one run. They are shared by every run handed them and by
-// every state captured from such a run, so nothing modifies them.
-type Fingerprints struct {
-	fns map[string]fnFingerprint
-}
-
-// Fingerprints returns the function fingerprints the state was captured
-// with.
-func (st *IncrState) Fingerprints() Fingerprints { return Fingerprints{st.fnFP} }
 
 // IncrState is the persistent dependency-graph snapshot of one converged
 // run: per-function fingerprints plus per-unit replay records. Opaque to
@@ -575,14 +558,10 @@ func regionFingerprint(sf *shmflow.Result) uint64 {
 }
 
 // computeFingerprints fingerprints every defined function, preferring
-// fingerprints handed in whole, then the frontend's precomputed body
-// hashes.
+// the frontend's precomputed body hashes.
 func computeFingerprints(cfg *Config) map[string]fnFingerprint {
 	var hints map[string]uint64
 	if cfg.Incr != nil {
-		if fps := cfg.Incr.Fingerprints.fns; fps != nil {
-			return fps
-		}
 		hints = cfg.Incr.BodyHashes
 	}
 	fps := make(map[string]fnFingerprint)
@@ -1261,49 +1240,4 @@ func runIncremental(cfg Config) *Result {
 		res.NextIncr = a.captureState(fps, regionFP)
 		return res
 	}
-}
-
-// Checksum derives the state's structural checksum: FNV-1a over each unit
-// record's key and shape, each function fingerprint and each memory
-// cell, combined by addition so no key needs sorting. It is an integrity
-// check against truncation and stray mutation of shared state, not a
-// cryptographic one; the state tier of internal/cache verifies it on every
-// load.
-func (st *IncrState) Checksum() uint64 {
-	var units, fns, cells uint64
-	for key, rec := range st.units {
-		h := newFNV()
-		h.str(key)
-		if rec != nil {
-			h.str(rec.fn)
-			for _, n := range []int{len(rec.sum.ret.srcs), len(rec.sum.ret.params), len(rec.sum.effects),
-				len(rec.sum.asserts), len(rec.writes), len(rec.reads), len(rec.sources), len(rec.errors)} {
-				h.int(int64(n))
-			}
-		}
-		units += h.h
-	}
-	for name, fp := range st.fnFP {
-		h := newFNV()
-		h.str(name)
-		h.int(int64(fp.body))
-		h.int(int64(fp.env))
-		fns += h.h
-	}
-	for ref, t := range st.cells {
-		h := newFNV()
-		h.str(ref.obj.name)
-		h.int(ref.off)
-		h.int(int64(len(t.srcs)))
-		cells += h.h
-	}
-	h := newFNV()
-	h.int(int64(st.regionFP))
-	for _, n := range []int{len(st.units), len(st.fnFP), len(st.cells)} {
-		h.int(int64(n))
-	}
-	h.int(int64(units))
-	h.int(int64(fns))
-	h.int(int64(cells))
-	return h.h
 }

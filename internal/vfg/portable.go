@@ -1,11 +1,11 @@
-// Portable (pointer-free) forms of the summary domain. A converged run's
-// state outlives the run (Session and the store of last converged states
-// keep it for the next run), but summaries reference run-local pointers
-// (*Source, *pointsto.Object). So a captured state holds them in a
-// portable form — positions, names and byte offsets — rebound against
-// the new run's points-to objects and regions on replay. A descriptor
-// that does not rebind unambiguously makes its record unusable, and the
-// unit is solved instead.
+// Portable (pointer-free) forms of the summary domain. A converged
+// session run's state outlives the run (the Session keeps it for the
+// next update), and so does a stored Verdict (verdict.go), but summaries
+// and findings reference run-local pointers (*Source, *pointsto.Object,
+// *shmflow.Region). So both hold them in a portable form — positions,
+// names and byte offsets — rebound against the new run's points-to
+// objects and regions. A descriptor that does not rebind unambiguously
+// makes its record unusable, and the unit is solved instead.
 
 package vfg
 
@@ -87,15 +87,7 @@ func (a *analysis) exportTaint(t Taint) pTaint {
 	out := pTaint{params: paramsToMap(t.par)}
 	a.srcMu.Lock()
 	emit := func(id int, k Kind) {
-		s := a.srcList[id]
-		regionName := ""
-		if s.Region != nil {
-			regionName = s.Region.Name
-		}
-		out.srcs = append(out.srcs, pSrcTaint{
-			src: pSrc{key: srcKey{pos: s.Pos, kind: s.Kind, region: regionName, detail: s.Detail, rule: s.Rule}, fn: s.FnName},
-			k:   k,
-		})
+		out.srcs = append(out.srcs, pSrcTaint{src: pSrcOf(a.srcList[id]), k: k})
 	}
 	t.src.data.forEach(func(id int) { emit(id, KindData) })
 	t.src.ctrl.forEach(func(id int) { emit(id, KindCtrl) })

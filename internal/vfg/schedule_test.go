@@ -128,54 +128,37 @@ int main()
 }
 
 // TestChecksumDetectsDamage: the state tier of a cache verifies a
-// stored state by its Checksum, so truncating the state's memory cells
-// or dropping a unit record must change it, while a state left alone
-// keeps it.
+// stored verdict by its Checksum, so dropping a warning, an error's
+// source or a warning's context, or moving a position, must change it,
+// while a verdict left alone keeps it.
 func TestChecksumDetectsDamage(t *testing.T) {
-	src := preamble + `
-double acc;
-
-void accumulate()
-{
-	acc = acc + nc->a;
-}
-
-int main()
-{
-	double u;
-	initComm();
-	accumulate();
-	u = acc;
-	/***SafeFlow Annotation assert(safe(u)) /***/
-	writeDA(0, u);
-	return 0;
-}
-`
-	capture := func() *IncrState {
-		st := runConfig(t, src, Config{Workers: 1, Incr: &IncrOptions{}}).NextIncr
-		if st == nil || len(st.cells) == 0 || len(st.units) == 0 {
-			t.Fatal("tracked run captured no cells or units")
+	capture := func() *Verdict {
+		v := NewVerdict(runConfig(t, verdictSrc, Config{Workers: 1}))
+		if len(v.warnings) < 2 || len(v.errors) == 0 || len(v.errors[0].srcs) == 0 || len(v.warnings[0].contexts) == 0 {
+			t.Fatal("the run reported too little to damage")
 		}
-		return st
+		return v
 	}
-	st := capture()
-	sum := st.Checksum()
-	if again := st.Checksum(); again != sum {
-		t.Fatalf("checksum of an untouched state moved: %x vs %x", sum, again)
+	v := capture()
+	sum := v.Checksum()
+	if again := v.Checksum(); again != sum {
+		t.Fatalf("checksum of an untouched verdict moved: %x vs %x", sum, again)
 	}
 	if other := capture().Checksum(); other != sum {
-		t.Fatalf("checksums of two captures of one program differ: %x vs %x", sum, other)
+		t.Fatalf("checksums of two verdicts of one program differ: %x vs %x", sum, other)
 	}
-	st.cells = nil
-	if st.Checksum() == sum {
-		t.Error("dropping the memory cells left the checksum unchanged")
-	}
-	st = capture()
-	for k := range st.units {
-		delete(st.units, k)
-		break
-	}
-	if st.Checksum() == sum {
-		t.Error("dropping a unit record left the checksum unchanged")
+	for name, damage := range map[string]func(v *Verdict){
+		"warning dropped":        func(v *Verdict) { v.warnings = v.warnings[1:] },
+		"error source dropped":   func(v *Verdict) { v.errors[0].srcs = v.errors[0].srcs[1:] },
+		"context dropped":        func(v *Verdict) { v.warnings[0].contexts = nil },
+		"error line moved":       func(v *Verdict) { v.errors[0].pos.Line++ },
+		"source kind weakened":   func(v *Verdict) { v.errors[0].srcs[0].k = KindCtrl },
+		"unit count overwritten": func(v *Verdict) { v.units++ },
+	} {
+		v := capture()
+		damage(v)
+		if v.Checksum() == sum {
+			t.Errorf("%s: checksum unchanged", name)
+		}
 	}
 }

@@ -139,6 +139,9 @@ type Result struct {
 	// UnitsAnalyzed counts (function, context) analysis units solved
 	// (solves, not distinct units) — the ablation metric.
 	UnitsAnalyzed int
+	// Units is the number of distinct (function, context) units of the
+	// closure.
+	Units int
 	// Transfers counts instruction transfer evaluations over every unit
 	// solve: the solver's work, which its visit order decides.
 	// SweptInstrs is its floor, one evaluation per instruction per
@@ -1188,6 +1191,7 @@ func (m *memStore) read(ref pointsto.Ref) Taint {
 func (a *analysis) finish() *Result {
 	res := &Result{
 		UnitsAnalyzed: int(a.solves.Load()),
+		Units:         len(a.unitList),
 		Transfers:     a.transfers.Load(),
 		SweptInstrs:   a.swept.Load(),
 		SCCs:          len(a.cfg.CG.BottomUp()),
@@ -1240,25 +1244,25 @@ func posLess(a, b ctoken.Pos) bool {
 
 // sourceLess is the total order on sources: position, then kind, region
 // and detail as tiebreakers so no two distinct sources ever compare equal.
+// It is the order on their portable keys, which a stored Verdict's
+// lookups rely on.
 func sourceLess(a, b *Source) bool {
-	if a.Pos != b.Pos {
-		return posLess(a.Pos, b.Pos)
+	return srcKeyLess(pSrcOf(a).key, pSrcOf(b).key)
+}
+
+// srcKeyLess is the total order on portable source keys.
+func srcKeyLess(a, b srcKey) bool {
+	if a.pos != b.pos {
+		return posLess(a.pos, b.pos)
 	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
-	an, bn := "", ""
-	if a.Region != nil {
-		an = a.Region.Name
+	if a.region != b.region {
+		return a.region < b.region
 	}
-	if b.Region != nil {
-		bn = b.Region.Name
+	if a.detail != b.detail {
+		return a.detail < b.detail
 	}
-	if an != bn {
-		return an < bn
-	}
-	if a.Detail != b.Detail {
-		return a.Detail < b.Detail
-	}
-	return a.Rule < b.Rule
+	return a.rule < b.rule
 }

@@ -61,7 +61,8 @@ type Options = core.Options
 // Cache holds the in-memory caches an analysis reads and fills: parsed
 // translation units, the files each unit's preprocessor read (so a
 // repeat of unchanged sources preprocesses nothing), compiled modules
-// and the last converged phase-3 state of each system, each a bounded LRU that verifies an entry's
+// and the last phase-3 verdict of each system (so a repeat of unchanged
+// sources solves nothing), each a bounded LRU that verifies an entry's
 // integrity on every hit. Set Options.Cache to a Cache from NewCache to
 // give a group of analyses caches of their own; with a nil
 // Options.Cache, AnalyzeContext and OpenContext share one process-wide
